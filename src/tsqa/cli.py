@@ -24,21 +24,21 @@ from .corpus import (
     save_dataset,
     save_facts,
 )
-from .facts import FactIndex, bulk_load, mine_proximal, mine_remote, sample_negatives
+from .facts import FactIndex, mine_proximal, mine_remote, sample_negatives
 from .features import TemporalMask, build_mask, dilate
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month
-from .metrics import evaluate, report
-from .policy import load_checkpoint, save_checkpoint
-from .reward import RewardParams, embed_answer, load_lookup_table, reward as reward_fn, triplet_score
+from .metrics import evaluate_compiled, report
+from .policy import compile_dataset, load_checkpoint, save_checkpoint
+from .reward import DEFAULT_DIM, RewardParams, embed_answer, load_lookup_table, reward as reward_fn, triplet_score
 from .tagger import parse_question_time, tag, tokenize
 from .trainer import (
     PPOConfig,
     SFTConfig,
     build_vocabulary,
     history_to_csv,
-    train_ppo,
-    train_sft,
+    train_ppo_compiled,
+    train_sft_compiled,
 )
 
 
@@ -77,13 +77,10 @@ def _feature_config(cfg: dict, temporal_fusion: Optional[bool] = None) -> Featur
 def _reward_params(cfg: dict) -> RewardParams:
     block = dict(cfg.get("reward", {}))
     lookup_path = block.pop("lookup_path", None)
-    params = _from_block(RewardParams, block)
     if lookup_path:
-        table = load_lookup_table(lookup_path, params.dim)
-        params = _from_block(
-            RewardParams, {**block, "embedder": "lookup"}, lookup_table=table
-        )
-    return params
+        table = load_lookup_table(lookup_path, block.get("dim", DEFAULT_DIM))
+        block.update(embedder="lookup_table", lookup_table=table)
+    return _from_block(RewardParams, block)
 
 
 def _interval_from_args(args) -> MonthInterval:
@@ -156,16 +153,16 @@ def _cmd_mask(args) -> int:
 def _cmd_mine(args) -> int:
     from .corpus import load_facts
 
-    index = bulk_load(load_facts(args.facts))
+    index = FactIndex(load_facts(args.facts))
     interval = _interval_from_args(args)
     remote = mine_remote(args.subject, args.relation, args.gold, interval, index)
     proximal = mine_proximal(args.subject, args.relation, args.gold, interval, index)
     rng = np.random.default_rng(args.seed)
-    sampled = sample_negatives(remote, proximal, args.k, rng)
+    sampled_remote, sampled_proximal = sample_negatives(remote, proximal, args.k, rng)
     payload = {
         "remote": remote,
         "proximal": proximal,
-        "sampled": {"remote": sampled.remote, "proximal": sampled.proximal},
+        "sampled": {"remote": sampled_remote, "proximal": sampled_proximal},
     }
     print(json.dumps(payload, ensure_ascii=False, indent=2))
     return 0
@@ -188,10 +185,10 @@ def _cmd_train_sft(args) -> int:
     cfg = _load_config(args.config)
     feature_config = _feature_config(cfg, args.temporal_fusion)
     sft = _from_block(SFTConfig, cfg.get("sft", {}), seed=args.seed)
-    train = load_dataset(args.train)
-    dev = load_dataset(args.dev)
-    vocab = build_vocabulary([train, dev])
-    params, history = train_sft(train, dev, sft, feature_config, vocab)
+    splits = [load_dataset(args.train), load_dataset(args.dev)]
+    vocab = build_vocabulary(splits)
+    train, dev = (compile_dataset(split, None, vocab, feature_config) for split in splits)
+    params, history = train_sft_compiled(train, dev, sft, feature_config, len(vocab))
     save_checkpoint(args.out, params, vocab, feature_config)
     history_path = args.history or str(args.out) + ".history.csv"
     write_atomic(history_path, history_to_csv(history))
@@ -212,12 +209,11 @@ def _cmd_train_ppo(args) -> int:
         reward_kind=args.reward_kind,
     )
     reward_params = _reward_params(cfg)
-    train = load_dataset(args.train)
-    dev = load_dataset(args.dev)
-    params, history = train_ppo(
-        train, dev, sft_params, ppo,
-        feature_config=feature_config, vocab=vocab, reward_params=reward_params,
+    train, dev = (
+        compile_dataset(load_dataset(path), None, vocab, feature_config)
+        for path in (args.train, args.dev)
     )
+    params, history = train_ppo_compiled(train, dev, sft_params, ppo, feature_config, reward_params)
     save_checkpoint(args.out, params, vocab, feature_config)
     history_path = args.history or str(args.out) + ".history.csv"
     write_atomic(history_path, history_to_csv(history))
@@ -228,8 +224,8 @@ def _cmd_train_ppo(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, vocab, feature_config = load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data)
-    metrics = evaluate(data, params, None, feature_config, vocab)
+    data = compile_dataset(load_dataset(args.data), None, vocab, feature_config)
+    metrics = evaluate_compiled(data, params, feature_config)
     text = report(metrics, args.format)
     if args.out:
         write_atomic(args.out, text if text.endswith("\n") else text + "\n")
@@ -243,17 +239,19 @@ def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     sft_cfg = _from_block(SFTConfig, cfg.get("sft", {}), seed=args.seed)
     reward_params = _reward_params(cfg)
-    train = load_dataset(args.train)
-    dev = load_dataset(args.dev)
-    test = load_dataset(args.test)
-    vocab = build_vocabulary([train, dev])
+    splits = [load_dataset(path) for path in (args.train, args.dev, args.test)]
+    vocab = build_vocabulary(splits[:2])
+    # Compilation reads the window, which every arm shares, and not the
+    # fusion switch: the splits are compiled once for the whole grid.
+    compile_config = _feature_config(cfg)
+    train, dev, test = (compile_dataset(split, None, vocab, compile_config) for split in splits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for fusion in (True, False):
         feature_config = _feature_config(cfg, temporal_fusion=fusion)
-        sft_params, _ = train_sft(train, dev, sft_cfg, feature_config, vocab)
+        sft_params, _ = train_sft_compiled(train, dev, sft_cfg, feature_config, len(vocab))
         for kind in ("contrastive", "exact_match"):
             ppo = _from_block(
                 PPOConfig,
@@ -262,11 +260,10 @@ def _cmd_ablate(args) -> int:
                 iterations=args.iterations,
                 reward_kind=kind,
             )
-            params, _ = train_ppo(
-                train, dev, sft_params, ppo,
-                feature_config=feature_config, vocab=vocab, reward_params=reward_params,
+            params, _ = train_ppo_compiled(
+                train, dev, sft_params, ppo, feature_config, reward_params
             )
-            metrics = evaluate(test, params, None, feature_config, vocab)
+            metrics = evaluate_compiled(test, params, feature_config)
             rows.append(
                 {
                     "temporal_fusion": fusion,

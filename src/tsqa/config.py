@@ -1,10 +1,8 @@
-"""Feature and run configuration objects, with JSON round-trips."""
+"""Feature configuration, with a JSON round-trip."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -38,24 +36,3 @@ class FeatureConfig:
     def from_json_dict(cls, payload: dict) -> "FeatureConfig":
         known = {f: payload[f] for f in cls.__dataclass_fields__ if f in payload}
         return cls(**known)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Top-level knobs shared by the command-line workflows."""
-
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    seed: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {"features": self.features.to_json_dict(), "seed": self.seed}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "RunConfig":
-        features = FeatureConfig.from_json_dict(payload.get("features", {}))
-        return cls(features=features, seed=int(payload.get("seed", 0)))
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return RunConfig.from_json_dict(json.load(fh))

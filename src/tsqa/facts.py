@@ -10,7 +10,7 @@ period).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -72,20 +72,6 @@ class TimeFact:
             start=end_of("start"),
             end=end_of("end"),
         )
-
-
-@dataclass
-class NegativeSet:
-    """Mined negative answers; gold never appears and each list is unique."""
-
-    remote: list[str] = field(default_factory=list)
-    proximal: list[str] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.remote + self.proximal)
-
-    def is_empty(self) -> bool:
-        return not self.remote and not self.proximal
 
 
 class FactIndex:
@@ -191,6 +177,7 @@ class FactIndex:
 
 
 def bulk_load(facts: Sequence[TimeFact]) -> FactIndex:
+    """`FactIndex(facts)`; kept as a name the benchmark's tracer lists."""
     return FactIndex(facts)
 
 
@@ -278,26 +265,25 @@ def mine_proximal(
 
 
 def sample_negatives(
-    remote: Sequence[str],
-    proximal: Sequence[str],
+    remote: Sequence,
+    proximal: Sequence,
     k_per_side: int,
     rng: np.random.Generator,
-) -> NegativeSet:
-    """Draw up to k_per_side from each granularity without replacement.
+) -> tuple[list, list]:
+    """Draw up to k_per_side from each granularity without replacement;
+    returns the (remote, proximal) draws.
 
     The two sides stay balanced: a short side truncates the other, so the
-    result always holds equally many remote and proximal answers (possibly
-    zero of each).
+    result always holds equally many remote and proximal items (possibly
+    zero of each).  The sides may be answer lists or, as in the reward,
+    rows of distances to them.
     """
     n = min(int(k_per_side), len(remote), len(proximal))
     if n <= 0:
-        return NegativeSet()
+        return [], []
     r_idx = rng.choice(len(remote), size=n, replace=False)
     p_idx = rng.choice(len(proximal), size=n, replace=False)
-    return NegativeSet(
-        remote=[remote[i] for i in r_idx],
-        proximal=[proximal[i] for i in p_idx],
-    )
+    return [remote[i] for i in r_idx], [proximal[i] for i in p_idx]
 
 
 def infer_question_pair(

@@ -9,7 +9,7 @@ two-row embedding table and fused with per-token text embeddings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,7 +90,7 @@ def concat_masks(question_mask: TemporalMask, context_mask: TemporalMask) -> Tem
 
 
 def embed_temporal(mask: TemporalMask, tables: EmbeddingTables) -> np.ndarray:
-    """Row i of the result is time_table[bit_i]."""
+    """Row i of the result is time_table[bit_i]; kept as a name the benchmark's tracer lists."""
     return tables.time_table[mask.bits.astype(np.intp)]
 
 

@@ -77,7 +77,11 @@ def _aggregate(rows: list[tuple[str, float, float]]) -> Metrics:
 def score_predictions(
     predictions: Sequence[str], records: Sequence
 ) -> Metrics:
-    """EM/F1 for paired (prediction, record) lists, grouped by question type."""
+    """EM/F1 for paired (prediction, record) lists, grouped by question type.
+
+    Records are anything with `gold_answers` and `question_type`: raw or
+    compiled.
+    """
     rows = []
     for pred, rec in zip(predictions, records):
         golds = list(rec.gold_answers)
@@ -85,28 +89,19 @@ def score_predictions(
     return _aggregate(rows)
 
 
-def evaluate(dataset: Sequence, params, index, config, vocab) -> Metrics:
-    """Greedy-decode the policy over a dataset and score it."""
-    from .policy import compile_dataset, greedy_predictions
-
-    compiled = compile_dataset(dataset, index, vocab, config)
-    preds = greedy_predictions(compiled, params, config)
-    return score_predictions(preds, dataset)
-
-
 def evaluate_compiled(compiled: Sequence, params, config) -> Metrics:
+    """Greedy-decode the policy over compiled records and score it."""
     from .policy import greedy_predictions
 
-    preds = greedy_predictions(compiled, params, config)
-    rows = [
-        (
-            comp.question_type.value,
-            exact_match(pred, comp.gold_answers),
-            f1(pred, comp.gold_answers),
-        )
-        for pred, comp in zip(preds, compiled)
-    ]
-    return _aggregate(rows)
+    return score_predictions(greedy_predictions(compiled, params, config), compiled)
+
+
+def evaluate(dataset: Sequence, params, index, config, vocab) -> Metrics:
+    """Compile a raw dataset and score it with `evaluate_compiled`; kept as a
+    name the benchmark's tracer lists."""
+    from .policy import compile_dataset
+
+    return evaluate_compiled(compile_dataset(dataset, index, vocab, config), params, config)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .config import FeatureConfig
 from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, mine_proximal, mine_remote
 from .features import (
     EmbeddingTables,
-    FusedSequence,
     TemporalMask,
     Vocabulary,
     build_mask,
@@ -508,43 +507,6 @@ def _attention_pools(
     return pools, weights
 
 
-def featurize(
-    candidate: Candidate,
-    fused: FusedSequence,
-    dilated: TemporalMask,
-    q_interval: Optional[MonthInterval],
-    window: int,
-    u_question: Optional[np.ndarray] = None,
-    u_window: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Feature vector for a single candidate: question pool, mention-window
-    pool, interval comparison, and window mask density.  The pools are
-    those of `featurize_record`; zero attention vectors (the default) pool
-    uniformly."""
-    vectors = fused.vectors
-    n_q = fused.question_len
-    zero = np.zeros(vectors.shape[1])
-    if candidate.is_empty or candidate.tok_start is None:
-        pos = np.arange(0)
-        c = np.zeros(3)
-        dens = 0.0
-    else:
-        pos = _window_positions(
-            candidate.tok_start, candidate.tok_end, n_q, vectors.shape[0], window
-        )
-        c = _interval_row(q_interval, candidate.fact_interval)
-        dens = float(dilated.bits[pos].mean()) if pos.size else 0.0
-    # Token ids matter only to backward, which a bare feature vector lacks.
-    layout = PoolRows.of(n_q, [pos], np.zeros(vectors.shape[0], dtype=np.intp), dilated.bits)
-    pools, _ = _attention_pools(
-        vectors[layout.pos],
-        layout,
-        zero if u_question is None else u_question,
-        zero if u_window is None else u_window,
-    )
-    return np.concatenate([pools[0], pools[1], c, [dens]])
-
-
 def featurize_record(
     comp: CompiledRecord, params: PolicyParams, config: FeatureConfig
 ) -> RecordFeatures:
@@ -575,6 +537,13 @@ def featurize_record(
     )
 
 
+def featurize(
+    comp: CompiledRecord, params: PolicyParams, config: FeatureConfig, index: int
+) -> np.ndarray:
+    """Row `index` of `featurize_record`; kept as a name the benchmark's tracer lists."""
+    return featurize_record(comp, params, config).feats[index]
+
+
 # ---------------------------------------------------------------------------
 # Forward / backward.
 
@@ -601,10 +570,15 @@ def forward(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray) -> Poli
         )
     if pooled.shape != (params.Wv.shape[1],):
         raise ValueError(f"pooled state width {pooled.shape} does not match Wv")
-    h = np.tanh(feats @ params.W1.T + params.b1)
-    logits = (h @ params.W2.T).ravel() + params.b2[0]
+    _, logits = _hidden_and_logits(params, feats)
     value = float((params.Wv @ pooled)[0] + params.bv[0])
     return PolicyOutput(logits=logits, probs=_softmax(logits), value=value)
+
+
+def _hidden_and_logits(params: PolicyParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, H) tanh activations and the K candidate logits."""
+    h = np.tanh(feats @ params.W1.T + params.b1)
+    return h, (h @ params.W2.T).ravel() + params.b2[0]
 
 
 LOSS_KINDS = ("cross_entropy", "ppo_surrogate", "value_mse")
@@ -617,8 +591,9 @@ def loss_and_grads(
     loss_inputs: dict,
     into: Optional[PolicyParams] = None,
     scale: float = 1.0,
-) -> tuple[float, PolicyParams]:
-    """Scalar loss and exact gradients for one record.
+) -> tuple[float, PolicyParams, Optional[np.ndarray]]:
+    """Scalar loss, exact gradients and the candidate probabilities for one
+    record (None for value_mse, which computes none).
 
     The pooled state is treated as a constant input to the value head, so
     value_mse touches only Wv and bv; the policy losses are the only path
@@ -634,15 +609,13 @@ def loss_and_grads(
         diff = v - ret
         grads.Wv[0, :] += scale * (2.0 * diff * rf.pooled)
         grads.bv[0] += scale * (2.0 * diff)
-        return diff * diff, grads
+        return diff * diff, grads, None
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
 
     feats = rf.feats
     k = feats.shape[0]
-    z = feats @ params.W1.T + params.b1
-    h = np.tanh(z)
-    logits = (h @ params.W2.T).ravel() + params.b2[0]
+    h, logits = _hidden_and_logits(params, feats)
     probs = _softmax(logits)
 
     if loss_kind == "cross_entropy":
@@ -681,7 +654,7 @@ def loss_and_grads(
     dfeats = dz @ params.W1  # (K, F)
 
     _scatter_table_grads(grads, scale, params, rf, dfeats)
-    return loss, grads
+    return loss, grads, probs
 
 
 def _scatter_table_grads(
@@ -722,12 +695,13 @@ def _scatter_table_grads(
 def backward(
     params: PolicyParams, rf: RecordFeatures, loss_kind: str, loss_inputs: dict
 ) -> PolicyParams:
+    """The gradients of `loss_and_grads`; kept as a name the benchmark's tracer lists."""
     return loss_and_grads(params, rf, loss_kind, loss_inputs)[1]
 
 
 def grad_check(
     params: PolicyParams,
-    loss_closure: Callable[[PolicyParams], tuple[float, PolicyParams]],
+    loss_closure: Callable[[PolicyParams], tuple],
     epsilon: float = 1e-5,
     seed: int = 0,
     min_coords: int = 200,
@@ -735,10 +709,10 @@ def grad_check(
     """Max relative error between analytic gradients and central finite
     differences over a random coordinate subsample.
 
-    The closure must return (loss, grads) for the given parameters; the
-    finite differences reuse only its loss value.
+    The closure must return (loss, grads, ...) for the given parameters, as
+    `loss_and_grads` does; the finite differences reuse only its loss value.
     """
-    _, analytic = loss_closure(params)
+    analytic = loss_closure(params)[1]
     tensors = [t for _, t in params.named_tensors()]
     grad_tensors = [t for _, t in analytic.named_tensors()]
 

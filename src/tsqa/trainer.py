@@ -18,15 +18,13 @@ import numpy as np
 
 from . import reward as reward_mod
 from .config import FeatureConfig
-from .facts import FactIndex, sample_negatives
+from .facts import sample_negatives
 from .features import Vocabulary
 from .metrics import evaluate_compiled
 from .policy import (
     CompiledRecord,
     PolicyDims,
     PolicyParams,
-    RecordFeatures,
-    compile_dataset,
     featurize_record,
     forward,
     init_params,
@@ -164,25 +162,10 @@ def build_vocabulary(datasets: Sequence[Sequence]) -> Vocabulary:
     return Vocabulary.build(texts, tokenize)
 
 
-def train_sft(
-    train: Sequence,
-    dev: Sequence,
-    config: SFTConfig,
-    feature_config: Optional[FeatureConfig] = None,
-    vocab: Optional[Vocabulary] = None,
-    index: Optional[FactIndex] = None,
-) -> tuple[PolicyParams, list[dict]]:
-    """Compile the datasets and run the supervised stage."""
-    if not train or not dev:
-        raise ValueError("train and dev sets must be non-empty")
-    feature_config = feature_config or FeatureConfig()
-    if vocab is None:
-        vocab = build_vocabulary([train, dev])
-    compiled_train = compile_dataset(train, index, vocab, feature_config)
-    compiled_dev = compile_dataset(dev, index, vocab, feature_config)
-    return train_sft_compiled(
-        compiled_train, compiled_dev, config, feature_config, len(vocab)
-    )
+def _require_records(train: Sequence, dev: Sequence) -> None:
+    for name, split in (("train", train), ("dev", dev)):
+        if not split:
+            raise ValueError(f"{name} set is empty")
 
 
 def train_sft_compiled(
@@ -193,6 +176,7 @@ def train_sft_compiled(
     vocab_size: int,
     init: Optional[PolicyParams] = None,
 ) -> tuple[PolicyParams, list[dict]]:
+    _require_records(compiled_train, compiled_dev)
     usable = [c for c in compiled_train if c.gold_index >= 0]
     skipped = len(compiled_train) - len(usable)
     if skipped:
@@ -226,7 +210,7 @@ def train_sft_compiled(
             for j in chunk:
                 comp = usable[int(j)]
                 rf = featurize_record(comp, params, feature_config)
-                loss, _ = loss_and_grads(
+                loss, _, _ = loss_and_grads(
                     params,
                     rf,
                     "cross_entropy",
@@ -334,17 +318,16 @@ def _contrastive_raw(
     params: RewardParams,
     rng: np.random.Generator,
 ) -> float:
-    n_r, n_p = cache.dist_remote.shape[1], cache.dist_proximal.shape[1]
-    n = min(config.negatives_per_side, n_r, n_p)
+    # Sampling the prediction's distance rows draws the negatives and reads
+    # their distances in one step.
+    remote, proximal = sample_negatives(
+        cache.dist_remote[action], cache.dist_proximal[action], config.negatives_per_side, rng
+    )
     d_pos = float(cache.dist_gold[action])
-    if n <= 0:
+    if not remote:
         t = d_pos
     else:
-        r_idx = rng.choice(n_r, size=n, replace=False)
-        p_idx = rng.choice(n_p, size=n, replace=False)
-        dists = np.concatenate(
-            [cache.dist_remote[action, r_idx], cache.dist_proximal[action, p_idx]]
-        )
+        dists = np.array(remote + proximal)
         d_neg = float(dists.min() if params.neg_aggregate == "min" else dists.mean())
         t = max(d_pos - d_neg + params.margin, 0.0)
     return reward_mod.reward(t, params)
@@ -501,7 +484,7 @@ def ppo_update(
                 j = int(j)
                 comp = batch.compiled[j]
                 rf = featurize_record(comp, params, feature_config)
-                p_loss, _ = loss_and_grads(
+                p_loss, _, probs = loss_and_grads(
                     params,
                     rf,
                     "ppo_surrogate",
@@ -514,7 +497,7 @@ def ppo_update(
                     into=grads,
                     scale=1.0 / len(chunk),
                 )
-                v_loss, _ = loss_and_grads(
+                v_loss, _, _ = loss_and_grads(
                     params,
                     rf,
                     "value_mse",
@@ -531,10 +514,9 @@ def ppo_update(
                 policy_losses.append(p_loss)
                 value_losses.append(v_loss)
 
-                out = forward(params, rf.feats, rf.pooled)
-                logp_new = float(
-                    np.log(max(out.probs[int(batch.actions[j])], 1e-300))
-                )
+                # The policy loss's own probabilities: the parameters only
+                # change at the end of the chunk.
+                logp_new = float(np.log(max(probs[int(batch.actions[j])], 1e-300)))
                 ratio = np.exp(logp_new - float(batch.logprob_old[j]))
                 kl_terms.append(float(batch.logprob_old[j]) - logp_new)
                 if abs(ratio - 1.0) > config.cliprange:
@@ -562,26 +544,6 @@ def adaptive_kl_update(
     return coef * (1.0 + err * n_samples / config.horizon)
 
 
-def train_ppo(
-    train: Sequence,
-    dev: Sequence,
-    sft_params: PolicyParams,
-    config: PPOConfig,
-    index: Optional[FactIndex] = None,
-    feature_config: Optional[FeatureConfig] = None,
-    vocab: Optional[Vocabulary] = None,
-    reward_params: Optional[RewardParams] = None,
-) -> tuple[PolicyParams, list[dict]]:
-    feature_config = feature_config or FeatureConfig()
-    if vocab is None:
-        vocab = build_vocabulary([train, dev])
-    compiled_train = compile_dataset(train, index, vocab, feature_config)
-    compiled_dev = compile_dataset(dev, index, vocab, feature_config)
-    return train_ppo_compiled(
-        compiled_train, compiled_dev, sft_params, config, feature_config, reward_params
-    )
-
-
 def train_ppo_compiled(
     compiled_train: Sequence[CompiledRecord],
     compiled_dev: Sequence[CompiledRecord],
@@ -590,6 +552,7 @@ def train_ppo_compiled(
     feature_config: FeatureConfig,
     reward_params: Optional[RewardParams] = None,
 ) -> tuple[PolicyParams, list[dict]]:
+    _require_records(compiled_train, compiled_dev)
     if config.iterations == 0:
         return sft_params.clone(), []
     reward_params = reward_params or RewardParams()
@@ -635,6 +598,9 @@ def train_ppo_compiled(
                 "kl": observed_kl,
                 "kl_coef": kl_coef,
                 "clip_frac": stats["clip_frac"],
+                "policy_loss": stats["policy_loss"],
+                "value_loss": stats["value_loss"],
+                "approx_kl": stats["approx_kl"],
                 "dev_em": metrics.em,
                 "dev_f1": metrics.f1,
             }
@@ -645,7 +611,10 @@ def train_ppo_compiled(
     return best, history
 
 
-_PPO_COLUMNS = ["iteration", "mean_reward", "kl", "kl_coef", "clip_frac", "dev_em", "dev_f1"]
+_PPO_COLUMNS = [
+    "iteration", "mean_reward", "kl", "kl_coef", "clip_frac",
+    "policy_loss", "value_loss", "approx_kl", "dev_em", "dev_f1",
+]
 _SFT_COLUMNS = ["epoch", "loss", "dev_em", "dev_f1", "skipped"]
 
 

@@ -164,9 +164,9 @@ def test_criterion_3_miner_invariants():
                 for w in by_obj[obj]
             )
             violations += not ok
-        sampled = sample_negatives(remote, proximal, 3, rng)
+        sampled_remote, sampled_proximal = sample_negatives(remote, proximal, 3, rng)
         want = min(3, len(remote), len(proximal))
-        if len(sampled.remote) != want or len(sampled.proximal) != want:
+        if len(sampled_remote) != want or len(sampled_proximal) != want:
             violations += 1
     elapsed = time.perf_counter() - t0
     verdict(
@@ -389,11 +389,11 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
     grads = zeros_like_params(ref)
     for j in range(n):
         rf = featurize_record(batch.compiled[j], ref, TINY)
-        _, ce = loss_and_grads(
+        _, ce, _ = loss_and_grads(
             ref, rf, "cross_entropy", {"gold_index": int(batch.actions[j])}
         )
         _accumulate(grads, ce, float(batch.advantages[j]) / n)
-        _, vg = loss_and_grads(ref, rf, "value_mse", {"return": float(batch.returns[j])})
+        _, vg, _ = loss_and_grads(ref, rf, "value_mse", {"return": float(batch.returns[j])})
         _accumulate(grads, vg, cfg_wide.vf_coef / n)
     AdamW(ref, 0.01).step(ref, grads)
     reinforce_gap = max(

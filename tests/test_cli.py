@@ -1,11 +1,12 @@
 """End-to-end command-line flows on a miniature corpus."""
 
 import json
+import math
 
 import pytest
 
 from tsqa.cli import main
-from tsqa.corpus import save_facts
+from tsqa.corpus import load_dataset, save_facts
 from tsqa.facts import TimeFact
 from tsqa.intervals import year_span
 
@@ -71,6 +72,21 @@ def test_reward_with_negatives_moves_down(capsys):
     r = lambda text: float(next(l[4:] for l in text.splitlines() if l.startswith("R = ")))
     # predicting the negative itself drives T to the margin ceiling
     assert r(out_neg) < r(out_plain)
+
+
+def test_reward_with_lookup_table(capsys, tmp_path):
+    table = tmp_path / "vectors.txt"
+    table.write_text("alpha 1 0 0\nbeta 0 1 0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reward": {"dim": 3, "lookup_path": str(table)}}))
+    code, out, err = run(
+        capsys, "reward", "--gt", "alpha", "--pred", "beta", "--config", str(cfg)
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    t = float(next(line[4:] for line in lines if line.startswith("T = ")))
+    assert t == pytest.approx(math.sqrt(2.0), abs=1e-12)  # the table's vectors
+    assert any(line.startswith("R = ") for line in lines)
 
 
 def test_tag_emits_spans_and_question_time(capsys):
@@ -244,3 +260,69 @@ def test_ablate_grid(capsys, tmp_path):
     md = (out_dir / "ablation.md").read_text()
     assert md.startswith("| temporal fusion | reward |")
     assert out.count("EM") >= 4
+
+
+def test_empty_split_is_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+
+    sft_ckpt = tmp_path / "sft.ckpt"
+    common = ["--out", str(sft_ckpt), "--config", str(cfg)]
+    code, _, err = run(
+        capsys, "train-sft", "--train", str(corpus / "train.jsonl"), "--dev", str(empty), *common
+    )
+    assert code == 2
+    assert "dev set is empty" in err
+    code, _, err = run(
+        capsys, "train-sft", "--train", str(corpus / "train.jsonl"),
+        "--dev", str(corpus / "dev.jsonl"), *common,
+    )
+    assert code == 0, err
+    code, _, err = run(
+        capsys,
+        "train-ppo",
+        "--train", str(empty),
+        "--dev", str(corpus / "dev.jsonl"),
+        "--checkpoint", str(sft_ckpt),
+        "--out", str(tmp_path / "ppo.ckpt"),
+        "--config", str(cfg),
+        "--iterations", "1",
+    )
+    assert code == 2
+    assert "train set is empty" in err
+
+
+def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
+    import tsqa.policy
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "sft": {"epochs": 1, "batch_size": 8}}))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    calls = []
+    compile_record = tsqa.policy.compile_record
+
+    def counting(record, *args):
+        calls.append(record.id)
+        return compile_record(record, *args)
+
+    monkeypatch.setattr(tsqa.policy, "compile_record", counting)
+    splits = [str(corpus / f"{name}.jsonl") for name in ("train", "dev", "test")]
+    code, _, err = run(
+        capsys,
+        "ablate",
+        "--train", splits[0],
+        "--dev", splits[1],
+        "--test", splits[2],
+        "--out-dir", str(tmp_path / "grid"),
+        "--config", str(cfg),
+        "--iterations", "1",
+        "--seed", "1",
+    )
+    assert code == 0, err
+    n_records = sum(len(load_dataset(p)) for p in splits)
+    assert len(calls) == n_records

@@ -228,18 +228,18 @@ def test_sample_negatives_balanced_truncation():
     rng = np.random.default_rng(0)
     remote = [f"r{i}" for i in range(5)]
     proximal = [f"p{i}" for i in range(2)]
-    neg = sample_negatives(remote, proximal, 3, rng)
-    assert len(neg.remote) == len(neg.proximal) == 2
-    assert set(neg.remote) <= set(remote)
-    assert set(neg.proximal) <= set(proximal)
-    empty = sample_negatives(remote, [], 3, rng)
-    assert empty.is_empty()
-    assert list(empty) == []
+    got_remote, got_proximal = sample_negatives(remote, proximal, 3, rng)
+    assert len(got_remote) == len(got_proximal) == 2
+    assert set(got_remote) <= set(remote)
+    assert set(got_proximal) <= set(proximal)
+    assert sample_negatives(remote, [], 3, rng) == ([], [])
 
 
 def test_sample_negatives_no_replacement():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        neg = sample_negatives([f"r{i}" for i in range(4)], [f"p{i}" for i in range(4)], 4, rng)
-        assert len(set(neg.remote)) == 4
-        assert len(set(neg.proximal)) == 4
+        got_remote, got_proximal = sample_negatives(
+            [f"r{i}" for i in range(4)], [f"p{i}" for i in range(4)], 4, rng
+        )
+        assert len(set(got_remote)) == 4
+        assert len(set(got_proximal)) == 4

@@ -19,7 +19,6 @@ from tsqa.policy import (
     compile_record,
     effective_tables,
     extract_candidates,
-    featurize,
     forward,
     grad_check,
     greedy_predictions,
@@ -250,52 +249,77 @@ def test_interval_features_exact_match_candidate(tiny_features):
     assert comp.density[empty] == 0.0
 
 
-def test_featurize_identical_candidates_identical_rows():
-    rng = np.random.default_rng(0)
-    from tsqa.features import EmbeddingTables, FusedSequence
+def test_featurize_identical_candidates_identical_rows(tiny_features):
+    from dataclasses import replace
 
-    fused = FusedSequence(rng.normal(size=(12, 4)), question_len=5)
-    dilated = TemporalMask(rng.integers(0, 2, size=12))
-    iv = year_span(1950, 1955)
-    a = Candidate("x", 2, 4, iv)
-    b = Candidate("y", 2, 4, iv)
-    q_iv = year_span(1952, 1952)
-    va = featurize(a, fused, dilated, q_iv, window=2)
-    vb = featurize(b, fused, dilated, q_iv, window=2)
-    assert np.array_equal(va, vb)
-    ve = featurize(Candidate(""), fused, dilated, q_iv, window=2)
-    fw = 4
-    assert np.array_equal(ve[:fw], va[:fw])  # shared question mean
-    assert not ve[fw:].any()  # mention blocks all zero
-
-
-def test_featurize_matches_featurize_record_rows(tiny_features):
     from tsqa.policy import featurize_record
 
     comp, vocab = compile_warnock(tiny_features)
-    params = params_for(len(vocab), tiny_features, seed=2)
-    rng = np.random.default_rng(2)
+    params = random_u_params(len(vocab), tiny_features, seed=0)
+    first, e = comp.candidates[0], comp.candidates.empty_index
+    twin = Candidate("Twin", first.tok_start, first.tok_end, first.fact_interval)
+    # A twin of candidate 0 with the same mention window and interval.
+    twins = replace(
+        comp,
+        candidates=CandidateSet([first, twin, comp.candidates[e]]),
+        window_pos=[comp.window_pos[0], comp.window_pos[0], comp.window_pos[e]],
+        interval_feats=comp.interval_feats[[0, 0, e]],
+        density=comp.density[[0, 0, e]],
+    )
+    feats = featurize_record(twins, params, tiny_features).feats
+    assert np.array_equal(feats[0], feats[1])
+    fw = tiny_features.fused_width
+    assert np.array_equal(feats[2, :fw], feats[0, :fw])  # shared question pool
+    assert not feats[2, fw:].any()  # mention blocks all zero
+
+
+def random_u_params(vocab_size, config, seed):
+    """Parameters with a nonzero time table and attention vectors."""
+    params = params_for(vocab_size, config, seed=seed)
+    rng = np.random.default_rng(seed)
     params.time_table[:] = rng.normal(size=params.time_table.shape)
     params.u_question[:] = rng.normal(size=params.u_question.shape)
     params.u_window[:] = rng.normal(size=params.u_window.shape)
+    return params
+
+
+def test_featurize_record_matches_reference_pools(tiny_features):
+    from tsqa.policy import featurize_record
+
+    comp, vocab = compile_warnock(tiny_features)
+    params = random_u_params(len(vocab), tiny_features, seed=2)
     rf = featurize_record(comp, params, tiny_features)
-    fused = fuse(
+    vectors = fuse(
         comp.token_ids,
         TemporalMask(comp.bits),
         effective_tables(params, tiny_features),
         comp.question_len,
-    )
+    ).vectors
+    n_q, fw, window = comp.question_len, vectors.shape[1], tiny_features.window
+
+    def pool(rows, u):
+        # softmax(u·x_i)-weighted sum, one row at a time
+        if not len(rows):
+            return np.zeros(fw)
+        scores = [float(x @ u) for x in rows]
+        top = max(scores)
+        weights = [math.exp(v - top) for v in scores]
+        return sum(w * x for w, x in zip(weights, rows)) / sum(weights)
+
+    question = pool(vectors[:n_q], params.u_question)
     for i, cand in enumerate(comp.candidates):
-        row = featurize(
-            cand,
-            fused,
-            TemporalMask(comp.bits),
-            comp.q_interval,
-            tiny_features.window,
-            params.u_question,
-            params.u_window,
-        )
-        assert np.array_equal(row, rf.feats[i]), cand.text
+        row = rf.feats[i]
+        assert np.allclose(row[:fw], question, rtol=0, atol=1e-12), cand.text
+        if cand.is_empty:
+            assert not row[fw:].any()
+            continue
+        lo = max(0, n_q + cand.tok_start - window)
+        hi = min(len(vectors) - 1, n_q + cand.tok_end - 1 + window)
+        want = pool(vectors[lo : hi + 1], params.u_window)
+        assert np.allclose(row[fw : 2 * fw], want, rtol=0, atol=1e-12), cand.text
+        assert np.array_equal(row[2 * fw : 2 * fw + 3], comp.interval_feats[i])
+        assert row[-1] == comp.bits[lo : hi + 1].mean()
+    assert np.array_equal(rf.pooled[:fw], vectors.mean(axis=0))
 
 
 def params_for(vocab_size, config, seed=0):
@@ -466,13 +490,13 @@ def test_cross_entropy_values_and_dlogits(tiny_features):
     k = len(comp.candidates)
     zero = zeros_like_params(params_for(len(vocab), tiny_features))
     rf = featurize_record(comp, zero, tiny_features)
-    loss, grads = loss_and_grads(zero, rf, "cross_entropy", {"gold_index": comp.gold_index})
+    loss, grads, _ = loss_and_grads(zero, rf, "cross_entropy", {"gold_index": comp.gold_index})
     assert loss == pytest.approx(math.log(k), abs=1e-12)
 
     # at generic params the W2/b2 gradients must follow dlogits = p - onehot
     params = params_for(len(vocab), tiny_features, seed=7)
     rf = featurize_record(comp, params, tiny_features)
-    loss, grads = loss_and_grads(params, rf, "cross_entropy", {"gold_index": comp.gold_index})
+    loss, grads, _ = loss_and_grads(params, rf, "cross_entropy", {"gold_index": comp.gold_index})
     h = np.tanh(rf.feats @ params.W1.T + params.b1)
     probs = forward(params, rf.feats, rf.pooled).probs
     dlogits = probs.copy()
@@ -482,6 +506,26 @@ def test_cross_entropy_values_and_dlogits(tiny_features):
     assert loss == pytest.approx(-math.log(probs[comp.gold_index]))
     # uniform-start sanity: gold-logit derivative is 1/k - 1
     assert (1.0 / k - 1.0) == pytest.approx(float(dlogits[comp.gold_index]) if np.allclose(probs, 1 / k) else 1.0 / k - 1.0)
+
+
+def test_kept_delegates_match_the_compiled_path(tiny_features):
+    from tsqa.facts import bulk_load
+    from tsqa.metrics import evaluate, evaluate_compiled
+    from tsqa.policy import backward, featurize, featurize_record
+
+    comp, vocab = compile_warnock(tiny_features)
+    params = params_for(len(vocab), tiny_features, seed=7)
+    rf = featurize_record(comp, params, tiny_features)
+    for i in range(len(comp.candidates)):
+        assert np.array_equal(featurize(comp, params, tiny_features, i), rf.feats[i])
+    inputs = {"gold_index": comp.gold_index}
+    _, grads, _ = loss_and_grads(params, rf, "cross_entropy", inputs)
+    for (_, a), (_, b) in zip(backward(params, rf, "cross_entropy", inputs).named_tensors(), grads.named_tensors()):
+        assert np.array_equal(a, b)
+    rec = make_record("Which employer did Neil Warnock work for in 1958?", WARNOCK_CTX, ["St Hugh's College"], WARNOCK_FACTS)
+    assert len(bulk_load(WARNOCK_FACTS)) == len(FactIndex(WARNOCK_FACTS))
+    raw = evaluate([rec], params, bulk_load(WARNOCK_FACTS), tiny_features, vocab)
+    assert raw == evaluate_compiled([comp], params, tiny_features)
 
 
 def test_cross_entropy_rejects_bad_gold(tiny_features):
@@ -503,7 +547,7 @@ def test_ppo_zero_advantage_all_grads_zero(tiny_features):
 
     rf = featurize_record(comp, params, tiny_features)
     out = forward(params, rf.feats, rf.pooled)
-    loss, grads = loss_and_grads(
+    loss, grads, _ = loss_and_grads(
         params,
         rf,
         "ppo_surrogate",
@@ -527,7 +571,7 @@ def test_ppo_unclipped_at_ratio_one_matches_policy_gradient(tiny_features):
     rf = featurize_record(comp, params, tiny_features)
     out = forward(params, rf.feats, rf.pooled)
     action, adv = 0, 1.7
-    loss, grads = loss_and_grads(
+    loss, grads, _ = loss_and_grads(
         params,
         rf,
         "ppo_surrogate",
@@ -556,7 +600,7 @@ def test_ppo_clipped_branch_zero_policy_grads(tiny_features):
     action = 0
     # logp_old far below the current logp drives the ratio beyond 1 + clip;
     # with positive advantage the clipped branch freezes the gradient
-    loss, grads = loss_and_grads(
+    loss, grads, _ = loss_and_grads(
         params,
         rf,
         "ppo_surrogate",
@@ -587,7 +631,7 @@ def test_value_mse_touches_only_value_head(tiny_features):
     rf = featurize_record(comp, params, tiny_features)
     v = forward(params, rf.feats, rf.pooled).value
     ret = v + 0.75
-    loss, grads = loss_and_grads(params, rf, "value_mse", {"return": ret})
+    loss, grads, _ = loss_and_grads(params, rf, "value_mse", {"return": ret})
     assert loss == pytest.approx(0.75**2, abs=1e-12)
     assert np.allclose(grads.Wv[0], 2 * (v - ret) * rf.pooled)
     assert grads.bv[0] == pytest.approx(2 * (v - ret), abs=1e-12)

@@ -255,6 +255,15 @@ def test_sft_deterministic_and_improves(tiny_features, small_compiled, small_voc
     assert best >= hist_a[0]["dev_em"]
 
 
+def test_sft_rejects_empty_splits(tiny_features, small_compiled, small_vocab):
+    train, dev = small_compiled[0], small_compiled[1]
+    cfg = SFTConfig(epochs=1)
+    with pytest.raises(ValueError, match="train set is empty"):
+        train_sft_compiled([], dev, cfg, tiny_features, len(small_vocab))
+    with pytest.raises(ValueError, match="dev set is empty"):
+        train_sft_compiled(train, [], cfg, tiny_features, len(small_vocab))
+
+
 # ---------------------------------------------------------------------------
 # Reward caches and rollouts.
 
@@ -415,11 +424,11 @@ def test_ppo_wide_clip_single_chunk_equals_reinforce_with_baseline(
     for j in range(n):
         comp = batch.compiled[j]
         rf = featurize_record(comp, ref, tiny_features)
-        _, ce = loss_and_grads(
+        _, ce, _ = loss_and_grads(
             ref, rf, "cross_entropy", {"gold_index": int(batch.actions[j])}
         )
         _accumulate(grads, ce, float(batch.advantages[j]) / n)
-        _, vg = loss_and_grads(
+        _, vg, _ = loss_and_grads(
             ref, rf, "value_mse", {"return": float(batch.returns[j])}
         )
         _accumulate(grads, vg, cfg.vf_coef / n)
@@ -427,6 +436,38 @@ def test_ppo_wide_clip_single_chunk_equals_reinforce_with_baseline(
 
     for (name, a), (_, b) in zip(ppo_params.named_tensors(), ref.named_tensors()):
         assert np.allclose(a, b, atol=1e-8), name
+
+
+def test_ppo_update_stats_match_a_separate_forward(
+    sft_setup, small_compiled, tiny_features
+):
+    n = 24
+    cfg = PPOConfig(num_rollouts=n, chunk_size=n, ppo_epochs=1, cliprange=0.05, seed=12)
+    data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
+    batch = collect_rollouts(
+        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(12)
+    )
+    batch = gae_and_standardize(batch, cfg)
+    # A policy sharper than the sampler, so the ratios move away from 1.
+    params = sft_setup.clone()
+    params.W2 *= 1.5
+    start = params.clone()
+    _, stats = ppo_update(
+        params, batch, cfg, tiny_features, AdamW(params, 0.01), np.random.default_rng(3)
+    )
+
+    # One chunk: every sample is scored before the single optimizer step,
+    # in the order of the update's own permutation.
+    kl_terms, clipped = [], 0
+    for j in np.random.default_rng(3).permutation(n):
+        rf = featurize_record(batch.compiled[j], start, tiny_features)
+        probs = forward(start, rf.feats, rf.pooled).probs
+        logp = float(np.log(max(probs[batch.actions[j]], 1e-300)))
+        kl_terms.append(float(batch.logprob_old[j]) - logp)
+        clipped += abs(np.exp(logp - float(batch.logprob_old[j])) - 1.0) > cfg.cliprange
+    assert 0 < clipped < n
+    assert stats["approx_kl"] == float(np.mean(kl_terms))
+    assert stats["clip_frac"] == clipped / n
 
 
 def test_ppo_update_requires_advantages(sft_setup, small_compiled, tiny_features):
@@ -485,11 +526,23 @@ def test_train_ppo_history_and_best_dev_floor(
     )
     assert [h["iteration"] for h in history] == [0, 1]
     for row in history:
-        assert {"mean_reward", "kl", "kl_coef", "clip_frac", "dev_em", "dev_f1"} <= set(row)
+        assert {
+            "mean_reward", "kl", "kl_coef", "clip_frac", "policy_loss", "value_loss",
+            "approx_kl", "dev_em", "dev_f1",
+        } <= set(row)
         assert row["kl_coef"] > 0
     base = evaluate_compiled(small_compiled[1], sft_setup, tiny_features).em
     after = evaluate_compiled(small_compiled[1], params, tiny_features).em
     assert after >= base
+
+
+def test_train_ppo_rejects_empty_splits(sft_setup, small_compiled, tiny_features):
+    train, dev = small_compiled[0], small_compiled[1]
+    cfg = PPOConfig(iterations=1, num_rollouts=4)
+    with pytest.raises(ValueError, match="train set is empty"):
+        train_ppo_compiled([], dev, sft_setup, cfg, tiny_features)
+    with pytest.raises(ValueError, match="dev set is empty"):
+        train_ppo_compiled(train, [], sft_setup, cfg, tiny_features)
 
 
 def test_train_ppo_deterministic(sft_setup, small_compiled, tiny_features):
@@ -526,10 +579,12 @@ def test_history_to_csv_round():
     ppo_rows = [
         {
             "iteration": 0, "mean_reward": 0.5, "kl": 0.0, "kl_coef": 0.05,
-            "clip_frac": 0.0, "dev_em": 1.0, "dev_f1": 1.0,
+            "clip_frac": 0.0, "policy_loss": -0.25, "value_loss": 0.125,
+            "approx_kl": 0.0, "dev_em": 1.0, "dev_f1": 1.0,
         }
     ]
     assert history_to_csv(ppo_rows).splitlines()[0] == (
-        "iteration,mean_reward,kl,kl_coef,clip_frac,dev_em,dev_f1"
+        "iteration,mean_reward,kl,kl_coef,clip_frac,policy_loss,value_loss,approx_kl,"
+        "dev_em,dev_f1"
     )
     assert history_to_csv([]) == ""
