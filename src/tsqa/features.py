@@ -37,7 +37,8 @@ class TemporalMask:
 
 @dataclass(frozen=True)
 class EmbeddingTables:
-    """time_table is 2 x d (rows for bit 0 and bit 1); text_table is V x d."""
+    """time_table is 2 x d (rows for bit 0 and bit 1); text_table is V x d.
+    Only shapes are checked: `PolicyParams` checks its values at every change."""
 
     time_table: np.ndarray
     text_table: np.ndarray
@@ -48,8 +49,6 @@ class EmbeddingTables:
             raise ValueError("time_table must be 2 x d, text_table V x d")
         if tt.shape[1] != xt.shape[1]:
             raise ValueError("tables must share the column count d")
-        if not (np.isfinite(tt).all() and np.isfinite(xt).all()):
-            raise ValueError("tables must be finite")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ needs no autodiff framework.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -146,6 +147,11 @@ class CompiledRecord:
     relation: Optional[str]
     remote_pool: list[str]
     proximal_pool: list[str]
+
+    @cached_property
+    def mask(self) -> TemporalMask:
+        """`bits` as a mask, checked once per record."""
+        return TemporalMask(self.bits)
 
     @cached_property
     def pool_rows(self) -> "PoolRows":
@@ -344,8 +350,17 @@ def compile_dataset(
 # Parameters.
 
 
+# Fixed order; the flat layout and the checkpoint format rely on it.
+_NAMES = ("text_table", "time_table", "W1", "b1", "W2", "b2", "Wv", "bv", "u_question", "u_window")
+
+
 @dataclass
 class PolicyParams:
+    """The policy's tensors, as views of `shapes` into one float64 vector
+    `flat` laid out in `named_tensors()` order.  Construction copies the
+    arrays into `flat`; write through the views (`params.W1 += g`), never
+    rebind them."""
+
     text_table: np.ndarray  # (V, d)
     time_table: np.ndarray  # (2, d)
     W1: np.ndarray  # (H, F)
@@ -358,9 +373,9 @@ class PolicyParams:
     u_window: np.ndarray  # (fw,) attention vector of the mention-window pools
 
     def __post_init__(self) -> None:
-        for name, t in self.named_tensors():
-            if not np.isfinite(t).all():
-                raise ValueError(f"non-finite values in {name}")
+        tensors = [np.asarray(getattr(self, name), dtype=np.float64) for name in _NAMES]
+        self._bind(np.concatenate([t.ravel() for t in tensors]), [t.shape for t in tensors])
+        self.check_finite()
         if self.text_table.shape[1] != self.time_table.shape[1]:
             raise ValueError("text and time tables disagree on embedding width")
         if self.time_table.shape[0] != 2:
@@ -370,31 +385,35 @@ class PolicyParams:
         if self.u_question.ndim != 1 or self.u_question.shape != self.u_window.shape:
             raise ValueError("attention vectors must be 1-d and of equal width")
 
+    def _bind(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+        self.flat, self.shapes = flat, list(shapes)
+        offset = 0
+        for name, shape in zip(_NAMES, shapes):
+            size = math.prod(shape)
+            setattr(self, name, flat[offset : offset + size].reshape(shape))
+            offset += size
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> "PolicyParams":
+        """Views of `shapes` over `flat` itself, with no validation."""
+        params = object.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        # Fixed order; the checkpoint format and optimizer state rely on it.
-        return [
-            ("text_table", self.text_table),
-            ("time_table", self.time_table),
-            ("W1", self.W1),
-            ("b1", self.b1),
-            ("W2", self.W2),
-            ("b2", self.b2),
-            ("Wv", self.Wv),
-            ("bv", self.bv),
-            ("u_question", self.u_question),
-            ("u_window", self.u_window),
-        ]
+        return [(name, getattr(self, name)) for name in _NAMES]
+
+    def check_finite(self) -> None:
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, t in self.named_tensors() if not np.isfinite(t).all())
+            raise ValueError(f"non-finite values in {name}")
 
     def clone(self) -> "PolicyParams":
-        return PolicyParams(*(t.copy() for _, t in self.named_tensors()))
+        return PolicyParams.from_flat(self.flat.copy(), self.shapes)
 
 
 def zeros_like_params(params: PolicyParams) -> PolicyParams:
-    # Zeros of already-validated shapes need no second validation.
-    zeros = object.__new__(PolicyParams)
-    for name, t in params.named_tensors():
-        setattr(zeros, name, np.zeros_like(t))
-    return zeros
+    return PolicyParams.from_flat(np.zeros_like(params.flat), params.shapes)
 
 
 @dataclass(frozen=True)
@@ -511,7 +530,7 @@ def featurize_record(
     comp: CompiledRecord, params: PolicyParams, config: FeatureConfig
 ) -> RecordFeatures:
     tables = effective_tables(params, config)
-    fused = fuse(comp.token_ids, TemporalMask(comp.bits), tables, comp.question_len, config.fusion_mode)
+    fused = fuse(comp.token_ids, comp.mask, tables, comp.question_len, config.fusion_mode)
     vectors = fused.vectors
     fw = vectors.shape[1]
     k = len(comp.candidates)
@@ -713,35 +732,25 @@ def grad_check(
     `loss_and_grads` does; the finite differences reuse only its loss value.
     """
     analytic = loss_closure(params)[1]
-    tensors = [t for _, t in params.named_tensors()]
-    grad_tensors = [t for _, t in analytic.named_tensors()]
-
-    rng = np.random.default_rng(seed)
-    coords: list[tuple[int, int]] = []
-    large: list[tuple[int, int]] = []
-    for ti, t in enumerate(tensors):
-        if t.size <= 32:
-            coords.extend((ti, j) for j in range(t.size))
-        else:
-            large.extend((ti, j) for j in range(t.size))
-    want = max(min_coords - len(coords), 0)
-    if large and want:
-        picked = rng.choice(len(large), size=min(want, len(large)), replace=False)
-        coords.extend(large[int(i)] for i in picked)
+    # Flat indices of all entries of tensors of at most 32, then of a sample of the rest.
+    sizes = [t.size for _, t in params.named_tensors()]
+    small = np.repeat([size <= 32 for size in sizes], sizes)
+    coords, rest = np.flatnonzero(small), np.flatnonzero(~small)
+    want = min(max(min_coords - coords.size, 0), rest.size)
+    picked = np.random.default_rng(seed).choice(rest.size, want, replace=False)
+    coords = np.concatenate([coords, rest[picked]])
 
     worst = 0.0
-    for ti, j in coords:
-        t = tensors[ti]
-        original = t.flat[j]
-        t.flat[j] = original + epsilon
+    for j in coords:
+        original = params.flat[j]
+        params.flat[j] = original + epsilon
         plus = loss_closure(params)[0]
-        t.flat[j] = original - epsilon
+        params.flat[j] = original - epsilon
         minus = loss_closure(params)[0]
-        t.flat[j] = original
+        params.flat[j] = original
         fd = (plus - minus) / (2.0 * epsilon)
-        a = grad_tensors[ti].flat[j]
-        err = abs(a - fd) / max(1e-6, abs(a), abs(fd))
-        worst = max(worst, err)
+        a = analytic.flat[j]
+        worst = max(worst, abs(a - fd) / max(1e-6, abs(a), abs(fd)))
     return worst
 
 
@@ -777,13 +786,9 @@ def _sidecar_path(path: str | Path) -> Path:
 def save_checkpoint(
     path: str | Path, params: PolicyParams, vocab: Vocabulary, config: FeatureConfig
 ) -> None:
-    V, d = params.text_table.shape
-    H, F = params.W1.shape
-    Fb = params.Wv.shape[1]
-    parts = [struct.pack(_HEADER, _MAGIC, _VERSION, V, d, H, F, Fb)]
-    for _, t in params.named_tensors():
-        parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    write_atomic(path, b"".join(parts))
+    shape = (*params.text_table.shape, *params.W1.shape, params.Wv.shape[1])
+    header = struct.pack(_HEADER, _MAGIC, _VERSION, *shape)
+    write_atomic(path, header + np.asarray(params.flat, dtype="<f8").tobytes())
     sidecar = {"vocab": json.loads(vocab.to_json()), "features": config.to_json_dict()}
     write_atomic(_sidecar_path(path), json.dumps(sidecar, ensure_ascii=False, indent=2) + "\n")
 
@@ -802,19 +807,25 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
         raise ValueError(f"checkpoint pooled width {Fb} below its 3 extra features")
     fw = Fb - 3
     shapes = [(V, d), (2, d), (H, F), (H,), (1, H), (1,), (1, Fb), (1,), (fw,), (fw,)]
-    expected = head + 8 * sum(int(np.prod(s)) for s in shapes)
+    expected = head + 8 * sum(math.prod(s) for s in shapes)
     if len(data) != expected:
         raise ValueError(f"checkpoint size {len(data)} != expected {expected}")
-    offset = head
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 8 * count
-    params = PolicyParams(*arrays)
+    params = PolicyParams.from_flat(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
+    params.check_finite()
 
     sidecar = json.loads(_sidecar_path(path).read_text(encoding="utf-8"))
     vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
     config = FeatureConfig.from_json_dict(sidecar["features"])
+    # The sidecar must describe the tensors it sits beside.
+    for name, have, what, want in (
+        ("vocabulary size", len(vocab), "text table rows", V),
+        ("features.embed_dim", config.embed_dim, "embedding width", d),
+        ("fused width of features.fusion_mode", config.fused_width, "pooled width - 3", fw),
+        ("features.hidden", config.hidden, "hidden width", H),
+        ("feature width 2 * fused width + 4", 2 * config.fused_width + 4, "W1 columns", F),
+    ):
+        if have != want:
+            raise ValueError(
+                f"{_sidecar_path(path)}: {name} {have} does not match the checkpoint's {what} {want}"
+            )
     return params, vocab, config

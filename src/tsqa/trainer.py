@@ -101,15 +101,11 @@ class PPOConfig:
 # ---------------------------------------------------------------------------
 # Optimizer.
 
-_DECAYED = {"W1", "W2", "Wv"}
-
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
-
-    Decay applies to the perceptron and value weights only; embedding
-    tables and biases are left undecayed.
-    """
+    """Adaptive moments with decoupled weight decay over the flat parameter
+    vector.  Decay applies to the perceptron and value weights only; each
+    step ends by checking that the parameters are still finite."""
 
     def __init__(
         self,
@@ -124,31 +120,23 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = zeros_like_params(params)
-        self._v = zeros_like_params(params)
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
 
     def step(self, params: PolicyParams, grads: PolicyParams) -> None:
         self.t += 1
+        g, m, v = grads.flat, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        if self.weight_decay:
+            for w in (params.W1, params.W2, params.Wv):
+                w -= self.learning_rate * self.weight_decay * w
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for (name, p), (_, g), (_, m), (_, v) in zip(
-            params.named_tensors(),
-            grads.named_tensors(),
-            self._m.named_tensors(),
-            self._v.named_tensors(),
-        ):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            if self.weight_decay and name in _DECAYED:
-                p -= self.learning_rate * self.weight_decay * p
-            p -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-def _accumulate(total: PolicyParams, part: PolicyParams, scale: float = 1.0) -> None:
-    for (_, t), (_, s) in zip(total.named_tensors(), part.named_tensors()):
-        t += scale * s
+        params.flat -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        params.check_finite()
 
 
 # ---------------------------------------------------------------------------

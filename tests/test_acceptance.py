@@ -36,7 +36,6 @@ from tsqa.trainer import (
     AdamW,
     PPOConfig,
     SFTConfig,
-    _accumulate,
     adaptive_kl_update,
     build_vocabulary,
     collect_rollouts,
@@ -392,9 +391,9 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
         _, ce, _ = loss_and_grads(
             ref, rf, "cross_entropy", {"gold_index": int(batch.actions[j])}
         )
-        _accumulate(grads, ce, float(batch.advantages[j]) / n)
+        grads.flat += float(batch.advantages[j]) / n * ce.flat
         _, vg, _ = loss_and_grads(ref, rf, "value_mse", {"return": float(batch.returns[j])})
-        _accumulate(grads, vg, cfg_wide.vf_coef / n)
+        grads.flat += cfg_wide.vf_coef / n * vg.flat
     AdamW(ref, 0.01).step(ref, grads)
     reinforce_gap = max(
         float(np.abs(a - b).max())

@@ -326,3 +326,59 @@ def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     assert code == 0, err
     n_records = sum(len(load_dataset(p)) for p in splits)
     assert len(calls) == n_records
+
+
+def _sidecar_fusion(sidecar):
+    sidecar["features"]["fusion_mode"] = "concat"
+
+
+def _sidecar_embed_dim(sidecar):
+    sidecar["features"]["embed_dim"] = 4
+
+
+def _sidecar_hidden(sidecar):
+    sidecar["features"]["hidden"] = 16
+
+
+def _sidecar_extra_ids(sidecar):
+    top = len(sidecar["vocab"])
+    sidecar["vocab"].update({"zzextra1": top, "zzextra2": top + 1})
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_sidecar_fusion, "fusion_mode"),
+        (_sidecar_embed_dim, "embed_dim"),
+        (_sidecar_hidden, "hidden"),
+        (_sidecar_extra_ids, "vocabulary size"),
+    ],
+    ids=["fusion_mode", "embed_dim", "hidden", "vocab"],
+)
+def test_eval_rejects_sidecar_that_disagrees_with_tensors(capsys, tmp_path, edit, field):
+    cfg_data = {**CONFIG, "features": {"embed_dim": 8, "window": 2, "hidden": 8}, "sft": {"epochs": 1}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(cfg_data))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    ckpt = tmp_path / "mismatch.ckpt"
+    code, _, err = run(
+        capsys,
+        "train-sft",
+        "--train", str(corpus / "train.jsonl"),
+        "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(ckpt),
+        "--config", str(cfg),
+    )
+    assert code == 0, err
+    sidecar_path = tmp_path / "mismatch.ckpt.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    edit(sidecar)
+    sidecar_path.write_text(json.dumps(sidecar))
+
+    code, _, err = run(
+        capsys, "eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt)
+    )
+    assert code == 2
+    assert "mismatch.ckpt" in err
+    assert field in err

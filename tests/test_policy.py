@@ -774,6 +774,57 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, small_vocab, tiny_features):
     assert vocab.to_json() == small_vocab.to_json()
 
 
+def test_named_tensors_are_views_into_flat_in_order(small_vocab, tiny_features):
+    params = params_for(len(small_vocab), tiny_features, seed=3)
+    params.time_table[:] = np.random.default_rng(3).normal(size=params.time_table.shape)
+    offset = 0
+    for _, t in params.named_tensors():
+        assert np.shares_memory(t, params.flat)
+        assert np.array_equal(params.flat[offset : offset + t.size], t.ravel())
+        offset += t.size
+    assert offset == params.flat.size
+    params.flat[:] = np.arange(params.flat.size)
+    assert params.text_table[0, 1] == 1.0 and params.u_window[-1] == params.flat.size - 1
+    params.W1 += 1.0  # in-place writes through a view land in flat
+    assert params.flat[params.text_table.size + params.time_table.size] == params.W1[0, 0]
+
+
+def test_copies_do_not_alias_their_source(small_vocab, tiny_features):
+    params = params_for(len(small_vocab), tiny_features, seed=4)
+    kept = params.flat.copy()
+    for copy in (params.clone(), zeros_like_params(params), PolicyParams(**dict(params.named_tensors()))):
+        assert copy.shapes == params.shapes
+        assert not np.shares_memory(copy.flat, params.flat)
+        for (_, a), (_, b) in zip(copy.named_tensors(), params.named_tensors()):
+            assert not np.shares_memory(a, b)
+        copy.flat[:] = 7.0
+    assert np.array_equal(params.flat, kept)
+
+
+def _reference_v2_bytes(params):
+    """A version-2 checkpoint written tensor by tensor."""
+    import struct
+
+    V, d = params.text_table.shape
+    H, F = params.W1.shape
+    head = struct.pack("<4sI5I", b"TSQP", 2, V, d, H, F, params.Wv.shape[1])
+    return head + b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for _, t in params.named_tensors())
+
+
+def test_checkpoint_bytes_match_a_per_tensor_writer(tmp_path, small_vocab, tiny_features):
+    params = params_for(len(small_vocab), tiny_features, seed=44)
+    params.u_question[:] = np.random.default_rng(6).normal(size=params.u_question.shape)
+    save_checkpoint(tmp_path / "p.ckpt", params, small_vocab, tiny_features)
+    assert (tmp_path / "p.ckpt").read_bytes() == _reference_v2_bytes(params)
+
+    # and a file from the per-tensor writer loads to equal tensors
+    (tmp_path / "ref.ckpt").write_bytes(_reference_v2_bytes(params))
+    (tmp_path / "ref.ckpt.json").write_text((tmp_path / "p.ckpt.json").read_text())
+    loaded, _, _ = load_checkpoint(tmp_path / "ref.ckpt")
+    for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
 def test_checkpoint_rejects_corruption(tmp_path, small_vocab, tiny_features):
     params = params_for(len(small_vocab), tiny_features)
     path = tmp_path / "p.ckpt"

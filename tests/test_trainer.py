@@ -26,7 +26,6 @@ from tsqa.trainer import (
     AdamW,
     PPOConfig,
     SFTConfig,
-    _accumulate,
     adaptive_kl_update,
     build_reward_caches,
     build_vocabulary,
@@ -93,11 +92,13 @@ def test_adamw_first_step_direction():
     assert not delta.any()
 
 
-def test_accumulate_scales():
-    a = tiny_params()
-    zero = zeros_like_params(a)
-    _accumulate(zero, a, 2.0)
-    assert np.array_equal(zero.W1, 2.0 * a.W1)
+def test_adamw_step_rejects_non_finite_parameters():
+    # The finiteness check runs once per step, not once per record featurized.
+    params = tiny_params()
+    grads = zeros_like_params(params)
+    grads.text_table[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite values in text_table"):
+        AdamW(params, learning_rate=0.01).step(params, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +428,11 @@ def test_ppo_wide_clip_single_chunk_equals_reinforce_with_baseline(
         _, ce, _ = loss_and_grads(
             ref, rf, "cross_entropy", {"gold_index": int(batch.actions[j])}
         )
-        _accumulate(grads, ce, float(batch.advantages[j]) / n)
+        grads.flat += float(batch.advantages[j]) / n * ce.flat
         _, vg, _ = loss_and_grads(
             ref, rf, "value_mse", {"return": float(batch.returns[j])}
         )
-        _accumulate(grads, vg, cfg.vf_coef / n)
+        grads.flat += cfg.vf_coef / n * vg.flat
     AdamW(ref, learning_rate=0.01).step(ref, grads)
 
     for (name, a), (_, b) in zip(ppo_params.named_tensors(), ref.named_tensors()):
