@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intervals import MonthInterval, format_year_month, parse_year_month
-from .tagger import tokenize
+from .tagger import Token, tokenize
 
 # Relation name reserved for era/event definitions used by during-event
 # questions.
@@ -276,7 +276,7 @@ def sample_negatives(
     The two sides stay balanced: a short side truncates the other, so the
     result always holds equally many remote and proximal items (possibly
     zero of each).  The sides may be answer lists or, as in the reward,
-    rows of distances to them.
+    the rows of those answers in an embedding table.
     """
     n = min(int(k_per_side), len(remote), len(proximal))
     if n <= 0:
@@ -287,15 +287,15 @@ def sample_negatives(
 
 
 def infer_question_pair(
-    question: str, index: FactIndex
+    question_tokens: Sequence[Token], index: FactIndex
 ) -> tuple[Optional[str], Optional[str]]:
-    """Best-effort (subject, relation) extraction from question text.
+    """Best-effort (subject, relation) extraction from the tokenized question.
 
     Subjects are matched as token subsequences (longest first); relations
     by their name appearing as a question word.  Returns (None, None)
     parts when nothing matches.
     """
-    q_tokens = [t.text for t in tokenize(question)]
+    q_tokens = [t.text for t in question_tokens]
     q_lower = {t.lower() for t in q_tokens}
 
     # The longest mentioned subject wins, ties to the alphabetically first.

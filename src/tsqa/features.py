@@ -150,6 +150,8 @@ class Vocabulary:
         vocab._ids = {str(k): int(v) for k, v in ids.items()}
         if vocab._ids.get(UNK_TOKEN) != 0:
             raise ValueError("vocabulary payload lacks the UNK row")
+        if sorted(vocab._ids.values()) != list(range(len(vocab._ids))):
+            raise ValueError(f"vocabulary ids are not exactly 0..{len(vocab._ids) - 1}")
         return vocab
 
     @classmethod

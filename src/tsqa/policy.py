@@ -247,11 +247,12 @@ def compile_record(
     idx = index if index is not None else FactIndex(record.facts)
     q_tokens = tokenize(record.question)
     ctx_tokens = tokenize(record.context)
+    q_spans = tag(q_tokens)
     spec = record.time_spec
     if spec is None:
-        spec = parse_question_time(q_tokens, tag(q_tokens))
+        spec = parse_question_time(q_tokens, q_spans)
 
-    q_mask = dilate(build_mask(len(q_tokens), tag(q_tokens)), config.window)
+    q_mask = dilate(build_mask(len(q_tokens), q_spans), config.window)
     c_mask = dilate(build_mask(len(ctx_tokens), tag(ctx_tokens)), config.window)
     bits = concat_masks(q_mask, c_mask).bits
     token_ids = np.concatenate([vocab.encode(q_tokens), vocab.encode(ctx_tokens)])
@@ -301,7 +302,7 @@ def compile_record(
             gold_index = norm_texts.index(g)
             break
 
-    subject, relation = infer_question_pair(record.question, idx)
+    subject, relation = infer_question_pair(q_tokens, idx)
     gold = record.gold_answers[0] if record.gold_answers else ""
     mine_iv = q_iv
     if mine_iv is None and gold:
@@ -797,25 +798,29 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
     data = Path(path).read_bytes()
     head = struct.calcsize(_HEADER)
     if len(data) < head:
-        raise ValueError("checkpoint too short for its header")
+        raise ValueError(f"{path}: checkpoint too short for its header")
     magic, version, V, d, H, F, Fb = struct.unpack_from(_HEADER, data, 0)
     if magic != _MAGIC:
-        raise ValueError("not a policy checkpoint (bad magic)")
+        raise ValueError(f"{path}: not a policy checkpoint (bad magic)")
     if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     if Fb < 3:
-        raise ValueError(f"checkpoint pooled width {Fb} below its 3 extra features")
+        raise ValueError(f"{path}: checkpoint pooled width {Fb} below its 3 extra features")
     fw = Fb - 3
     shapes = [(V, d), (2, d), (H, F), (H,), (1, H), (1,), (1, Fb), (1,), (fw,), (fw,)]
     expected = head + 8 * sum(math.prod(s) for s in shapes)
     if len(data) != expected:
-        raise ValueError(f"checkpoint size {len(data)} != expected {expected}")
+        raise ValueError(f"{path}: checkpoint size {len(data)} != expected {expected}")
     params = PolicyParams.from_flat(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
     params.check_finite()
 
-    sidecar = json.loads(_sidecar_path(path).read_text(encoding="utf-8"))
-    vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
-    config = FeatureConfig.from_json_dict(sidecar["features"])
+    sidecar_path = _sidecar_path(path)
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    try:
+        vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
+        config = FeatureConfig.from_json_dict(sidecar["features"])
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc
     # The sidecar must describe the tensors it sits beside.
     for name, have, what, want in (
         ("vocabulary size", len(vocab), "text table rows", V),
@@ -826,6 +831,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
     ):
         if have != want:
             raise ValueError(
-                f"{_sidecar_path(path)}: {name} {have} does not match the checkpoint's {what} {want}"
+                f"{sidecar_path}: {name} {have} does not match the checkpoint's {what} {want}"
             )
     return params, vocab, config

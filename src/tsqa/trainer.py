@@ -227,28 +227,19 @@ def train_sft_compiled(
 
 
 # ---------------------------------------------------------------------------
-# Reward caches: all string embeddings and pairwise distances a rollout
-# can need, computed once per record.
+# Reward caches: every answer string a rollout can score is embedded once
+# into one shared table; distances are computed on read, only for the
+# prediction, the gold answer and the negatives a rollout draws.
 
 
 @dataclass
 class _RewardCache:
-    dist_gold: np.ndarray  # (K,) distance from each candidate to the gold
-    dist_remote: np.ndarray  # (K, R)
-    dist_proximal: np.ndarray  # (K, P)
+    table: np.ndarray  # (strings, dim) embeddings, shared by every record
+    cand_rows: np.ndarray  # (K,) table row of each candidate
+    gold_row: int
+    remote_rows: np.ndarray  # (R,)
+    proximal_rows: np.ndarray  # (P,)
     em_sign: np.ndarray  # (K,) exact-match reward in {-1, +1}
-
-
-def _distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """(len(points), len(others)) Euclidean distances, bit for bit those of
-    np.linalg.norm(points[:, None] - others[None], axis=2), without its
-    (len(points), len(others), dim) temporaries."""
-    out = np.empty((len(points), len(others)))
-    for i, p in enumerate(points):
-        diff = p - others
-        diff *= diff
-        np.sqrt(np.add.reduce(diff, axis=1), out=out[i])
-    return out
 
 
 def build_reward_caches(
@@ -256,8 +247,6 @@ def build_reward_caches(
 ) -> list[_RewardCache]:
     from .metrics import exact_match
 
-    # Each distinct string is embedded once per build, into one row of
-    # `table`; a record's vectors are gathered by row number.
     rows: dict[str, int] = {}
     vectors: list[np.ndarray] = []
 
@@ -268,35 +257,32 @@ def build_reward_caches(
             vectors.append(reward_mod.embed_answer(text, params).values)
         return i
 
+    def rows_of(texts: Sequence[str]) -> np.ndarray:
+        return np.array([row_of(t) for t in texts], dtype=np.intp)
+
     row_ids = [
-        [
-            [row_of(t) for t in comp.candidates.texts],
+        (
+            rows_of(comp.candidates.texts),
             row_of(comp.gold_answers[0] if comp.gold_answers else ""),
-            [row_of(t) for t in comp.remote_pool],
-            [row_of(t) for t in comp.proximal_pool],
-        ]
+            rows_of(comp.remote_pool),
+            rows_of(comp.proximal_pool),
+        )
         for comp in compiled
     ]
     table = np.stack(vectors) if vectors else np.zeros((0, params.dim))
-
-    caches = []
-    for comp, (cand_rows, gold_row, remote_rows, prox_rows) in zip(compiled, row_ids):
-        texts = comp.candidates.texts
-        mat = table[cand_rows]
-        gold_vec = table[gold_row]
-        remote = table[remote_rows]
-        prox = table[prox_rows]
-        caches.append(
-            _RewardCache(
-                dist_gold=np.linalg.norm(mat - gold_vec, axis=1),
-                dist_remote=_distances(mat, remote),
-                dist_proximal=_distances(mat, prox),
-                em_sign=np.array(
-                    [1.0 if exact_match(t, comp.gold_answers) else -1.0 for t in texts]
-                ),
-            )
+    return [
+        _RewardCache(
+            table,
+            cand_rows,
+            gold_row,
+            remote_rows,
+            proximal_rows,
+            em_sign=np.array(
+                [1.0 if exact_match(t, comp.gold_answers) else -1.0 for t in comp.candidates.texts]
+            ),
         )
-    return caches
+        for comp, (cand_rows, gold_row, remote_rows, proximal_rows) in zip(compiled, row_ids)
+    ]
 
 
 def _contrastive_raw(
@@ -306,16 +292,18 @@ def _contrastive_raw(
     params: RewardParams,
     rng: np.random.Generator,
 ) -> float:
-    # Sampling the prediction's distance rows draws the negatives and reads
-    # their distances in one step.
     remote, proximal = sample_negatives(
-        cache.dist_remote[action], cache.dist_proximal[action], config.negatives_per_side, rng
+        cache.remote_rows, cache.proximal_rows, config.negatives_per_side, rng
     )
-    d_pos = float(cache.dist_gold[action])
+    # sqrt(add.reduce(d**2)), the sum np.linalg.norm(..., axis=1) takes; on
+    # a 1-d vector norm takes a dot product, which may sum in another order.
+    pred = cache.table[cache.cand_rows[action]]
+    d_pos = float(np.sqrt(np.add.reduce((pred - cache.table[cache.gold_row]) ** 2)))
     if not remote:
         t = d_pos
     else:
-        dists = np.array(remote + proximal)
+        negs = cache.table[remote + proximal]
+        dists = np.sqrt(np.add.reduce((pred - negs) ** 2, axis=1))
         d_neg = float(dists.min() if params.neg_aggregate == "min" else dists.mean())
         t = max(d_pos - d_neg + params.margin, 0.0)
     return reward_mod.reward(t, params)

@@ -328,6 +328,27 @@ def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == n_records
 
 
+def _trained_checkpoint(capsys, tmp_path):
+    """A one-epoch `train-sft` checkpoint on the miniature corpus; returns
+    the corpus directory and the checkpoint path."""
+    cfg_data = {**CONFIG, "features": {"embed_dim": 8, "window": 2, "hidden": 8}, "sft": {"epochs": 1}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(cfg_data))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    ckpt = tmp_path / "mismatch.ckpt"
+    code, _, err = run(
+        capsys,
+        "train-sft",
+        "--train", str(corpus / "train.jsonl"),
+        "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(ckpt),
+        "--config", str(cfg),
+    )
+    assert code == 0, err
+    return corpus, ckpt
+
+
 def _sidecar_fusion(sidecar):
     sidecar["features"]["fusion_mode"] = "concat"
 
@@ -356,21 +377,7 @@ def _sidecar_extra_ids(sidecar):
     ids=["fusion_mode", "embed_dim", "hidden", "vocab"],
 )
 def test_eval_rejects_sidecar_that_disagrees_with_tensors(capsys, tmp_path, edit, field):
-    cfg_data = {**CONFIG, "features": {"embed_dim": 8, "window": 2, "hidden": 8}, "sft": {"epochs": 1}}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(cfg_data))
-    corpus = tmp_path / "corpus"
-    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
-    ckpt = tmp_path / "mismatch.ckpt"
-    code, _, err = run(
-        capsys,
-        "train-sft",
-        "--train", str(corpus / "train.jsonl"),
-        "--dev", str(corpus / "dev.jsonl"),
-        "--out", str(ckpt),
-        "--config", str(cfg),
-    )
-    assert code == 0, err
+    corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
     sidecar_path = tmp_path / "mismatch.ckpt.json"
     sidecar = json.loads(sidecar_path.read_text())
     edit(sidecar)
@@ -382,3 +389,46 @@ def test_eval_rejects_sidecar_that_disagrees_with_tensors(capsys, tmp_path, edit
     assert code == 2
     assert "mismatch.ckpt" in err
     assert field in err
+
+
+def _sidecar_ids_outside_the_table(sidecar):
+    # Right size, but two tokens moved to ids at and above the table's rows.
+    top = len(sidecar["vocab"])
+    for shift, token in enumerate(sorted(sidecar["vocab"])[-2:]):
+        sidecar["vocab"][token] = top + shift
+
+
+def _sidecar_negative_window(sidecar):
+    sidecar["features"]["window"] = -1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_sidecar_ids_outside_the_table, "vocabulary ids"), (_sidecar_negative_window, "window")],
+    ids=["vocab_ids", "window"],
+)
+def test_eval_names_the_sidecar_it_cannot_parse(capsys, tmp_path, edit, message):
+    corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
+    sidecar_path = tmp_path / "mismatch.ckpt.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    edit(sidecar)
+    sidecar_path.write_text(json.dumps(sidecar))
+
+    code, _, err = run(
+        capsys, "eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt)
+    )
+    assert code == 2
+    assert "mismatch.ckpt.json" in err
+    assert message in err
+
+
+def test_eval_on_truncated_checkpoint_names_the_file(capsys, tmp_path):
+    corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+
+    code, _, err = run(
+        capsys, "eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt)
+    )
+    assert code == 2
+    assert str(ckpt) in err
+    assert "checkpoint size 100" in err

@@ -1,5 +1,7 @@
 """Masks, dilation, embedding fusion, vocabulary."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,14 @@ def test_vocabulary_json_round_trip():
     for tok in ("from", "1966", "1987", "."):
         assert clone.id_of(tok) == v.id_of(tok)
     assert len(clone) == len(v)
+
+
+def test_vocabulary_rejects_ids_that_are_not_a_range():
+    payload = json.loads(Vocabulary(["a", "b", "c"]).to_json())
+    with pytest.raises(ValueError, match="ids"):
+        Vocabulary.from_json(json.dumps({**payload, "b": 4, "c": 5}))
+    with pytest.raises(ValueError, match="ids"):
+        Vocabulary.from_json(json.dumps({**payload, "c": 1}))
 
 
 def test_mask_rejects_non_binary():

@@ -28,6 +28,7 @@ from tsqa.policy import (
     save_checkpoint,
     zeros_like_params,
 )
+from tsqa.tagger import tag, tokenize
 
 
 def fact(s, r, o, y1, y2):
@@ -191,7 +192,7 @@ def test_indexed_mention_lookup_matches_full_scan():
             for c in extract_candidates(rec, index)
         ]
         assert got == scan_candidates(text, index), text
-        assert infer_question_pair(text, index) == scan_question_pair(text, index), text
+        assert infer_question_pair(tokenize(text), index) == scan_question_pair(text, index), text
 
 
 def test_candidate_set_validation():
@@ -217,6 +218,35 @@ def test_compile_record_gold_and_spec(tiny_features):
     assert comp.candidates.texts[comp.gold_index] == "St Hugh's College"
     assert comp.question_len > 0
     assert comp.token_ids.size == comp.bits.size
+
+
+def test_compile_record_tokenizes_and_tags_the_question_once(tiny_features, monkeypatch):
+    import tsqa.facts
+    import tsqa.policy
+
+    rec = make_record(
+        "Which employer did Neil Warnock work for in 1958?", WARNOCK_CTX, ["St Hugh's College"], WARNOCK_FACTS
+    )
+    assert rec.time_spec is None  # the spec is parsed from the question's tags
+    index = FactIndex(WARNOCK_FACTS)
+    vocab = Vocabulary.build([rec.question, rec.context], tokenize)
+    tokenized, tagged = [], []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    def counting_tag(tokens):
+        tagged.append(len(tokens))
+        return tag(tokens)
+
+    for module in (tsqa.policy, tsqa.facts):
+        monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    monkeypatch.setattr(tsqa.policy, "tag", counting_tag)
+    comp = compile_record(rec, index, vocab, tiny_features)
+    assert tokenized.count(rec.question) == 1
+    assert tagged == [comp.question_len, len(tokenize(rec.context))]
+    assert (comp.subject, comp.relation) == ("Neil Warnock", "employer")
 
 
 def test_compile_record_empty_gold_resolves_to_empty_candidate(tiny_features):
@@ -843,6 +873,25 @@ def test_checkpoint_rejects_corruption(tmp_path, small_vocab, tiny_features):
     (tmp_path / "vers.ckpt.json").write_text((tmp_path / "p.ckpt.json").read_text())
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(tmp_path / "vers.ckpt")
+
+
+def test_checkpoint_header_errors_name_the_file(tmp_path, small_vocab, tiny_features):
+    params = params_for(len(small_vocab), tiny_features)
+    save_checkpoint(tmp_path / "p.ckpt", params, small_vocab, tiny_features)
+    data = (tmp_path / "p.ckpt").read_bytes()
+    narrow = data[:24] + (2).to_bytes(4, "little") + data[28:]  # pooled width 2
+    for name, blob, what in (
+        ("short", data[:12], "too short"),
+        ("magic", b"XXXX" + data[4:], "bad magic"),
+        ("vers", data[:4] + (99).to_bytes(4, "little") + data[8:], "version 99"),
+        ("narrow", narrow, "pooled width 2"),
+        ("cut", data[:100], "checkpoint size 100"),
+    ):
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=what) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_checkpoint_rejects_version_1(tmp_path, small_vocab, tiny_features):

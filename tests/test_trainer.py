@@ -293,10 +293,13 @@ def test_reward_caches_match_direct_scores(small_compiled):
         gvec = embed_answer(gold, rp).values
         for k, text in enumerate(comp.candidates.texts):
             d = float(np.linalg.norm(embed_answer(text, rp).values - gvec))
-            assert cache.dist_gold[k] == pytest.approx(d, abs=1e-12)
+            got = np.linalg.norm(cache.table[cache.cand_rows[k]] - cache.table[cache.gold_row])
+            assert got == pytest.approx(d, abs=1e-12)
             want = 1.0 if exact_match(text, comp.gold_answers) else -1.0
             assert cache.em_sign[k] == want
-        assert cache.dist_remote.shape == (len(comp.candidates), len(comp.remote_pool))
+        assert len(cache.cand_rows) == len(comp.candidates)
+        assert len(cache.remote_rows) == len(comp.remote_pool)
+        assert len(cache.proximal_rows) == len(comp.proximal_pool)
 
 
 def test_contrastive_reward_no_negatives_uses_raw_distance():
@@ -304,9 +307,11 @@ def test_contrastive_reward_no_negatives_uses_raw_distance():
 
     rp = RewardParams()
     cache = _RewardCache(
-        dist_gold=np.array([0.0, 1.3]),
-        dist_remote=np.zeros((2, 0)),
-        dist_proximal=np.zeros((2, 0)),
+        table=np.array([[0.0, 0.0], [1.3, 0.0]]),
+        cand_rows=np.array([0, 1]),
+        gold_row=0,
+        remote_rows=np.zeros(0, dtype=np.intp),
+        proximal_rows=np.zeros(0, dtype=np.intp),
         em_sign=np.array([1.0, -1.0]),
     )
     rng = np.random.default_rng(0)
@@ -316,6 +321,68 @@ def test_contrastive_reward_no_negatives_uses_raw_distance():
     assert _contrastive_raw(cache, 1, PPOConfig(), rp, rng) == pytest.approx(
         reward(1.3, rp)
     )
+
+
+def _dense_contrastive(comp, action, config, params, rng):
+    """The contrastive reward read from dense (K, R) and (K, P) distance
+    tables over every candidate and pooled negative."""
+    from tsqa.facts import sample_negatives
+    from tsqa.reward import embed_answer
+
+    def vectors(texts):
+        return np.array([embed_answer(t, params).values for t in texts]).reshape(len(texts), params.dim)
+
+    mat = vectors(comp.candidates.texts)
+    gold = vectors([comp.gold_answers[0] if comp.gold_answers else ""])[0]
+    dist_gold = np.linalg.norm(mat - gold, axis=1)
+    dist_remote = np.linalg.norm(mat[:, None] - vectors(comp.remote_pool)[None], axis=2)
+    dist_proximal = np.linalg.norm(mat[:, None] - vectors(comp.proximal_pool)[None], axis=2)
+    remote, proximal = sample_negatives(
+        dist_remote[action], dist_proximal[action], config.negatives_per_side, rng
+    )
+    d_pos = float(dist_gold[action])
+    if not remote:
+        return reward(d_pos, params)
+    dists = np.array(remote + proximal)
+    d_neg = float(dists.min() if params.neg_aggregate == "min" else dists.mean())
+    return reward(max(d_pos - d_neg + params.margin, 0.0), params)
+
+
+@pytest.mark.parametrize("aggregate", ["min", "mean"])
+def test_contrastive_reward_equals_dense_tables_bitwise(small_compiled, aggregate):
+    from tsqa.trainer import _contrastive_raw
+
+    rp = RewardParams(neg_aggregate=aggregate)
+    config = PPOConfig()
+    compiled = small_compiled[0][:20]
+    assert any(c.remote_pool and c.proximal_pool for c in compiled)
+    caches = build_reward_caches(compiled, rp)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for comp, cache in zip(compiled, caches):
+        for action in range(len(comp.candidates)):
+            got = _contrastive_raw(cache, action, config, rp, rng)
+            assert got == _dense_contrastive(comp, action, config, rp, ref_rng)
+
+
+def test_contrastive_reward_matches_score_prediction(small_compiled):
+    from tsqa.facts import sample_negatives
+    from tsqa.reward import score_prediction
+    from tsqa.trainer import _contrastive_raw
+
+    rp = RewardParams()
+    config = PPOConfig()
+    compiled = small_compiled[0][:20]
+    caches = build_reward_caches(compiled, rp)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for comp, cache in zip(compiled, caches):
+        gold = comp.gold_answers[0] if comp.gold_answers else ""
+        for action, pred in enumerate(comp.candidates.texts):
+            got = _contrastive_raw(cache, action, config, rp, rng)
+            remote, proximal = sample_negatives(
+                comp.remote_pool, comp.proximal_pool, config.negatives_per_side, ref_rng
+            )
+            want = score_prediction(gold, pred, remote + proximal, rp)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_collect_rollouts_shapes_and_shaping(
