@@ -64,9 +64,12 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     return payload
 
 

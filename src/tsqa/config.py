@@ -13,7 +13,7 @@ class FeatureConfig:
     window: int = 10  # dilation radius, in tokens
     hidden: int = 64
     fusion_mode: str = "add"  # "add" or "concat"
-    temporal_fusion: bool = True  # False freezes the time table at zero
+    temporal_fusion: bool = True  # False: featurize reads a zero time table, backward skips it
 
     def __post_init__(self) -> None:
         if self.embed_dim < 1:

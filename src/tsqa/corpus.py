@@ -192,7 +192,10 @@ def load_dataset(path: str | Path) -> list[QARecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            records.append(parse_record(line, lineno))
+            try:
+                records.append(parse_record(line, lineno))
+            except ValueError as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
     return records
 
 
@@ -209,7 +212,7 @@ def load_facts(path: str | Path) -> list[TimeFact]:
             try:
                 facts.append(TimeFact.from_json_dict(json.loads(line)))
             except (ValueError, TypeError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return facts
 
 

@@ -35,28 +35,6 @@ class TemporalMask:
         return int(self.bits.size)
 
 
-@dataclass(frozen=True)
-class EmbeddingTables:
-    """time_table is 2 x d (rows for bit 0 and bit 1); text_table is V x d.
-    Only shapes are checked: `PolicyParams` checks its values at every change."""
-
-    time_table: np.ndarray
-    text_table: np.ndarray
-
-    def __post_init__(self) -> None:
-        tt, xt = np.asarray(self.time_table), np.asarray(self.text_table)
-        if tt.shape[0] != 2 or tt.ndim != 2 or xt.ndim != 2:
-            raise ValueError("time_table must be 2 x d, text_table V x d")
-        if tt.shape[1] != xt.shape[1]:
-            raise ValueError("tables must share the column count d")
-
-
-@dataclass(frozen=True)
-class FusedSequence:
-    vectors: np.ndarray  # (n_tokens, width)
-    question_len: int
-
-
 def build_mask(length: int, spans: Sequence[TemporalSpan]) -> TemporalMask:
     """Zeros with 1 at every position covered by a span (signals included)."""
     bits = np.zeros(length, dtype=np.int8)
@@ -88,38 +66,36 @@ def concat_masks(question_mask: TemporalMask, context_mask: TemporalMask) -> Tem
     return TemporalMask(np.concatenate([question_mask.bits, context_mask.bits]))
 
 
-def embed_temporal(mask: TemporalMask, tables: EmbeddingTables) -> np.ndarray:
-    """Row i of the result is time_table[bit_i]; kept as a name the benchmark's tracer lists."""
-    return tables.time_table[mask.bits.astype(np.intp)]
+def embed_temporal(bits: np.ndarray, time_table: np.ndarray) -> np.ndarray:
+    """Row i of the result is time_table[bits[i]]; kept as a name the benchmark's tracer lists."""
+    return time_table[np.asarray(bits, dtype=np.intp)]
 
 
 def fuse(
     token_ids: Sequence[int],
-    mask: TemporalMask,
-    tables: EmbeddingTables,
-    question_len: int = 0,
+    bits: np.ndarray,
+    text_table: np.ndarray,
+    time_table: np.ndarray,
     mode: str = "add",
-) -> FusedSequence:
-    """Combine text and temporal embeddings per token.
+) -> np.ndarray:
+    """The fused rows, one per token: text_table[id] and time_table[bit].
 
     mode "add" sums the two rows (the default); mode "concat" stacks them,
     doubling the row width.  Token ids must be valid rows of text_table;
     callers map unseen tokens to the UNK id first.
     """
     ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.size != mask.bits.size:
+    if ids.size != np.size(bits):
         raise ValueError("token_ids and mask length differ")
-    if ids.size and (ids.min() < 0 or ids.max() >= tables.text_table.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= text_table.shape[0]):
         raise ValueError("token id outside the text table")
-    text = tables.text_table[ids]
-    time = tables.time_table[mask.bits.astype(np.intp)]
+    text = text_table[ids]
+    time = time_table[np.asarray(bits, dtype=np.intp)]
     if mode == "add":
-        vectors = text + time
-    elif mode == "concat":
-        vectors = np.concatenate([text, time], axis=1)
-    else:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    return FusedSequence(vectors, question_len)
+        return text + time
+    if mode == "concat":
+        return np.concatenate([text, time], axis=1)
+    raise ValueError(f"unknown fusion mode {mode!r}")
 
 
 class Vocabulary:
@@ -132,9 +108,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, 0)
 
     def encode(self, tokens: Sequence[Token | str]) -> np.ndarray:
         texts = [t.text if isinstance(t, Token) else t for t in tokens]

@@ -81,9 +81,6 @@ class MonthInterval:
     def length_months(self) -> int:
         return self.hi - self.lo + 1
 
-    def contains(self, idx: int) -> bool:
-        return self.lo <= idx <= self.hi
-
 
 def year_span(first_year: int, last_year: int) -> MonthInterval:
     """[January of first_year, December of last_year]."""

@@ -133,23 +133,3 @@ def report(metrics: Metrics, fmt: str = "markdown") -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def metrics_from_csv(text: str) -> Metrics:
-    """Inverse of report(..., "csv"); float fields round-trip exactly."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "type,n,em,f1":
-        raise ValueError("unrecognized metrics CSV header")
-    by_type: dict[str, Metrics] = {}
-    overall: Metrics | None = None
-    for ln in lines[1:]:
-        qtype, n_s, em_s, f1_s = ln.split(",")
-        m = Metrics(em=float(em_s), f1=float(f1_s), n=int(n_s))
-        if qtype == "overall":
-            overall = m
-        else:
-            by_type[qtype] = m
-    if overall is None:
-        raise ValueError("metrics CSV lacks an overall row")
-    overall.by_type = by_type
-    return overall

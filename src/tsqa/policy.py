@@ -24,15 +24,7 @@ import numpy as np
 
 from .config import FeatureConfig
 from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, mine_proximal, mine_remote
-from .features import (
-    EmbeddingTables,
-    TemporalMask,
-    Vocabulary,
-    build_mask,
-    concat_masks,
-    dilate,
-    fuse,
-)
+from .features import Vocabulary, build_mask, concat_masks, dilate, fuse
 from .fileio import write_atomic
 from .intervals import MonthInterval
 from .metrics import normalize_answer
@@ -147,11 +139,6 @@ class CompiledRecord:
     relation: Optional[str]
     remote_pool: list[str]
     proximal_pool: list[str]
-
-    @cached_property
-    def mask(self) -> TemporalMask:
-        """`bits` as a mask, checked once per record."""
-        return TemporalMask(self.bits)
 
     @cached_property
     def pool_rows(self) -> "PoolRows":
@@ -470,7 +457,8 @@ class RecordFeatures:
 
     The rows, their attention weights and the record's `PoolRows` are
     what lets backward reach the attention vectors and scatter gradients
-    into the shared tables.
+    into the shared tables; `config` tells backward the fusion mode and
+    whether the time table took part.
     """
 
     feats: np.ndarray  # (K, F)
@@ -478,32 +466,7 @@ class RecordFeatures:
     rows: np.ndarray  # (N, fw) fused rows, in `layout` order
     weights: np.ndarray  # (N,) attention weight within the row's pool
     layout: PoolRows
-    mode: str
-    embed_dim: int
-
-    @property
-    def fused_width(self) -> int:
-        return self.embed_dim * (2 if self.mode == "concat" else 1)
-
-    @classmethod
-    def from_matrix(cls, feats: np.ndarray, pooled: np.ndarray) -> "RecordFeatures":
-        """Features with no table provenance (table gradients vanish)."""
-        fw = (feats.shape[1] - 4) // 2
-        empty = np.arange(0)
-        return cls(
-            feats=np.asarray(feats, dtype=float),
-            pooled=np.asarray(pooled, dtype=float),
-            rows=np.zeros((0, fw)),
-            weights=np.zeros(0),
-            layout=PoolRows.of(0, [], empty, empty),
-            mode="add",
-            embed_dim=fw,
-        )
-
-
-def effective_tables(params: PolicyParams, config: FeatureConfig) -> EmbeddingTables:
-    time = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
-    return EmbeddingTables(time_table=time, text_table=params.text_table)
+    config: FeatureConfig
 
 
 def _attention_pools(
@@ -530,9 +493,10 @@ def _attention_pools(
 def featurize_record(
     comp: CompiledRecord, params: PolicyParams, config: FeatureConfig
 ) -> RecordFeatures:
-    tables = effective_tables(params, config)
-    fused = fuse(comp.token_ids, comp.mask, tables, comp.question_len, config.fusion_mode)
-    vectors = fused.vectors
+    # With temporal fusion off the time table reads as zero, and backward
+    # leaves its gradient alone (`_scatter_table_grads`).
+    time_table = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
+    vectors = fuse(comp.token_ids, comp.bits, params.text_table, time_table, config.fusion_mode)
     fw = vectors.shape[1]
     k = len(comp.candidates)
 
@@ -552,8 +516,7 @@ def featurize_record(
         rows=rows,
         weights=weights,
         layout=layout,
-        mode=config.fusion_mode,
-        embed_dim=config.embed_dim,
+        config=config,
     )
 
 
@@ -693,7 +656,8 @@ def _scatter_table_grads(
     layout = rf.layout
     if not layout.pos.size:
         return
-    fw, d, n_q = rf.fused_width, rf.embed_dim, layout.question_len
+    config = rf.config
+    fw, d, n_q = config.fused_width, config.embed_dim, layout.question_len
     # The question pool feeds every candidate's row.
     g_pools = np.concatenate([dfeats[:, :fw].sum(axis=0, keepdims=True), dfeats[:, fw : 2 * fw]])
     pools = np.concatenate([rf.feats[:1, :fw], rf.feats[:, fw : 2 * fw]])
@@ -704,12 +668,13 @@ def _scatter_table_grads(
     dx[n_q:] += s[n_q:, None] * params.u_window
     grads.u_question += scale * (s[:n_q] @ rf.rows[:n_q])
     grads.u_window += scale * (s[n_q:] @ rf.rows[n_q:])
-    if rf.mode == "add":
+    if config.fusion_mode == "add":
         text_part, time_part = dx, dx
     else:
         text_part, time_part = dx[:, :d], dx[:, d:]
     grads.text_table[layout.text.keys] += scale * layout.text.sums(text_part)
-    grads.time_table[layout.time.keys] += scale * layout.time.sums(time_part)
+    if config.temporal_fusion:  # off, featurize read a constant zero table
+        grads.time_table[layout.time.keys] += scale * layout.time.sums(time_part)
 
 
 def backward(
@@ -815,11 +780,13 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
     params.check_finite()
 
     sidecar_path = _sidecar_path(path)
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
         config = FeatureConfig.from_json_dict(sidecar["features"])
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ValueError(f"{sidecar_path}: missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from exc
     # The sidecar must describe the tensors it sits beside.
     for name, have, what, want in (

@@ -207,8 +207,6 @@ def train_sft_compiled(
                     scale=1.0 / len(chunk),
                 )
                 epoch_loss += loss
-            if not feature_config.temporal_fusion:
-                grads.time_table[:] = 0.0
             optimizer.step(params, grads)
         metrics = evaluate_compiled(compiled_dev, params, feature_config)
         history.append(
@@ -497,8 +495,6 @@ def ppo_update(
                 kl_terms.append(float(batch.logprob_old[j]) - logp_new)
                 if abs(ratio - 1.0) > config.cliprange:
                     clip_hits += 1
-            if not feature_config.temporal_fusion:
-                grads.time_table[:] = 0.0
             optimizer.step(params, grads)
     total_samples = max(len(policy_losses), 1)
     stats = {

@@ -20,6 +20,7 @@ from tsqa.intervals import MonthInterval, month_index
 from tsqa.metrics import evaluate_compiled, exact_match, f1
 from tsqa.policy import (
     PolicyDims,
+    PoolRows,
     RecordFeatures,
     compile_dataset,
     compile_record,
@@ -223,6 +224,20 @@ def random_params(rng, vocab_size):
     return params
 
 
+def features_from_matrix(feats, pooled):
+    """Features with no table provenance: no pooled rows, so backward
+    reaches neither the tables nor the attention vectors."""
+    empty = np.arange(0)
+    return RecordFeatures(
+        feats=feats,
+        pooled=pooled,
+        rows=np.zeros((0, TINY.fused_width)),
+        weights=np.zeros(0),
+        layout=PoolRows.of(0, [], empty, empty),
+        config=TINY,
+    )
+
+
 def test_criterion_4_gradient_fidelity():
     t0 = time.perf_counter()
     comp, vocab = warnock_compiled()
@@ -279,7 +294,7 @@ def test_criterion_4_gradient_fidelity():
         params = init_params(rng, dims)
         params.b1[:] = rng.normal(scale=0.1, size=params.b1.shape)
         k = int(rng.integers(2, 7))
-        rf = RecordFeatures.from_matrix(
+        rf = features_from_matrix(
             rng.normal(size=(k, dims.feature_dim)), rng.normal(size=dims.pooled_dim)
         )
         gold = int(rng.integers(k))

@@ -52,6 +52,7 @@ def test_bad_config_shape_is_exit_two(capsys, tmp_path):
     cfg.write_text("[1, 2, 3]")
     code, _, err = run(capsys, "gen", "--out-dir", str(tmp_path / "d"), "--config", str(cfg))
     assert code == 2
+    assert f"{cfg}: " in err
     assert "JSON object" in err
 
 
@@ -391,28 +392,53 @@ def test_eval_rejects_sidecar_that_disagrees_with_tensors(capsys, tmp_path, edit
     assert field in err
 
 
-def _sidecar_ids_outside_the_table(sidecar):
+def _sidecar_ids_outside_the_table(text):
     # Right size, but two tokens moved to ids at and above the table's rows.
+    sidecar = json.loads(text)
     top = len(sidecar["vocab"])
     for shift, token in enumerate(sorted(sidecar["vocab"])[-2:]):
         sidecar["vocab"][token] = top + shift
+    return json.dumps(sidecar)
 
 
-def _sidecar_negative_window(sidecar):
+def _sidecar_negative_window(text):
+    sidecar = json.loads(text)
     sidecar["features"]["window"] = -1
+    return json.dumps(sidecar)
+
+
+def _sidecar_corrupt(text):
+    return text.replace('"vocab"', "vocab", 1)
+
+
+def _sidecar_without_vocab(text):
+    sidecar = json.loads(text)
+    del sidecar["vocab"]
+    return json.dumps(sidecar)
+
+
+def _sidecar_vocab_list(text):
+    sidecar = json.loads(text)
+    sidecar["vocab"] = sorted(sidecar["vocab"])
+    return json.dumps(sidecar)
 
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(_sidecar_ids_outside_the_table, "vocabulary ids"), (_sidecar_negative_window, "window")],
-    ids=["vocab_ids", "window"],
+    [
+        (_sidecar_ids_outside_the_table, "vocabulary ids"),
+        (_sidecar_negative_window, "window"),
+        (_sidecar_corrupt, "Expecting property name"),
+        (_sidecar_without_vocab, "missing field 'vocab'"),
+        (_sidecar_vocab_list, "has no attribute"),
+        (lambda text: "[]", "list indices"),
+    ],
+    ids=["vocab_ids", "window", "corrupt", "no_vocab", "vocab_list", "not_an_object"],
 )
 def test_eval_names_the_sidecar_it_cannot_parse(capsys, tmp_path, edit, message):
     corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
     sidecar_path = tmp_path / "mismatch.ckpt.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    edit(sidecar)
-    sidecar_path.write_text(json.dumps(sidecar))
+    sidecar_path.write_text(edit(sidecar_path.read_text()))
 
     code, _, err = run(
         capsys, "eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt)
@@ -432,3 +458,22 @@ def test_eval_on_truncated_checkpoint_names_the_file(capsys, tmp_path):
     assert code == 2
     assert str(ckpt) in err
     assert "checkpoint size 100" in err
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (["gen", "--out-dir", "{tmp}/d", "--config", "{bad}"], "{not json", "invalid JSON"),
+        (["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"], "{", "line 1: invalid JSON"),
+        (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '{"subject": 1}', "line 1"),
+    ],
+    ids=["config_json", "dataset_line", "facts_line"],
+)
+def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):
+    bad = tmp_path / "bad_input.json"
+    bad.write_text(content + "\n")
+    argv = [arg.format(tmp=tmp_path, bad=bad) for arg in command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{bad}: " in err
+    assert message in err

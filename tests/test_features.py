@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tsqa.features import (
-    EmbeddingTables,
     TemporalMask,
     Vocabulary,
     build_mask,
@@ -78,63 +77,54 @@ def test_concat_masks_orders_question_first():
 
 
 def test_embed_temporal_selects_rows():
-    tables = EmbeddingTables(
-        time_table=np.array([[0.0, 0.0], [1.0, 2.0]]),
-        text_table=np.zeros((3, 2)),
-    )
-    rows = embed_temporal(TemporalMask(np.array([0, 1, 1])), tables)
+    time_table = np.array([[0.0, 0.0], [1.0, 2.0]])
+    rows = embed_temporal(np.array([0, 1, 1], dtype=np.int8), time_table)
     assert rows.tolist() == [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]]
 
 
 def test_fuse_add_and_concat():
     rng = np.random.default_rng(0)
     d, v, n = 3, 5, 4
-    tables = EmbeddingTables(
-        time_table=rng.normal(size=(2, d)),
-        text_table=rng.normal(size=(v, d)),
-    )
+    time_table = rng.normal(size=(2, d))
+    text_table = rng.normal(size=(v, d))
     ids = [0, 2, 4, 1]
-    bits = TemporalMask(np.array([0, 1, 0, 1]))
-    added = fuse(ids, bits, tables, question_len=2, mode="add")
-    assert added.vectors.shape == (n, d)
-    assert added.question_len == 2
-    stacked = fuse(ids, bits, tables, mode="concat")
-    assert stacked.vectors.shape == (n, 2 * d)
-    for i, (tid, bit) in enumerate(zip(ids, bits.bits)):
-        expect_add = tables.text_table[tid] + tables.time_table[bit]
-        assert np.allclose(added.vectors[i], expect_add)
-        assert np.allclose(stacked.vectors[i, :d], tables.text_table[tid])
-        assert np.allclose(stacked.vectors[i, d:], tables.time_table[bit])
+    bits = TemporalMask(np.array([0, 1, 0, 1])).bits
+    added = fuse(ids, bits, text_table, time_table, mode="add")
+    assert added.shape == (n, d)
+    stacked = fuse(ids, bits, text_table, time_table, mode="concat")
+    assert stacked.shape == (n, 2 * d)
+    for i, (tid, bit) in enumerate(zip(ids, bits)):
+        expect_add = text_table[tid] + time_table[bit]
+        assert np.allclose(added[i], expect_add)
+        assert np.allclose(stacked[i, :d], text_table[tid])
+        assert np.allclose(stacked[i, d:], time_table[bit])
 
 
 def test_fuse_zero_time_table_add_equals_text_rows():
     rng = np.random.default_rng(1)
-    tables = EmbeddingTables(
-        time_table=np.zeros((2, 4)),
-        text_table=rng.normal(size=(6, 4)),
-    )
+    text_table = rng.normal(size=(6, 4))
     ids = [1, 2, 3]
-    bits = TemporalMask(np.array([1, 1, 0]))
-    fused = fuse(ids, bits, tables, mode="add")
-    assert np.array_equal(fused.vectors, tables.text_table[ids])
+    bits = TemporalMask(np.array([1, 1, 0])).bits
+    fused = fuse(ids, bits, text_table, np.zeros((2, 4)), mode="add")
+    assert np.array_equal(fused, text_table[ids])
 
 
 def test_fuse_validates_inputs():
-    tables = EmbeddingTables(np.zeros((2, 2)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        fuse([0, 1], TemporalMask(np.array([0])), tables)
-    with pytest.raises(ValueError):
-        fuse([5], TemporalMask(np.array([0])), tables)
-    with pytest.raises(ValueError):
-        fuse([0], TemporalMask(np.array([0])), tables, mode="mul")
+    text_table, time_table = np.zeros((3, 2)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="length"):
+        fuse([0, 1], np.array([0]), text_table, time_table)
+    with pytest.raises(ValueError, match="text table"):
+        fuse([5], np.array([0]), text_table, time_table)
+    with pytest.raises(ValueError, match="fusion mode"):
+        fuse([0], np.array([0]), text_table, time_table, mode="mul")
 
 
 def test_vocabulary_determinism_and_unk():
     v1 = Vocabulary(["b", "a", "c"])
     v2 = Vocabulary(["c", "a", "b"])
     assert v1.to_json() == v2.to_json()
-    assert v1.id_of("a") == 1  # sorted after the reserved UNK row
-    assert v1.id_of("zzz") == 0
+    assert v1.encode(["a"])[0] == 1  # sorted after the reserved UNK row
+    assert v1.encode(["zzz"])[0] == 0
     ids = v1.encode(["A", "unknown", "c"])
     assert ids.tolist() == [1, 0, 3]
 
@@ -143,7 +133,7 @@ def test_vocabulary_json_round_trip():
     v = Vocabulary.build(["From 1966 to 1972.", "in 1987"], tokenize)
     clone = Vocabulary.from_json(v.to_json())
     for tok in ("from", "1966", "1987", "."):
-        assert clone.id_of(tok) == v.id_of(tok)
+        assert clone.encode([tok])[0] == v.encode([tok])[0]
     assert len(clone) == len(v)
 
 

@@ -87,10 +87,14 @@ def test_intersects_and_overlap_brute_force():
 
 def test_contains_endpoints():
     iv = year_span(1990, 1991)
-    assert iv.contains(iv.start)
-    assert iv.contains(iv.end)
-    assert not iv.contains(iv.start - 1)
-    assert not iv.contains(iv.end + 1)
+
+    def month(idx):
+        return MonthInterval(idx, idx)
+
+    assert iv.intersects(month(iv.start))
+    assert iv.intersects(month(iv.end))
+    assert not iv.intersects(month(iv.start - 1))
+    assert not iv.intersects(month(iv.end + 1))
 
 
 def test_parse_and_format_year_month():

@@ -8,7 +8,7 @@ import pytest
 from tsqa.config import FeatureConfig
 from tsqa.corpus import QARecord, QuestionType
 from tsqa.facts import FactIndex, TimeFact, infer_question_pair
-from tsqa.features import TemporalMask, Vocabulary, fuse
+from tsqa.features import Vocabulary, fuse
 from tsqa.intervals import year_span
 from tsqa.policy import (
     Candidate,
@@ -17,7 +17,6 @@ from tsqa.policy import (
     PolicyParams,
     RecordFeatures,
     compile_record,
-    effective_tables,
     extract_candidates,
     forward,
     grad_check,
@@ -319,12 +318,7 @@ def test_featurize_record_matches_reference_pools(tiny_features):
     comp, vocab = compile_warnock(tiny_features)
     params = random_u_params(len(vocab), tiny_features, seed=2)
     rf = featurize_record(comp, params, tiny_features)
-    vectors = fuse(
-        comp.token_ids,
-        TemporalMask(comp.bits),
-        effective_tables(params, tiny_features),
-        comp.question_len,
-    ).vectors
+    vectors = fuse(comp.token_ids, comp.bits, params.text_table, params.time_table)
     n_q, fw, window = comp.question_len, vectors.shape[1], tiny_features.window
 
     def pool(rows, u):
@@ -432,14 +426,52 @@ def test_zero_time_table_fusion_switch_identity():
         assert on.value == off.value
 
 
-def test_effective_tables_zeroes_time_when_fusion_off(tiny_features):
-    fc_off = FeatureConfig(embed_dim=4, window=2, hidden=8, temporal_fusion=False)
-    params = params_for(11, fc_off, seed=1)
-    params.time_table[:] = 1.0
-    tables = effective_tables(params, fc_off)
-    assert not tables.time_table.any()
-    tables_on = effective_tables(params, tiny_features)
-    assert tables_on.time_table.any()
+def test_featurize_reads_a_zero_time_table_when_fusion_off():
+    from tsqa.policy import featurize_record
+
+    for mode in ("add", "concat"):
+        fc_on = FeatureConfig(embed_dim=4, window=2, hidden=8, fusion_mode=mode)
+        fc_off = FeatureConfig(embed_dim=4, window=2, hidden=8, fusion_mode=mode,
+                               temporal_fusion=False)
+        comp, vocab = compile_warnock(fc_on)
+        params = params_for(len(vocab), fc_on, seed=1)
+        params.u_question[:] = 0.5
+        params.time_table[:] = 1.0
+        zeroed = params.clone()
+        zeroed.time_table[:] = 0.0
+        off = featurize_record(comp, params, fc_off)
+        want = featurize_record(comp, zeroed, fc_on)
+        assert np.array_equal(off.feats, want.feats)
+        assert np.array_equal(off.pooled, want.pooled)
+        assert not np.array_equal(featurize_record(comp, params, fc_on).feats, want.feats)
+
+
+@pytest.mark.parametrize("mode", ["add", "concat"])
+@pytest.mark.parametrize("kind", ["cross_entropy", "ppo_surrogate"])
+def test_time_table_gradient_is_zero_when_fusion_off(small_corpus, small_vocab, mode, kind):
+    # The loss does not depend on the time table when fusion is off, so its
+    # gradient there must be exactly zero, matching finite differences.
+    from tsqa.facts import FactIndex as FI
+    from tsqa.policy import compile_dataset, featurize_record
+
+    fc = FeatureConfig(embed_dim=4, window=2, hidden=8, fusion_mode=mode, temporal_fusion=False)
+    comp = pick_record(compile_dataset(small_corpus[0][:10], FI(small_corpus[3]), small_vocab, fc))
+    params = params_for(len(small_vocab), fc, seed=41)
+    rng = np.random.default_rng(41)
+    params.time_table[:] = rng.normal(scale=0.1, size=params.time_table.shape)
+    params.u_window[:] = rng.normal(size=params.u_window.shape)
+    if kind == "cross_entropy":
+        inputs = {"gold_index": comp.gold_index}
+    else:
+        rf = featurize_record(comp, params, fc)
+        base = float(np.log(forward(params, rf.feats, rf.pooled).probs[0]))
+        inputs = {"action": 0, "logprob_old": base, "advantage": 1.3, "cliprange": 0.2}
+    run = _closure(comp, fc, kind, inputs)
+    _, grads, _ = run(params)
+    assert not grads.time_table.any()
+    assert grads.text_table.any()
+    # Every coordinate of the small tensors, the time table among them.
+    assert grad_check(params, run, epsilon=1e-5, seed=5, min_coords=0) < 1e-4
 
 
 def test_init_params_bounds_and_determinism(tiny_features):
