@@ -68,6 +68,8 @@ class QuestionTimeSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "QuestionTimeSpec":
+        if not isinstance(payload, dict):
+            raise TypeError("must be a JSON object")
         start, end = payload.get("start"), payload.get("end")
         interval = None
         if start is not None and end is not None:
@@ -150,7 +152,7 @@ def parse_record(line: str, lineno: Optional[int] = None) -> QARecord:
     for k, item in enumerate(facts_raw):
         try:
             facts.append(TimeFact.from_json_dict(item))
-        except (ValueError, AttributeError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ValidationError(f"{where}facts[{k}]: {exc}") from exc
 
     spec = None

@@ -61,6 +61,8 @@ class TimeFact:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TimeFact":
+        if not isinstance(payload, dict):
+            raise TypeError("fact must be a JSON object")
         def end_of(key: str) -> Optional[int]:
             raw = payload.get(key)
             return None if raw is None else parse_year_month(str(raw))

@@ -73,6 +73,8 @@ def load_lookup_table(path: str | Path, dim: int = DEFAULT_DIM) -> dict[str, np.
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"{p}:{lineno}: non-numeric vector entry") from exc
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{p}:{lineno}: non-finite vector entry")
         table[parts[0]] = vec
     return table
 
@@ -113,29 +115,30 @@ def embed_answer(answer: str, params: RewardParams) -> AnswerVector:
     return AnswerVector(acc / norm)
 
 
-def l2_distance(a: AnswerVector, b: AnswerVector) -> float:
-    if a.values.shape != b.values.shape:
-        raise ValueError("answer vectors have mismatched dimensions")
-    return float(np.linalg.norm(a.values - b.values))
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Not np.linalg.norm: on a 1-d vector it takes a dot product, which may
+    # sum in another order than the rows of a matrix do.
+    return np.sqrt(np.add.reduce((a - b) ** 2, axis=-1))
 
 
 def triplet_score(
-    gt: AnswerVector,
-    pred: AnswerVector,
-    negatives: Sequence[AnswerVector],
+    gt: np.ndarray,
+    pred: np.ndarray,
+    negatives: np.ndarray,
     margin: float = 1.0,
     neg_aggregate: str = "min",
 ) -> float:
     """max(d(gt, pred) - d_neg + margin, 0); without negatives, d(gt, pred).
 
-    d_neg is the distance to the hardest (nearest) negative by default;
-    "mean" averages over the set instead.
+    Takes embeddings: `negatives` is an (n, dim) array.  d_neg is the
+    distance to the hardest (nearest) negative by default; "mean" averages
+    over the set instead.
     """
-    d_pos = l2_distance(gt, pred)
-    if not negatives:
+    d_pos = float(_distances(pred, gt))
+    if len(negatives) == 0:
         return d_pos
-    dists = [l2_distance(pred, n) for n in negatives]
-    d_neg = min(dists) if neg_aggregate == "min" else sum(dists) / len(dists)
+    dists = _distances(pred, negatives)
+    d_neg = float(dists.min() if neg_aggregate == "min" else dists.mean())
     return max(d_pos - d_neg + margin, 0.0)
 
 
@@ -150,8 +153,8 @@ def score_prediction(
     gt: str, pred: str, negatives: Sequence[str], params: RewardParams
 ) -> float:
     """Embed, score the triplet, and squash into a reward."""
-    gt_vec = embed_answer(gt, params)
-    pred_vec = embed_answer(pred, params)
-    neg_vecs = [embed_answer(n, params) for n in negatives]
+    gt_vec = embed_answer(gt, params).values
+    pred_vec = embed_answer(pred, params).values
+    neg_vecs = np.array([embed_answer(n, params).values for n in negatives])
     t = triplet_score(gt_vec, pred_vec, neg_vecs, params.margin, params.neg_aggregate)
     return reward(t, params)

@@ -4,13 +4,14 @@ Stage 1 minimizes cross-entropy of the gold candidate under AdamW.  Stage
 2 treats each record as a one-step episode: sample an answer, score it
 with the contrastive reward (or a plain exact-match baseline), subtract
 an adaptive KL penalty against the frozen stage-1 policy, and run clipped
-PPO updates.  Both stages return the checkpoint with the best dev EM.
+PPO updates on the one-step advantage A = r - V, standardized over each
+rollout batch.  Both stages return the checkpoint with the best dev EM.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -69,8 +70,6 @@ class PPOConfig:
     init_kl_coef: float = 0.05
     target: float = 6.0
     horizon: float = 10_000.0
-    gamma: float = 0.99
-    lam: float = 0.95
     cliprange: float = 0.2
     vf_coef: float = 1.0
     iterations: int = 20
@@ -84,8 +83,6 @@ class PPOConfig:
             raise ValueError("rollout, chunk, and epoch counts must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if not 0 < self.gamma <= 1 or not 0 < self.lam <= 1:
-            raise ValueError("gamma and lam must lie in (0, 1]")
         if self.cliprange <= 0:
             raise ValueError("cliprange must be positive")
         if self.init_kl_coef <= 0 or self.target <= 0 or self.horizon <= 0:
@@ -293,17 +290,10 @@ def _contrastive_raw(
     remote, proximal = sample_negatives(
         cache.remote_rows, cache.proximal_rows, config.negatives_per_side, rng
     )
-    # sqrt(add.reduce(d**2)), the sum np.linalg.norm(..., axis=1) takes; on
-    # a 1-d vector norm takes a dot product, which may sum in another order.
-    pred = cache.table[cache.cand_rows[action]]
-    d_pos = float(np.sqrt(np.add.reduce((pred - cache.table[cache.gold_row]) ** 2)))
-    if not remote:
-        t = d_pos
-    else:
-        negs = cache.table[remote + proximal]
-        dists = np.sqrt(np.add.reduce((pred - negs) ** 2, axis=1))
-        d_neg = float(dists.min() if params.neg_aggregate == "min" else dists.mean())
-        t = max(d_pos - d_neg + params.margin, 0.0)
+    t = reward_mod.triplet_score(
+        cache.table[cache.gold_row], cache.table[cache.cand_rows[action]],
+        cache.table[remote + proximal], params.margin, params.neg_aggregate,
+    )
     return reward_mod.reward(t, params)
 
 
@@ -313,7 +303,6 @@ def _contrastive_raw(
 
 @dataclass
 class RolloutBatch:
-    record_ids: list[str]
     compiled: list[CompiledRecord]
     actions: np.ndarray
     logprob_old: np.ndarray
@@ -321,8 +310,8 @@ class RolloutBatch:
     rewards: np.ndarray  # raw minus the KL penalty
     values_old: np.ndarray
     kl_to_reference: np.ndarray
-    advantages: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    returns: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    advantages: np.ndarray  # standardized r - V over the batch
+    returns: np.ndarray  # (r - V) + V: the value head's target
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -340,7 +329,7 @@ def collect_rollouts(
     caches: Optional[list[_RewardCache]] = None,
     ref_probs: Optional[list[np.ndarray]] = None,
 ) -> RolloutBatch:
-    """Sample one-step episodes and attach shaped rewards."""
+    """Sample one-step episodes with shaped rewards and their advantages."""
     if kl_coef is None:
         kl_coef = config.init_kl_coef
     reward_params = reward_params or RewardParams()
@@ -349,7 +338,7 @@ def collect_rollouts(
     if ref_probs is None:
         ref_probs = reference_probs(reference_params, dataset, feature_config)
 
-    ids, comps = [], []
+    comps = []
     actions = np.zeros(config.num_rollouts, dtype=int)
     logprob_old = np.zeros(config.num_rollouts)
     raw = np.zeros(config.num_rollouts)
@@ -370,7 +359,6 @@ def collect_rollouts(
         else:
             r = float(caches[i].em_sign[a])
 
-        ids.append(comp.id)
         comps.append(comp)
         actions[j] = a
         logprob_old[j] = logp
@@ -378,8 +366,8 @@ def collect_rollouts(
         kls[j] = logp - logp_ref
         shaped[j] = r - kl_coef * kls[j]
         values[j] = out.value
+    adv = shaped - values
     return RolloutBatch(
-        record_ids=ids,
         compiled=comps,
         actions=actions,
         logprob_old=logprob_old,
@@ -387,6 +375,8 @@ def collect_rollouts(
         rewards=shaped,
         values_old=values,
         kl_to_reference=kls,
+        advantages=standardize_advantages(adv),
+        returns=adv + values,
     )
 
 
@@ -400,32 +390,6 @@ def reference_probs(
         rf = featurize_record(comp, reference_params, feature_config)
         out.append(forward(reference_params, rf.feats, rf.pooled).probs)
     return out
-
-
-def compute_gae(
-    rewards: Sequence[float],
-    values: Sequence[float],
-    gamma: float,
-    lam: float,
-    dones: Optional[Sequence[float]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation; QA episodes are one step, so
-    dones defaults to all-terminal and the recursion collapses to
-    A = r - V, return = r."""
-    r = np.asarray(rewards, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if r.shape != v.shape:
-        raise ValueError("rewards and values must have equal length")
-    d = np.ones_like(r) if dones is None else np.asarray(dones, dtype=float)
-    adv = np.zeros_like(r)
-    carry = 0.0
-    for t in range(len(r) - 1, -1, -1):
-        v_next = v[t + 1] if t + 1 < len(r) else 0.0
-        nonterminal = 1.0 - d[t]
-        delta = r[t] + gamma * v_next * nonterminal - v[t]
-        carry = delta + gamma * lam * nonterminal * carry
-        adv[t] = carry
-    return adv, adv + v
 
 
 def standardize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -445,8 +409,6 @@ def ppo_update(
     rng: np.random.Generator,
 ) -> tuple[PolicyParams, dict]:
     """Clipped-surrogate updates over the batch, chunk by chunk."""
-    if len(batch.advantages) != len(batch):
-        raise ValueError("batch advantages not computed")
     n = len(batch)
     policy_losses, value_losses, kl_terms, clip_hits = [], [], [], 0
     for _ in range(config.ppo_epochs):
@@ -552,11 +514,6 @@ def train_ppo_compiled(
             caches,
             ref_probs,
         )
-        adv, returns = compute_gae(
-            batch.rewards, batch.values_old, config.gamma, config.lam
-        )
-        batch.advantages = standardize_advantages(adv)
-        batch.returns = returns
         params, stats = ppo_update(
             params, batch, config, feature_config, optimizer, rng
         )

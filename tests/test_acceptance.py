@@ -40,9 +40,7 @@ from tsqa.trainer import (
     adaptive_kl_update,
     build_vocabulary,
     collect_rollouts,
-    compute_gae,
     ppo_update,
-    standardize_advantages,
     train_ppo_compiled,
     train_sft_compiled,
 )
@@ -372,9 +370,7 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
     batch = collect_rollouts(
         params, params, data, cfg, TINY, np.random.default_rng(5)
     )
-    adv, ret = compute_gae(batch.rewards, batch.values_old, cfg.gamma, cfg.lam)
     batch.advantages = np.zeros(len(batch))
-    batch.returns = ret
     trained = params.clone()
     ppo_update(trained, batch, cfg, TINY, AdamW(trained, 0.05), np.random.default_rng(5))
     policy_path = ("text_table", "time_table", "W1", "b1", "W2", "b2", "u_question", "u_window")
@@ -391,9 +387,6 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
     batch = collect_rollouts(
         params, params, data, cfg_wide, TINY, np.random.default_rng(6)
     )
-    adv, ret = compute_gae(batch.rewards, batch.values_old, cfg_wide.gamma, cfg_wide.lam)
-    batch.advantages = standardize_advantages(adv)
-    batch.returns = ret
     ppo_params = params.clone()
     ppo_update(
         ppo_params, batch, cfg_wide, TINY,

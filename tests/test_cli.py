@@ -90,6 +90,20 @@ def test_reward_with_lookup_table(capsys, tmp_path):
     assert any(line.startswith("R = ") for line in lines)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_reward_rejects_non_finite_lookup_table(capsys, tmp_path, entry):
+    table = tmp_path / "vectors.txt"
+    table.write_text(f"beta 0 1 0\nalpha {entry} 0 0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reward": {"dim": 3, "lookup_path": str(table)}}))
+    code, out, err = run(
+        capsys, "reward", "--gt", "alpha", "--pred", "beta", "--config", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{table}:2: non-finite" in err
+
+
 def test_tag_emits_spans_and_question_time(capsys):
     code, out, _ = run(capsys, "tag", "--text", "What happened in 1987?")
     assert code == 0
@@ -466,8 +480,14 @@ def test_eval_on_truncated_checkpoint_names_the_file(capsys, tmp_path):
         (["gen", "--out-dir", "{tmp}/d", "--config", "{bad}"], "{not json", "invalid JSON"),
         (["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"], "{", "line 1: invalid JSON"),
         (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '{"subject": 1}', "line 1"),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": [1]}',
+            "line 1: time_spec: must be a JSON object",
+        ),
+        (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '["a"]', "line 1: fact must be a JSON object"),
     ],
-    ids=["config_json", "dataset_line", "facts_line"],
+    ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object"],
 )
 def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):
     bad = tmp_path / "bad_input.json"

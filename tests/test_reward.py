@@ -9,7 +9,6 @@ from tsqa.reward import (
     AnswerVector,
     RewardParams,
     embed_answer,
-    l2_distance,
     load_lookup_table,
     reward,
     score_prediction,
@@ -87,34 +86,43 @@ def test_embed_answer_deterministic():
     assert np.array_equal(a, b)
 
 
+def l2(a, b):
+    """Reference distance, independent of the one the reward computes."""
+    return float(np.linalg.norm(a - b))
+
+
+def vec(text, params):
+    return embed_answer(text, params).values
+
+
 def test_identical_answers_zero_distance():
     params = RewardParams()
-    a = embed_answer("Mill Bank", params)
-    b = embed_answer("Mill Bank", params)
-    assert l2_distance(a, b) == 0.0
+    a = vec("Mill Bank", params)
+    b = vec("Mill Bank", params)
+    assert triplet_score(a, b, np.zeros((0, params.dim))) == 0.0
 
 
 def test_triplet_score_cases():
     params = RewardParams()
-    gt = embed_answer("alpha works", params)
-    pred_exact = embed_answer("alpha works", params)
-    neg = embed_answer("omega plant", params)
+    gt = vec("alpha works", params)
+    pred_exact = vec("alpha works", params)
+    neg = vec("omega plant", params)
     # exact prediction with a distant negative scores 0 under margin <= d_neg
-    assert triplet_score(gt, pred_exact, [neg], margin=1.0) == pytest.approx(
-        max(0.0 - l2_distance(pred_exact, neg) + 1.0, 0.0)
+    assert triplet_score(gt, pred_exact, np.array([neg]), margin=1.0) == pytest.approx(
+        max(0.0 - l2(pred_exact, neg) + 1.0, 0.0)
     )
     # no negatives: plain positive distance
-    pred_off = embed_answer("omega plant", params)
-    assert triplet_score(gt, pred_off, []) == pytest.approx(l2_distance(gt, pred_off))
+    pred_off = vec("omega plant", params)
+    assert triplet_score(gt, pred_off, np.array([])) == pytest.approx(l2(gt, pred_off))
 
 
 def test_triplet_score_hardest_vs_mean():
     params = RewardParams()
-    gt = embed_answer("target name", params)
-    pred = embed_answer("prediction text", params)
-    negs = [embed_answer(n, params) for n in ("near miss", "far away", "also wrong")]
-    dists = [l2_distance(pred, n) for n in negs]
-    d_pos = l2_distance(gt, pred)
+    gt = vec("target name", params)
+    pred = vec("prediction text", params)
+    negs = np.array([vec(n, params) for n in ("near miss", "far away", "also wrong")])
+    dists = [l2(pred, n) for n in negs]
+    d_pos = l2(gt, pred)
     hardest = triplet_score(gt, pred, negs, margin=1.0, neg_aggregate="min")
     averaged = triplet_score(gt, pred, negs, margin=1.0, neg_aggregate="mean")
     assert hardest == pytest.approx(max(d_pos - min(dists) + 1.0, 0.0))
@@ -124,15 +132,15 @@ def test_triplet_score_hardest_vs_mean():
 
 def test_triplet_clamps_at_zero():
     params = RewardParams(dim=8)
-    gt = embed_answer("same", params)
-    pred = embed_answer("same", params)
+    gt = vec("same", params)
+    pred = vec("same", params)
     # a negative identical to the prediction gives d_neg = 0, so the
     # hinge is active: 0 - 0 + margin
-    neg = embed_answer("same", params)
-    assert triplet_score(gt, pred, [neg], margin=0.5) == pytest.approx(0.5)
+    neg = vec("same", params)
+    assert triplet_score(gt, pred, np.array([neg]), margin=0.5) == pytest.approx(0.5)
     far = AnswerVector(np.zeros(8))
     # margin 0 with positive d_neg clamps to zero
-    assert triplet_score(gt, pred, [embed_answer("other", params)], margin=0.0) == 0.0
+    assert triplet_score(gt, pred, np.array([vec("other", params)]), margin=0.0) == 0.0
 
 
 def test_score_prediction_orders_good_above_bad():

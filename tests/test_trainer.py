@@ -30,7 +30,6 @@ from tsqa.trainer import (
     build_reward_caches,
     build_vocabulary,
     collect_rollouts,
-    compute_gae,
     history_to_csv,
     ppo_update,
     reference_probs,
@@ -50,7 +49,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SFTConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        PPOConfig(gamma=0.0)
+        PPOConfig(init_kl_coef=0.0)
     with pytest.raises(ValueError):
         PPOConfig(cliprange=-0.1)
     with pytest.raises(ValueError):
@@ -105,34 +104,19 @@ def test_adamw_step_rejects_non_finite_parameters():
 # Advantage estimation.
 
 
-def test_gae_one_step_episodes_collapse():
-    rng = np.random.default_rng(0)
-    r = rng.normal(size=40)
-    v = rng.normal(size=40)
-    adv, ret = compute_gae(r, v, gamma=0.99, lam=0.95)
-    assert np.array_equal(adv, r - v)
-    assert np.allclose(ret, r, atol=1e-12)  # (r - v) + v round trips in float
-
-
-def test_gae_multi_step_hand_unrolled():
-    # gamma = lam = 0.5, one episode of three steps ending in a terminal
-    adv, ret = compute_gae(
-        [1.0, 2.0, 3.0], [10.0, 20.0, 30.0], gamma=0.5, lam=0.5, dones=[0, 0, 1]
+def test_collect_rollouts_advantages_are_one_step(
+    sft_setup, small_compiled, tiny_features
+):
+    # A one-step episode has no successor state to bootstrap from: A = r - V.
+    cfg = PPOConfig(num_rollouts=40, seed=2)
+    data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
+    batch = collect_rollouts(
+        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(2)
     )
-    assert np.allclose(adv, [-1.4375, -9.75, -27.0], atol=1e-12)
-    assert np.allclose(ret, [8.5625, 10.25, 3.0], atol=1e-12)
-
-
-def test_gae_terminal_boundary_blocks_bootstrap():
-    # two one-step episodes back to back: the done flag must stop both
-    # the value bootstrap and the advantage carry
-    adv, _ = compute_gae([1.0, 5.0], [0.5, 0.25], gamma=0.9, lam=0.9, dones=[1, 1])
-    assert np.allclose(adv, [0.5, 4.75])
-
-
-def test_gae_length_mismatch():
-    with pytest.raises(ValueError):
-        compute_gae([1.0], [1.0, 2.0], gamma=0.9, lam=0.9)
+    adv = batch.rewards - batch.values_old
+    assert np.array_equal(batch.advantages, standardize_advantages(adv))
+    assert np.array_equal(batch.returns, adv + batch.values_old)
+    assert np.allclose(batch.returns, batch.rewards, atol=1e-12)
 
 
 def test_standardize_advantages():
@@ -382,7 +366,7 @@ def test_contrastive_reward_matches_score_prediction(small_compiled):
                 comp.remote_pool, comp.proximal_pool, config.negatives_per_side, ref_rng
             )
             want = score_prediction(gold, pred, remote + proximal, rp)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert got == want
 
 
 def test_collect_rollouts_shapes_and_shaping(
@@ -425,18 +409,11 @@ def test_collect_rollouts_deterministic(sft_setup, small_compiled, tiny_features
     )
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.raw_rewards, b.raw_rewards)
-    assert a.record_ids == b.record_ids
+    assert [c.id for c in a.compiled] == [c.id for c in b.compiled]
 
 
 # ---------------------------------------------------------------------------
 # PPO mechanics.
-
-
-def gae_and_standardize(batch, cfg):
-    adv, ret = compute_gae(batch.rewards, batch.values_old, cfg.gamma, cfg.lam)
-    batch.advantages = standardize_advantages(adv)
-    batch.returns = ret
-    return batch
 
 
 def test_ppo_zero_advantage_leaves_policy_path_untouched(
@@ -447,7 +424,6 @@ def test_ppo_zero_advantage_leaves_policy_path_untouched(
     batch = collect_rollouts(
         sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(8)
     )
-    batch = gae_and_standardize(batch, cfg)
     batch.advantages = np.zeros(len(batch))
     params = sft_setup.clone()
     opt = AdamW(params, learning_rate=0.05)
@@ -473,7 +449,6 @@ def test_ppo_wide_clip_single_chunk_equals_reinforce_with_baseline(
     batch = collect_rollouts(
         sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(10)
     )
-    batch = gae_and_standardize(batch, cfg)
 
     ppo_params = sft_setup.clone()
     ppo_params, _ = ppo_update(
@@ -515,7 +490,6 @@ def test_ppo_update_stats_match_a_separate_forward(
     batch = collect_rollouts(
         sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(12)
     )
-    batch = gae_and_standardize(batch, cfg)
     # A policy sharper than the sampler, so the ratios move away from 1.
     params = sft_setup.clone()
     params.W2 *= 1.5
@@ -536,20 +510,6 @@ def test_ppo_update_stats_match_a_separate_forward(
     assert 0 < clipped < n
     assert stats["approx_kl"] == float(np.mean(kl_terms))
     assert stats["clip_frac"] == clipped / n
-
-
-def test_ppo_update_requires_advantages(sft_setup, small_compiled, tiny_features):
-    cfg = PPOConfig(num_rollouts=4, seed=1)
-    data = [c for c in small_compiled[0] if c.gold_index >= 0][:10]
-    batch = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(1)
-    )
-    params = sft_setup.clone()
-    with pytest.raises(ValueError):
-        ppo_update(
-            params, batch, cfg, tiny_features,
-            AdamW(params, 0.01), np.random.default_rng(1),
-        )
 
 
 def test_reference_probs_rows_are_distributions(
