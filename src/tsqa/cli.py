@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import FeatureConfig
+from .config import FeatureConfig, config_from_json
 from .corpus import (
     QARecord,
     SyntheticConfig,
@@ -30,7 +30,7 @@ from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month
 from .metrics import evaluate_compiled, report
 from .policy import compile_dataset, load_checkpoint, save_checkpoint
-from .reward import DEFAULT_DIM, RewardParams, embed_answer, load_lookup_table, reward as reward_fn, triplet_score
+from .reward import RewardParams, embed_answer, load_lookup_table, reward as reward_fn, triplet_score
 from .tagger import parse_question_time, tag, tokenize
 from .trainer import (
     PPOConfig,
@@ -51,15 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _from_block(cls, block: dict, **overrides):
-    """Instantiate a config dataclass from a JSON block, keeping only
-    known fields so configs can carry commentary keys."""
-    known = {f.name for f in dataclass_fields(cls)}
-    kwargs = {k: v for k, v in block.items() if k in known}
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**kwargs)
-
-
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -73,17 +64,19 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
-def _feature_config(cfg: dict, temporal_fusion: Optional[bool] = None) -> FeatureConfig:
-    return _from_block(cls=FeatureConfig, block=cfg.get("features", {}), temporal_fusion=temporal_fusion)
+def _block(cls, args, cfg: dict, name: str, **overrides):
+    """Block `name` of the --config file as `cls`, overrides that are not None winning."""
+    where = f"{args.config}: {name}" if args.config else name
+    return config_from_json(cls, cfg.get(name, {}), where, **overrides)
 
 
-def _reward_params(cfg: dict) -> RewardParams:
-    block = dict(cfg.get("reward", {}))
-    lookup_path = block.pop("lookup_path", None)
+def _reward_params(args, cfg: dict) -> RewardParams:
+    params = _block(RewardParams, args, cfg, "reward")
+    lookup_path = cfg.get("reward", {}).get("lookup_path")
     if lookup_path:
-        table = load_lookup_table(lookup_path, block.get("dim", DEFAULT_DIM))
-        block.update(embedder="lookup_table", lookup_table=table)
-    return _from_block(RewardParams, block)
+        table = load_lookup_table(lookup_path, params.dim)
+        params = replace(params, embedder="lookup_table", lookup_table=table)
+    return params
 
 
 def _interval_from_args(args) -> MonthInterval:
@@ -98,10 +91,7 @@ def _interval_from_args(args) -> MonthInterval:
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    block = dict(cfg.get("synthetic", {}))
-    if "year_range" in block:
-        block["year_range"] = tuple(block["year_range"])
-    syn = _from_block(SyntheticConfig, block, seed=args.seed)
+    syn = _block(SyntheticConfig, args, cfg, "synthetic", seed=args.seed)
     train, dev, test, facts = generate_synthetic(syn)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +163,7 @@ def _cmd_mine(args) -> int:
 
 def _cmd_reward(args) -> int:
     cfg = _load_config(args.config)
-    params = _reward_params(cfg)
+    params = _reward_params(args, cfg)
     gt = embed_answer(args.gt, params).values
     pred = embed_answer(args.pred, params).values
     negatives = np.array([embed_answer(n, params).values for n in args.negative])
@@ -186,8 +176,8 @@ def _cmd_reward(args) -> int:
 
 def _cmd_train_sft(args) -> int:
     cfg = _load_config(args.config)
-    feature_config = _feature_config(cfg, args.temporal_fusion)
-    sft = _from_block(SFTConfig, cfg.get("sft", {}), seed=args.seed)
+    feature_config = _block(FeatureConfig, args, cfg, "features", temporal_fusion=args.temporal_fusion)
+    sft = _block(SFTConfig, args, cfg, "sft", seed=args.seed)
     splits = [load_dataset(args.train), load_dataset(args.dev)]
     vocab = build_vocabulary(splits)
     train, dev = (compile_dataset(split, None, vocab, feature_config) for split in splits)
@@ -204,14 +194,11 @@ def _cmd_train_sft(args) -> int:
 def _cmd_train_ppo(args) -> int:
     cfg = _load_config(args.config)
     sft_params, vocab, feature_config = load_checkpoint(args.checkpoint)
-    ppo = _from_block(
-        PPOConfig,
-        cfg.get("ppo", {}),
-        seed=args.seed,
-        iterations=args.iterations,
-        reward_kind=args.reward_kind,
+    ppo = _block(
+        PPOConfig, args, cfg, "ppo",
+        seed=args.seed, iterations=args.iterations, reward_kind=args.reward_kind,
     )
-    reward_params = _reward_params(cfg)
+    reward_params = _reward_params(args, cfg)
     train, dev = (
         compile_dataset(load_dataset(path), None, vocab, feature_config)
         for path in (args.train, args.dev)
@@ -240,28 +227,24 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    sft_cfg = _from_block(SFTConfig, cfg.get("sft", {}), seed=args.seed)
-    reward_params = _reward_params(cfg)
+    sft_cfg = _block(SFTConfig, args, cfg, "sft", seed=args.seed)
+    reward_params = _reward_params(args, cfg)
     splits = [load_dataset(path) for path in (args.train, args.dev, args.test)]
     vocab = build_vocabulary(splits[:2])
     # Compilation reads the window, which every arm shares, and not the
     # fusion switch: the splits are compiled once for the whole grid.
-    compile_config = _feature_config(cfg)
+    compile_config = _block(FeatureConfig, args, cfg, "features")
     train, dev, test = (compile_dataset(split, None, vocab, compile_config) for split in splits)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for fusion in (True, False):
-        feature_config = _feature_config(cfg, temporal_fusion=fusion)
+        feature_config = replace(compile_config, temporal_fusion=fusion)
         sft_params, _ = train_sft_compiled(train, dev, sft_cfg, feature_config, len(vocab))
         for kind in ("contrastive", "exact_match"):
-            ppo = _from_block(
-                PPOConfig,
-                cfg.get("ppo", {}),
-                seed=args.seed,
-                iterations=args.iterations,
-                reward_kind=kind,
+            ppo = _block(
+                PPOConfig, args, cfg, "ppo", seed=args.seed, iterations=args.iterations, reward_kind=kind
             )
             params, _ = train_ppo_compiled(
                 train, dev, sft_params, ppo, feature_config, reward_params

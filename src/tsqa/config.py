@@ -1,8 +1,9 @@
-"""Feature configuration, with a JSON round-trip."""
+"""Feature configuration, and the one constructor of a config from JSON."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import json
+from dataclasses import MISSING, asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,41 @@ class FeatureConfig:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "FeatureConfig":
-        known = {f: payload[f] for f in cls.__dataclass_fields__ if f in payload}
-        return cls(**known)
+
+# Type of a field's default -> the JSON types it takes; bool before its base int.
+_JSON_KINDS = (
+    (bool, (bool,), "true or false"),
+    (int, (int,), "an integer"),
+    (float, (int, float), "a number"),
+    (str, (str,), "a string"),
+    (tuple, (list,), "a list"),
+    (dict, (dict,), "a JSON object"),
+)
+
+
+def _json_value(value, default, where: str):
+    """`value` if it has the JSON type of `default`; a list becomes a tuple."""
+    accepts, kind = next((a, k) for t, a, k in _JSON_KINDS if isinstance(default, t))
+    if not isinstance(value, accepts) or (isinstance(value, bool) and bool not in accepts):
+        raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def config_from_json(cls, block, where: str, **overrides):
+    """The config dataclass `cls` from the JSON object `block`, with the
+    overrides that are not None.  Unknown keys are ignored, so configs can
+    carry commentary, and a field whose default is None is no JSON key.
+    Errors start with `where` ("config.json: sft"), plus the field's name
+    for a value of the wrong type."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: must be a JSON object")
+    kwargs = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if f.name in block and default is not None:
+            kwargs[f.name] = _json_value(block[f.name], default, f"{where}.{f.name}")
+    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import FeatureConfig
+from .config import FeatureConfig, config_from_json
 from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, mine_proximal, mine_remote
 from .features import Vocabulary, build_mask, concat_masks, dilate, fuse
 from .fileio import write_atomic
@@ -82,12 +82,10 @@ class CandidateSet:
         return next(i for i, c in enumerate(self.candidates) if c.is_empty)
 
 
-def extract_candidates(record, index: FactIndex, ctx_tokens=None) -> CandidateSet:
+def extract_candidates(ctx_tokens: Sequence, index: FactIndex) -> CandidateSet:
     """Candidates = distinct objects of facts whose subject is mentioned
-    in the context, each with its first context mention, ordered by
-    mention position; the empty candidate comes last."""
-    if ctx_tokens is None:
-        ctx_tokens = tokenize(record.context)
+    in the context tokens, each with its first mention, ordered by mention
+    position; the empty candidate comes last."""
     low = [t.text.lower() for t in ctx_tokens]
 
     # Facts of the mentioned subjects, in store order.
@@ -245,7 +243,7 @@ def compile_record(
     token_ids = np.concatenate([vocab.encode(q_tokens), vocab.encode(ctx_tokens)])
     n_q, total = len(q_tokens), len(token_ids)
 
-    candidates = extract_candidates(record, idx, ctx_tokens)
+    candidates = extract_candidates(ctx_tokens, idx)
 
     # The question's own interval, resolving era references through the
     # fact store.  Deliberately never fall back to the gold fact here:
@@ -404,47 +402,23 @@ def zeros_like_params(params: PolicyParams) -> PolicyParams:
     return PolicyParams.from_flat(np.zeros_like(params.flat), params.shapes)
 
 
-@dataclass(frozen=True)
-class PolicyDims:
-    vocab_size: int
-    embed_dim: int
-    hidden: int
-    feature_dim: int
-    pooled_dim: int
-
-    @property
-    def fused_width(self) -> int:
-        return self.pooled_dim - 3
-
-    @classmethod
-    def from_config(cls, vocab_size: int, config: FeatureConfig) -> "PolicyDims":
-        fw = config.fused_width
-        return cls(vocab_size, config.embed_dim, config.hidden, 2 * fw + 4, fw + 3)
+def param_shapes(vocab_size: int, config: FeatureConfig) -> list[tuple[int, ...]]:
+    """The ten tensor shapes of a policy, in `named_tensors()` order."""
+    d, H, fw = config.embed_dim, config.hidden, config.fused_width
+    F, Fb = 2 * fw + 4, fw + 3  # candidate features; pooled state
+    return [(vocab_size, d), (2, d), (H, F), (H,), (1, H), (1,), (1, Fb), (1,), (fw,), (fw,)]
 
 
-def init_params(rng: np.random.Generator, dims: PolicyDims) -> PolicyParams:
+def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig) -> PolicyParams:
     """Uniform fan-balanced weights, zero biases, a zero time table so the
     fresh model coincides with the no-temporal baseline, and zero attention
     vectors so it pools uniformly."""
-
-    def uniform(shape, fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    V, d = dims.vocab_size, dims.embed_dim
-    H, F, Fb = dims.hidden, dims.feature_dim, dims.pooled_dim
-    return PolicyParams(
-        text_table=uniform((V, d), V, d),
-        time_table=np.zeros((2, d)),
-        W1=uniform((H, F), F, H),
-        b1=np.zeros(H),
-        W2=uniform((1, H), H, 1),
-        b2=np.zeros(1),
-        Wv=uniform((1, Fb), Fb, 1),
-        bv=np.zeros(1),
-        u_question=np.zeros(dims.fused_width),
-        u_window=np.zeros(dims.fused_width),
-    )
+    shapes = param_shapes(vocab_size, config)
+    params = PolicyParams.from_flat(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+    for w in (params.text_table, params.W1, params.W2, params.Wv):
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[:] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -749,55 +723,64 @@ def _sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
+def _header_sizes(shapes: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """V, d, H, F and F̄: the sizes a checkpoint header stores."""
+    return (*shapes[0], *shapes[2], shapes[6][1])
+
+
+# What each header size measures, and the sidecar field it follows from.
+_HEADER_FIELDS = (
+    ("text table rows", "vocabulary size"),
+    ("embedding width", "features.embed_dim"),
+    ("hidden width", "features.hidden"),
+    ("feature width", "features.embed_dim and features.fusion_mode"),
+    ("pooled width", "features.embed_dim and features.fusion_mode"),
+)
+
+
 def save_checkpoint(
     path: str | Path, params: PolicyParams, vocab: Vocabulary, config: FeatureConfig
 ) -> None:
-    shape = (*params.text_table.shape, *params.W1.shape, params.Wv.shape[1])
-    header = struct.pack(_HEADER, _MAGIC, _VERSION, *shape)
+    header = struct.pack(_HEADER, _MAGIC, _VERSION, *_header_sizes(params.shapes))
     write_atomic(path, header + np.asarray(params.flat, dtype="<f8").tobytes())
     sidecar = {"vocab": json.loads(vocab.to_json()), "features": config.to_json_dict()}
     write_atomic(_sidecar_path(path), json.dumps(sidecar, ensure_ascii=False, indent=2) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, FeatureConfig]:
+    """The tensors, vocabulary and feature config of a checkpoint.  The
+    layout comes from the sidecar; the header must agree with it."""
     data = Path(path).read_bytes()
     head = struct.calcsize(_HEADER)
     if len(data) < head:
         raise ValueError(f"{path}: checkpoint too short for its header")
-    magic, version, V, d, H, F, Fb = struct.unpack_from(_HEADER, data, 0)
+    magic, version, *sizes = struct.unpack_from(_HEADER, data, 0)
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a policy checkpoint (bad magic)")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if Fb < 3:
-        raise ValueError(f"{path}: checkpoint pooled width {Fb} below its 3 extra features")
-    fw = Fb - 3
-    shapes = [(V, d), (2, d), (H, F), (H,), (1, H), (1,), (1, Fb), (1,), (fw,), (fw,)]
-    expected = head + 8 * sum(math.prod(s) for s in shapes)
-    if len(data) != expected:
-        raise ValueError(f"{path}: checkpoint size {len(data)} != expected {expected}")
-    params = PolicyParams.from_flat(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
-    params.check_finite()
 
     sidecar_path = _sidecar_path(path)
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
-        config = FeatureConfig.from_json_dict(sidecar["features"])
+        features = sidecar["features"]
     except KeyError as exc:
         raise ValueError(f"{sidecar_path}: missing field {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from exc
-    # The sidecar must describe the tensors it sits beside.
-    for name, have, what, want in (
-        ("vocabulary size", len(vocab), "text table rows", V),
-        ("features.embed_dim", config.embed_dim, "embedding width", d),
-        ("fused width of features.fusion_mode", config.fused_width, "pooled width - 3", fw),
-        ("features.hidden", config.hidden, "hidden width", H),
-        ("feature width 2 * fused width + 4", 2 * config.fused_width + 4, "W1 columns", F),
-    ):
+    config = config_from_json(FeatureConfig, features, f"{sidecar_path}: features")
+
+    shapes = param_shapes(len(vocab), config)
+    for have, want, (what, field) in zip(sizes, _header_sizes(shapes), _HEADER_FIELDS):
         if have != want:
             raise ValueError(
-                f"{sidecar_path}: {name} {have} does not match the checkpoint's {what} {want}"
+                f"{path}: checkpoint {what} {have} does not match {want}, "
+                f"from {field} in {sidecar_path}"
             )
+    expected = head + 8 * sum(math.prod(s) for s in shapes)
+    if len(data) != expected:
+        raise ValueError(f"{path}: checkpoint size {len(data)} != expected {expected}")
+    params = PolicyParams.from_flat(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
+    params.check_finite()
     return params, vocab, config

@@ -51,6 +51,8 @@ class RewardParams:
             raise ValueError("alpha must be positive; beta, delta non-negative")
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
+        if self.dim < 1:
+            raise ValueError("dim must be positive")
         if self.embedder not in ("surface_ngram", "lookup_table"):
             raise ValueError(f"unknown embedder {self.embedder!r}")
         if self.neg_aggregate not in ("min", "mean"):

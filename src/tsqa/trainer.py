@@ -21,10 +21,9 @@ from . import reward as reward_mod
 from .config import FeatureConfig
 from .facts import sample_negatives
 from .features import Vocabulary
-from .metrics import evaluate_compiled
+from .metrics import evaluate_compiled, exact_match
 from .policy import (
     CompiledRecord,
-    PolicyDims,
     PolicyParams,
     featurize_record,
     forward,
@@ -104,18 +103,11 @@ class AdamW:
     vector.  Decay applies to the perceptron and value weights only; each
     step ends by checking that the parameters are still finite."""
 
-    def __init__(
-        self,
-        params: PolicyParams,
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: PolicyParams, learning_rate: float, weight_decay: float = 0.0) -> None:
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
@@ -159,7 +151,6 @@ def train_sft_compiled(
     config: SFTConfig,
     feature_config: FeatureConfig,
     vocab_size: int,
-    init: Optional[PolicyParams] = None,
 ) -> tuple[PolicyParams, list[dict]]:
     _require_records(compiled_train, compiled_dev)
     usable = [c for c in compiled_train if c.gold_index >= 0]
@@ -177,8 +168,7 @@ def train_sft_compiled(
         )
 
     rng = np.random.default_rng(config.seed)
-    dims = PolicyDims.from_config(vocab_size, feature_config)
-    params = init.clone() if init is not None else init_params(rng, dims)
+    params = init_params(rng, vocab_size, feature_config)
     if config.epochs == 0:
         return params, []
 
@@ -240,8 +230,6 @@ class _RewardCache:
 def build_reward_caches(
     compiled: Sequence[CompiledRecord], params: RewardParams
 ) -> list[_RewardCache]:
-    from .metrics import exact_match
-
     rows: dict[str, int] = {}
     vectors: list[np.ndarray] = []
 
@@ -319,25 +307,18 @@ class RolloutBatch:
 
 def collect_rollouts(
     params: PolicyParams,
-    reference_params: PolicyParams,
     dataset: Sequence[CompiledRecord],
     config: PPOConfig,
     feature_config: FeatureConfig,
     rng: np.random.Generator,
-    kl_coef: Optional[float] = None,
-    reward_params: Optional[RewardParams] = None,
-    caches: Optional[list[_RewardCache]] = None,
-    ref_probs: Optional[list[np.ndarray]] = None,
+    kl_coef: float,
+    reward_params: RewardParams,
+    caches: list[_RewardCache],
+    ref_probs: list[np.ndarray],
 ) -> RolloutBatch:
-    """Sample one-step episodes with shaped rewards and their advantages."""
-    if kl_coef is None:
-        kl_coef = config.init_kl_coef
-    reward_params = reward_params or RewardParams()
-    if caches is None:
-        caches = build_reward_caches(dataset, reward_params)
-    if ref_probs is None:
-        ref_probs = reference_probs(reference_params, dataset, feature_config)
-
+    """Sample one-step episodes with shaped rewards and their advantages;
+    `caches` and `ref_probs` hold each record's reward cache and reference
+    policy probabilities."""
     comps = []
     actions = np.zeros(config.num_rollouts, dtype=int)
     logprob_old = np.zeros(config.num_rollouts)
@@ -458,12 +439,11 @@ def ppo_update(
                 if abs(ratio - 1.0) > config.cliprange:
                     clip_hits += 1
             optimizer.step(params, grads)
-    total_samples = max(len(policy_losses), 1)
     stats = {
-        "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
-        "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
-        "approx_kl": float(np.mean(kl_terms)) if kl_terms else 0.0,
-        "clip_frac": clip_hits / total_samples,
+        "policy_loss": float(np.mean(policy_losses)),
+        "value_loss": float(np.mean(value_losses)),
+        "approx_kl": float(np.mean(kl_terms)),
+        "clip_frac": clip_hits / len(policy_losses),
     }
     return params, stats
 
@@ -490,12 +470,11 @@ def train_ppo_compiled(
     if config.iterations == 0:
         return sft_params.clone(), []
     reward_params = reward_params or RewardParams()
-    reference = sft_params.clone()
     params = sft_params.clone()
     rng = np.random.default_rng(config.seed)
     optimizer = AdamW(params, config.learning_rate)
     caches = build_reward_caches(compiled_train, reward_params)
-    ref_probs = reference_probs(reference, compiled_train, feature_config)
+    ref_probs = reference_probs(sft_params, compiled_train, feature_config)
 
     baseline = evaluate_compiled(compiled_dev, sft_params, feature_config)
     best_em, best = baseline.em, sft_params.clone()
@@ -503,16 +482,8 @@ def train_ppo_compiled(
     history: list[dict] = []
     for iteration in range(config.iterations):
         batch = collect_rollouts(
-            params,
-            reference,
-            compiled_train,
-            config,
-            feature_config,
-            rng,
-            kl_coef,
-            reward_params,
-            caches,
-            ref_probs,
+            params, compiled_train, config, feature_config, rng,
+            kl_coef, reward_params, caches, ref_probs,
         )
         params, stats = ppo_update(
             params, batch, config, feature_config, optimizer, rng

@@ -19,7 +19,6 @@ from tsqa.features import TemporalMask, Vocabulary, build_mask, dilate
 from tsqa.intervals import MonthInterval, month_index
 from tsqa.metrics import evaluate_compiled, exact_match, f1
 from tsqa.policy import (
-    PolicyDims,
     PoolRows,
     RecordFeatures,
     compile_dataset,
@@ -39,13 +38,13 @@ from tsqa.trainer import (
     SFTConfig,
     adaptive_kl_update,
     build_vocabulary,
-    collect_rollouts,
     ppo_update,
     train_ppo_compiled,
     train_sft_compiled,
 )
 
 from test_metrics import SUITE, ref_em, ref_f1
+from test_trainer import rollouts
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -211,8 +210,7 @@ def warnock_compiled():
 
 
 def random_params(rng, vocab_size):
-    dims = PolicyDims.from_config(vocab_size, TINY)
-    params = init_params(rng, dims)
+    params = init_params(rng, vocab_size, TINY)
     params.time_table[:] = rng.normal(scale=0.2, size=params.time_table.shape)
     params.b1[:] = rng.normal(scale=0.1, size=params.b1.shape)
     params.bv[:] = rng.normal(scale=0.1, size=params.bv.shape)
@@ -287,13 +285,12 @@ def test_criterion_4_gradient_fidelity():
         )
 
     # 80 draws per kind on random feature matrices (no table provenance)
-    dims = PolicyDims.from_config(40, TINY)
     for i in range(80):
-        params = init_params(rng, dims)
+        params = init_params(rng, 40, TINY)
         params.b1[:] = rng.normal(scale=0.1, size=params.b1.shape)
         k = int(rng.integers(2, 7))
         rf = features_from_matrix(
-            rng.normal(size=(k, dims.feature_dim)), rng.normal(size=dims.pooled_dim)
+            rng.normal(size=(k, params.W1.shape[1])), rng.normal(size=params.Wv.shape[1])
         )
         gold = int(rng.integers(k))
         worst["cross_entropy"] = max(
@@ -367,9 +364,7 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
 
     # (a) zero advantages leave every policy-path tensor bitwise intact
     cfg = PPOConfig(num_rollouts=16, chunk_size=8, ppo_epochs=2, seed=5)
-    batch = collect_rollouts(
-        params, params, data, cfg, TINY, np.random.default_rng(5)
-    )
+    batch = rollouts(params, data, cfg, TINY, 5)
     batch.advantages = np.zeros(len(batch))
     trained = params.clone()
     ppo_update(trained, batch, cfg, TINY, AdamW(trained, 0.05), np.random.default_rng(5))
@@ -384,9 +379,7 @@ def test_criterion_5_ppo_mechanics(mechanics_setup):
     cfg_wide = PPOConfig(
         num_rollouts=n, chunk_size=n, ppo_epochs=1, cliprange=1e9, seed=6
     )
-    batch = collect_rollouts(
-        params, params, data, cfg_wide, TINY, np.random.default_rng(6)
-    )
+    batch = rollouts(params, data, cfg_wide, TINY, 6)
     ppo_params = params.clone()
     ppo_update(
         ppo_params, batch, cfg_wide, TINY,

@@ -474,6 +474,75 @@ def test_eval_on_truncated_checkpoint_names_the_file(capsys, tmp_path):
     assert "checkpoint size 100" in err
 
 
+def _corpus(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    corpus = tmp_path / "corpus"
+    code, _, err = run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    assert code == 0, err
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "block, entry, message",
+    [
+        ("features", {"temporal_fusion": "false"}, 'features.temporal_fusion: expected true or false, got "false"'),
+        ("features", {"embed_dim": "32"}, 'features.embed_dim: expected an integer, got "32"'),
+        ("features", {"window": True}, "features.window: expected an integer, got true"),
+        ("features", {"fusion_mode": 1}, "features.fusion_mode: expected a string, got 1"),
+        ("sft", {"batch_size": 2.5}, "sft.batch_size: expected an integer, got 2.5"),
+        ("sft", {"learning_rate": "0.1"}, 'sft.learning_rate: expected a number, got "0.1"'),
+        ("features", [1], "features: must be a JSON object"),
+        ("sft", {"epochs": -1}, "sft: epochs must be non-negative"),
+    ],
+    ids=["bool_as_string", "int_as_string", "int_as_bool", "str_as_int", "int_as_real",
+         "real_as_string", "block_not_object", "negative_epochs"],
+)
+def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block, entry, message):
+    corpus = _corpus(capsys, tmp_path)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**CONFIG, block: {**CONFIG[block], **entry} if isinstance(entry, dict) else entry}))
+    code, _, err = run(
+        capsys,
+        "train-sft",
+        "--train", str(corpus / "train.jsonl"),
+        "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(tmp_path / "p.ckpt"),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert f"{cfg}: {message}" in err
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["reward", "--gt", "a", "--pred", "b"], {"reward": {"dim": 0}}, "reward: dim must be positive"),
+        (["reward", "--gt", "a", "--pred", "b"], {"reward": {"dim": -3}}, "reward: dim must be positive"),
+        (["reward", "--gt", "a", "--pred", "b"], {"reward": {"margin": None}}, "reward.margin: expected a number, got null"),
+        (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": "1950"}}, 'synthetic.year_range: expected a list, got "1950"'),
+        (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": [1990]}}, "synthetic: not enough values"),
+    ],
+    ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short"],
+)
+def test_config_errors_name_the_file_and_field(capsys, tmp_path, command, config, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, *[arg.format(tmp=tmp_path) for arg in command], "--config", str(cfg))
+    assert code == 2
+    assert f"{cfg}: {message}" in err
+
+
+def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"synthetic": {**CONFIG["synthetic"], "year_range": [1900, 1930]}}))
+    code, _, err = run(capsys, "gen", "--out-dir", str(tmp_path / "d"), "--config", str(cfg))
+    assert code == 0, err
+    facts = [json.loads(line) for line in (tmp_path / "d" / "facts.jsonl").read_text().splitlines()]
+    assert facts and all("1900-01" <= f["start"] and f["end"] <= "1930-12" for f in facts)
+
+
 @pytest.mark.parametrize(
     "command, content, message",
     [

@@ -13,7 +13,6 @@ from tsqa.intervals import year_span
 from tsqa.policy import (
     Candidate,
     CandidateSet,
-    PolicyDims,
     PolicyParams,
     RecordFeatures,
     compile_record,
@@ -67,7 +66,7 @@ def test_extract_candidates_mentions_and_order():
         ["St Hugh's College"],
         WARNOCK_FACTS,
     )
-    cands = extract_candidates(rec, FactIndex(WARNOCK_FACTS))
+    cands = extract_candidates(tokenize(rec.context), FactIndex(WARNOCK_FACTS))
     assert cands.texts == [
         "Girton College",
         "St Hugh's College",
@@ -86,7 +85,7 @@ def test_extract_candidates_duplicate_object_keeps_first_interval():
         fact("Neil Warnock", "employer", "Girton College", 1980, 1985)
     ]
     rec = make_record("Where in 1951?", WARNOCK_CTX, ["Girton College"], facts)
-    cands = extract_candidates(rec, FactIndex(facts))
+    cands = extract_candidates(tokenize(rec.context), FactIndex(facts))
     girton = next(c for c in cands if c.text == "Girton College")
     assert girton.fact_interval == year_span(1950, 1955)
 
@@ -98,7 +97,7 @@ def test_extract_candidates_no_mentions():
         [""],
         WARNOCK_FACTS,
     )
-    cands = extract_candidates(rec, FactIndex(WARNOCK_FACTS))
+    cands = extract_candidates(tokenize(rec.context), FactIndex(WARNOCK_FACTS))
     assert cands.texts == [""]
 
 
@@ -188,7 +187,7 @@ def test_indexed_mention_lookup_matches_full_scan():
         rec = make_record(text, text, [""], facts)
         got = [
             (c.text, c.tok_start, c.tok_end, c.fact_interval)
-            for c in extract_candidates(rec, index)
+            for c in extract_candidates(tokenize(rec.context), index)
         ]
         assert got == scan_candidates(text, index), text
         assert infer_question_pair(tokenize(text), index) == scan_question_pair(text, index), text
@@ -347,8 +346,7 @@ def test_featurize_record_matches_reference_pools(tiny_features):
 
 
 def params_for(vocab_size, config, seed=0):
-    dims = PolicyDims.from_config(vocab_size, config)
-    return init_params(np.random.default_rng(seed), dims)
+    return init_params(np.random.default_rng(seed), vocab_size, config)
 
 
 def test_forward_zero_params_uniform(tiny_features):
@@ -475,18 +473,18 @@ def test_time_table_gradient_is_zero_when_fusion_off(small_corpus, small_vocab, 
 
 
 def test_init_params_bounds_and_determinism(tiny_features):
-    dims = PolicyDims.from_config(50, tiny_features)
-    a = init_params(np.random.default_rng(42), dims)
-    b = init_params(np.random.default_rng(42), dims)
+    a = init_params(np.random.default_rng(42), 50, tiny_features)
+    b = init_params(np.random.default_rng(42), 50, tiny_features)
     for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
         assert np.array_equal(ta, tb)
-    c = init_params(np.random.default_rng(43), dims)
+    c = init_params(np.random.default_rng(43), 50, tiny_features)
     assert not np.array_equal(a.W1, c.W1)
     assert not a.b1.any() and not a.b2.any() and not a.bv.any()
     assert not a.time_table.any()
-    limit_w1 = math.sqrt(6.0 / (dims.feature_dim + dims.hidden))
+    hidden, feature_dim = a.W1.shape
+    limit_w1 = math.sqrt(6.0 / (feature_dim + hidden))
     assert np.abs(a.W1).max() <= limit_w1
-    limit_w2 = math.sqrt(6.0 / (dims.hidden + 1))
+    limit_w2 = math.sqrt(6.0 / (hidden + 1))
     assert np.abs(a.W2).max() <= limit_w2
 
 
@@ -921,9 +919,43 @@ def test_checkpoint_header_errors_name_the_file(tmp_path, small_vocab, tiny_feat
     ):
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(blob)
+        if name in ("narrow", "cut"):  # checked against the sidecar
+            (tmp_path / f"{name}.ckpt.json").write_text((tmp_path / "p.ckpt.json").read_text())
         with pytest.raises(ValueError, match=what) as exc:
             load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "slot, field",
+    [
+        (0, "vocabulary size"),
+        (1, "features.embed_dim"),
+        (2, "features.hidden"),
+        (3, "features.embed_dim and features.fusion_mode"),
+        (4, "features.embed_dim and features.fusion_mode"),
+    ],
+    ids=["V", "d", "H", "F", "F_bar"],
+)
+def test_checkpoint_header_sizes_are_checked_against_the_sidecar(
+    tmp_path, small_vocab, tiny_features, slot, field
+):
+    # Each header size, after magic and version, rewritten with the file's
+    # length and the sidecar left as they are.
+    params = params_for(len(small_vocab), tiny_features)
+    save_checkpoint(tmp_path / "p.ckpt", params, small_vocab, tiny_features)
+    data = bytearray((tmp_path / "p.ckpt").read_bytes())
+    at = 8 + 4 * slot
+    size = int.from_bytes(data[at : at + 4], "little")
+    data[at : at + 4] = (size + 1).to_bytes(4, "little")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bytes(data))
+    (tmp_path / "bad.ckpt.json").write_text((tmp_path / "p.ckpt.json").read_text())
+    with pytest.raises(ValueError, match=f"{size + 1} does not match {size}") as exc:
+        load_checkpoint(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    assert f"from {field} in {tmp_path / 'bad.ckpt.json'}" in message
 
 
 def test_checkpoint_rejects_version_1(tmp_path, small_vocab, tiny_features):

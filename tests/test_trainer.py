@@ -12,7 +12,6 @@ from tsqa.features import Vocabulary
 from tsqa.intervals import year_span
 from tsqa.metrics import evaluate_compiled
 from tsqa.policy import (
-    PolicyDims,
     compile_record,
     featurize_record,
     forward,
@@ -58,8 +57,8 @@ def test_config_validation():
 
 
 def tiny_params():
-    dims = PolicyDims(vocab_size=3, embed_dim=2, hidden=2, feature_dim=8, pooled_dim=5)
-    return init_params(np.random.default_rng(0), dims)
+    # V 3, d 2, H 2, F 8, F̄ 5
+    return init_params(np.random.default_rng(0), 3, FeatureConfig(embed_dim=2, hidden=2))
 
 
 def test_adamw_decay_set():
@@ -104,15 +103,23 @@ def test_adamw_step_rejects_non_finite_parameters():
 # Advantage estimation.
 
 
+def rollouts(params, data, cfg, feature_config, seed):
+    """One `collect_rollouts` batch from the inputs `train_ppo_compiled`
+    builds, with `params` as the frozen reference."""
+    rp = RewardParams()
+    return collect_rollouts(
+        params, data, cfg, feature_config, np.random.default_rng(seed), cfg.init_kl_coef,
+        rp, build_reward_caches(data, rp), reference_probs(params, data, feature_config),
+    )
+
+
 def test_collect_rollouts_advantages_are_one_step(
     sft_setup, small_compiled, tiny_features
 ):
     # A one-step episode has no successor state to bootstrap from: A = r - V.
     cfg = PPOConfig(num_rollouts=40, seed=2)
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    batch = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(2)
-    )
+    batch = rollouts(sft_setup, data, cfg, tiny_features, 2)
     adv = batch.rewards - batch.values_old
     assert np.array_equal(batch.advantages, standardize_advantages(adv))
     assert np.array_equal(batch.returns, adv + batch.values_old)
@@ -206,21 +213,16 @@ def test_sft_skips_and_reports_small_fraction(tiny_features):
 
 
 def test_sft_zero_epochs_returns_init(tiny_features, small_compiled, small_vocab):
-    dims = PolicyDims.from_config(len(small_vocab), tiny_features)
-    init = init_params(np.random.default_rng(9), dims)
     params, history = train_sft_compiled(
         small_compiled[0],
         small_compiled[1],
-        SFTConfig(epochs=0),
+        SFTConfig(epochs=0, seed=9),
         tiny_features,
         len(small_vocab),
-        init=init,
     )
     assert history == []
-    for (_, a), (_, b) in zip(params.named_tensors(), init.named_tensors()):
-        assert np.array_equal(a, b)
-    params.W1[0, 0] += 1.0  # returned copy must not alias the input
-    assert init.W1[0, 0] != params.W1[0, 0]
+    init = init_params(np.random.default_rng(9), len(small_vocab), tiny_features)
+    assert np.array_equal(params.flat, init.flat)
 
 
 def test_sft_deterministic_and_improves(tiny_features, small_compiled, small_vocab):
@@ -372,17 +374,9 @@ def test_contrastive_reward_matches_score_prediction(small_compiled):
 def test_collect_rollouts_shapes_and_shaping(
     sft_setup, small_compiled, tiny_features
 ):
-    cfg = PPOConfig(num_rollouts=32, reward_kind="exact_match", seed=4)
+    cfg = PPOConfig(num_rollouts=32, reward_kind="exact_match", init_kl_coef=0.05, seed=4)
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    batch = collect_rollouts(
-        sft_setup,
-        sft_setup,
-        data,
-        cfg,
-        tiny_features,
-        np.random.default_rng(4),
-        kl_coef=0.05,
-    )
+    batch = rollouts(sft_setup, data, cfg, tiny_features, 4)
     assert len(batch) == 32
     assert set(np.unique(batch.raw_rewards)) <= {-1.0, 1.0}
     # on-policy start: the reference is the sampler, so the KL term is zero
@@ -401,12 +395,8 @@ def test_collect_rollouts_shapes_and_shaping(
 def test_collect_rollouts_deterministic(sft_setup, small_compiled, tiny_features):
     cfg = PPOConfig(num_rollouts=16, seed=6)
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    a = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(6)
-    )
-    b = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(6)
-    )
+    a = rollouts(sft_setup, data, cfg, tiny_features, 6)
+    b = rollouts(sft_setup, data, cfg, tiny_features, 6)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.raw_rewards, b.raw_rewards)
     assert [c.id for c in a.compiled] == [c.id for c in b.compiled]
@@ -421,9 +411,7 @@ def test_ppo_zero_advantage_leaves_policy_path_untouched(
 ):
     cfg = PPOConfig(num_rollouts=12, chunk_size=6, ppo_epochs=2, seed=8)
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    batch = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(8)
-    )
+    batch = rollouts(sft_setup, data, cfg, tiny_features, 8)
     batch.advantages = np.zeros(len(batch))
     params = sft_setup.clone()
     opt = AdamW(params, learning_rate=0.05)
@@ -446,9 +434,7 @@ def test_ppo_wide_clip_single_chunk_equals_reinforce_with_baseline(
         num_rollouts=n, chunk_size=n, ppo_epochs=1, cliprange=1e9, seed=10
     )
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    batch = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(10)
-    )
+    batch = rollouts(sft_setup, data, cfg, tiny_features, 10)
 
     ppo_params = sft_setup.clone()
     ppo_params, _ = ppo_update(
@@ -487,9 +473,7 @@ def test_ppo_update_stats_match_a_separate_forward(
     n = 24
     cfg = PPOConfig(num_rollouts=n, chunk_size=n, ppo_epochs=1, cliprange=0.05, seed=12)
     data = [c for c in small_compiled[0] if c.gold_index >= 0][:25]
-    batch = collect_rollouts(
-        sft_setup, sft_setup, data, cfg, tiny_features, np.random.default_rng(12)
-    )
+    batch = rollouts(sft_setup, data, cfg, tiny_features, 12)
     # A policy sharper than the sampler, so the ratios move away from 1.
     params = sft_setup.clone()
     params.W2 *= 1.5
