@@ -64,15 +64,21 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
+def _where(args, name: str) -> str:
+    return f"{args.config}: {name}" if args.config else name
+
+
 def _block(cls, args, cfg: dict, name: str, **overrides):
     """Block `name` of the --config file as `cls`, overrides that are not None winning."""
-    where = f"{args.config}: {name}" if args.config else name
-    return config_from_json(cls, cfg.get(name, {}), where, **overrides)
+    return config_from_json(cls, cfg.get(name, {}), _where(args, name), **overrides)
 
 
 def _reward_params(args, cfg: dict) -> RewardParams:
     params = _block(RewardParams, args, cfg, "reward")
     lookup_path = cfg.get("reward", {}).get("lookup_path")
+    if lookup_path is not None and not isinstance(lookup_path, str):
+        where = _where(args, "reward")
+        raise ValueError(f"{where}.lookup_path: expected a string, got {json.dumps(lookup_path)}")
     if lookup_path:
         table = load_lookup_table(lookup_path, params.dim)
         params = replace(params, embedder="lookup_table", lookup_table=table)

@@ -46,10 +46,14 @@ _JSON_KINDS = (
 
 
 def _json_value(value, default, where: str):
-    """`value` if it has the JSON type of `default`; a list becomes a tuple."""
+    """`value` if it has the JSON type of `default`; a list becomes a tuple.
+    An object's values must have the type of the default's values."""
     accepts, kind = next((a, k) for t, a, k in _JSON_KINDS if isinstance(default, t))
     if not isinstance(value, accepts) or (isinstance(value, bool) and bool not in accepts):
         raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
+    if isinstance(default, dict) and default:
+        sample = next(iter(default.values()))
+        return {k: _json_value(v, sample, f"{where}.{k}") for k, v in value.items()}
     return tuple(value) if isinstance(default, tuple) else value
 
 

@@ -171,16 +171,17 @@ class PoolRows:
 
     Pool 0 is the question, pool 1 + c the mention window of candidate c.
     Rows are listed question first, then window by window, so each pool's
-    rows are one consecutive run.
+    rows are one consecutive run.  The groupings by token id and by mask
+    bit serve only backward, so they are built on first read.
     """
 
     pos: np.ndarray  # (N,) fused-row index per row
     pool: np.ndarray  # (N,) pool per row
     pools: _Runs  # rows grouped by pool
-    text: _Runs  # rows grouped by token id, for the text-table gradient
-    time: _Runs  # rows grouped by mask bit, for the time-table gradient
     question_len: int
     n_pools: int
+    token_ids: np.ndarray  # the record's, over the fused axis
+    bits: np.ndarray  # the record's mask, over the fused axis
 
     @classmethod
     def of(
@@ -197,11 +198,21 @@ class PoolRows:
             pos=pos,
             pool=pool,
             pools=_Runs.of(pool),
-            text=_Runs.of(np.asarray(token_ids, dtype=np.intp)[pos]),
-            time=_Runs.of(np.asarray(bits, dtype=np.intp)[pos]),
             question_len=question_len,
             n_pools=len(sizes),
+            token_ids=token_ids,
+            bits=bits,
         )
+
+    @cached_property
+    def text(self) -> _Runs:
+        """Rows grouped by token id, for the text-table gradient."""
+        return _Runs.of(np.asarray(self.token_ids, dtype=np.intp)[self.pos])
+
+    @cached_property
+    def time(self) -> _Runs:
+        """Rows grouped by mask bit, for the time-table gradient."""
+        return _Runs.of(np.asarray(self.bits, dtype=np.intp)[self.pos])
 
 
 def _window_positions(
@@ -222,7 +233,7 @@ def _interval_row(q_iv: Optional[MonthInterval], c_iv: Optional[MonthInterval]) 
         gap = -float(q_iv.lo - c_iv.hi)
     else:
         gap = 0.0
-    gap = float(np.clip(gap, -_GAP_CLAMP_MONTHS, _GAP_CLAMP_MONTHS)) / _GAP_CLAMP_MONTHS
+    gap = max(-_GAP_CLAMP_MONTHS, min(gap, _GAP_CLAMP_MONTHS)) / _GAP_CLAMP_MONTHS
     return np.array([overlap, gap, 1.0])
 
 
@@ -267,7 +278,7 @@ def compile_record(
         window_pos.append(pos)
         rows.append(_interval_row(q_iv, cand.fact_interval))
         if pos.size:
-            density[k] = float(bits[pos].mean())
+            density[k] = int(bits[pos].sum()) / pos.size
     interval_feats = np.stack(rows) if rows else np.zeros((0, 3))
 
     if q_iv is None:

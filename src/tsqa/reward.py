@@ -8,6 +8,7 @@ reward for reinforcement learning.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -91,6 +92,13 @@ def _hash(gram: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _slot(gram: str, dim: int) -> tuple[int, float]:
+    """The bucket and sign a trigram adds to, hashed once per distinct gram."""
+    h = _hash(gram)
+    return h % dim, 1.0 if (h >> 60) & 1 else -1.0
+
+
 def embed_answer(answer: str, params: RewardParams) -> AnswerVector:
     """Normalize then embed; the empty answer maps to the zero vector."""
     text = normalize_answer(answer)
@@ -108,9 +116,8 @@ def embed_answer(answer: str, params: RewardParams) -> AnswerVector:
         acc = np.zeros(params.dim)
         for word in text.split():
             for gram in _trigrams(word):
-                h = _hash(gram)
-                sign = 1.0 if (h >> 60) & 1 else -1.0
-                acc[h % params.dim] += sign
+                bucket, sign = _slot(gram, params.dim)
+                acc[bucket] += sign
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:
         return AnswerVector(np.zeros(params.dim))

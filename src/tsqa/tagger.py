@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .intervals import (
     MAX_MONTH,
@@ -43,7 +43,11 @@ SIGNAL_WORDS = frozenset(
 
 _PUNCT = set(string.punctuation) | {"–", "—", "‘", "’", "“", "”", "…"}
 _DASHES = {"-", "–", "—"}
+_CHUNK = re.compile(r"\S+")
 _RANGE_CORE = re.compile(r"^(\d{4})([-–—])(\d{2}|\d{4})$")
+_FOUR_DIGITS = re.compile(r"\d{4}")
+_TWO_DIGITS = re.compile(r"\d{2}")
+_DECADE = re.compile(r"(\d{3}0)s")
 
 _MONTH_NAMES = {
     "january": 1, "february": 2, "march": 3, "april": 4, "may": 5, "june": 6,
@@ -54,8 +58,11 @@ _MONTH_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token and its character offsets; a named tuple because the
+    tokenizer builds one per word, and a tuple is the cheapest immutable
+    record to construct."""
+
     text: str
     char_start: int
     char_end: int
@@ -92,8 +99,17 @@ def tokenize(text: str) -> list[Token]:
     token satisfies text[char_start:char_end] == token.text.
     """
     tokens: list[Token] = []
-    for m in re.finditer(r"\S+", text):
-        chunk, base = m.group(), m.start()
+    for m in _CHUNK.finditer(text):
+        chunk, (base, stop) = m.group(), m.span()
+        # Most chunks are one plain word: no edge punctuation, and too
+        # short, too long or dashless for a year range.
+        if (
+            chunk[0] not in _PUNCT
+            and chunk[-1] not in _PUNCT
+            and not (len(chunk) in (7, 9) and chunk[4] in _DASHES)
+        ):
+            tokens.append(Token(chunk, base, stop))
+            continue
         i, j = 0, len(chunk)
         lead: list[tuple[str, int]] = []
         trail: list[tuple[str, int]] = []
@@ -121,85 +137,85 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _year_of(tok: Token) -> Optional[int]:
-    if re.fullmatch(r"\d{4}", tok.text):
-        y = int(tok.text)
+def _year(text: str) -> Optional[int]:
+    """The year a four-digit token names, if it lies in the supported range."""
+    if _FOUR_DIGITS.fullmatch(text):
+        y = int(text)
         if MIN_YEAR <= y <= MAX_YEAR:
             return y
     return None
 
 
-def _month_of(tok: Token) -> Optional[int]:
-    return _MONTH_NAMES.get(tok.text.lower())
-
-
-def _range_tail(head: int, tok: Token) -> Optional[int]:
+def _range_tail(head: int, text: str) -> Optional[int]:
     """Second year of a dash range; two-digit tails take the head's century."""
-    if re.fullmatch(r"\d{4}", tok.text):
-        y = int(tok.text)
+    if _FOUR_DIGITS.fullmatch(text):
+        y = int(text)
         return y if MIN_YEAR <= y <= MAX_YEAR else None
-    if re.fullmatch(r"\d{2}", tok.text):
-        return (head // 100) * 100 + int(tok.text)
+    if _TWO_DIGITS.fullmatch(text):
+        return (head // 100) * 100 + int(text)
     return None
+
+
+# Lookahead of the grammar: "from Y to Y" reads three tokens past its first.
+_LOOKAHEAD = 3
 
 
 def tag(tokens: Sequence[Token]) -> list[TemporalSpan]:
     """Longest-match left-to-right pass producing non-overlapping spans."""
     spans: list[TemporalSpan] = []
     n = len(tokens)
+    texts = [t.text for t in tokens]
+    # Lower-cased text and year of every token, padded past the end with
+    # what an absent token reads as.  Only four-character tokens can be years.
+    low = [t.lower() for t in texts] + [""] * _LOOKAHEAD
+    year = [_year(t) if len(t) == 4 else None for t in texts] + [None] * _LOOKAHEAD
     i = 0
-
-    def year(k: int) -> Optional[int]:
-        return _year_of(tokens[k]) if k < n else None
-
-    def low(k: int) -> str:
-        return tokens[k].text.lower() if k < n else ""
-
     while i < n:
+        word = low[i]
         # from Y to Y / between Y and Y: span covers the two years and
         # whatever sits between them.
-        if low(i) in ("from", "between"):
-            joiner = "to" if low(i) == "from" else "and"
-            y1, y2 = year(i + 1), year(i + 3)
-            if y1 is not None and y2 is not None and low(i + 2) == joiner and y1 <= y2:
+        if word in ("from", "between"):
+            joiner = "to" if word == "from" else "and"
+            y1, y2 = year[i + 1], year[i + 3]
+            if y1 is not None and y2 is not None and low[i + 2] == joiner and y1 <= y2:
                 spans.append(TemporalSpan(i + 1, i + 4, YEAR_RANGE, year_span(y1, y2)))
                 i += 4
                 continue
         # Y <dash> Y, with two-digit tail support ("1949-66").
-        y1 = year(i)
-        if y1 is not None and i + 2 < n and tokens[i + 1].text in _DASHES:
-            y2 = _range_tail(y1, tokens[i + 2])
+        y1 = year[i]
+        if y1 is not None and i + 2 < n and texts[i + 1] in _DASHES:
+            y2 = _range_tail(y1, texts[i + 2])
             if y2 is not None and y1 <= y2:
                 spans.append(TemporalSpan(i, i + 3, YEAR_RANGE, year_span(y1, y2)))
                 i += 3
                 continue
         # Month-name points: "Jul 1996", "Jul, 1996", "July. 1996".
-        mo = _month_of(tokens[i])
+        mo = _MONTH_NAMES.get(word)
         if mo is not None:
-            if year(i + 1) is not None:
-                idx = month_index(year(i + 1), mo)
+            if year[i + 1] is not None:
+                idx = month_index(year[i + 1], mo)
                 spans.append(TemporalSpan(i, i + 2, MONTH_POINT, MonthInterval(idx, idx)))
                 i += 2
                 continue
-            if low(i + 1) in (",", ".") and year(i + 2) is not None:
-                idx = month_index(year(i + 2), mo)
+            if low[i + 1] in (",", ".") and year[i + 2] is not None:
+                idx = month_index(year[i + 2], mo)
                 spans.append(TemporalSpan(i, i + 3, MONTH_POINT, MonthInterval(idx, idx)))
                 i += 3
                 continue
         # since Y / until Y open ranges; bare since/until fall through to
         # the signal rule.
-        if low(i) == "since" and year(i + 1) is not None:
-            iv = MonthInterval(month_index(year(i + 1), 1), MAX_MONTH)
+        if word == "since" and year[i + 1] is not None:
+            iv = MonthInterval(month_index(year[i + 1], 1), MAX_MONTH)
             spans.append(TemporalSpan(i, i + 2, OPEN_SINCE, iv))
             i += 2
             continue
-        if low(i) == "until" and year(i + 1) is not None:
-            iv = MonthInterval(MIN_MONTH, month_index(year(i + 1), 12))
+        if word == "until" and year[i + 1] is not None:
+            iv = MonthInterval(MIN_MONTH, month_index(year[i + 1], 12))
             spans.append(TemporalSpan(i, i + 2, OPEN_UNTIL, iv))
             i += 2
             continue
         # Decades: "1980s".
-        dm = re.fullmatch(r"(\d{3}0)s", tokens[i].text)
+        dm = _DECADE.fullmatch(texts[i]) if len(texts[i]) == 5 else None
         if dm and MIN_YEAR <= int(dm.group(1)) <= MAX_YEAR - 9:
             d0 = int(dm.group(1))
             spans.append(TemporalSpan(i, i + 1, DECADE, year_span(d0, d0 + 9)))
@@ -210,7 +226,7 @@ def tag(tokens: Sequence[Token]) -> list[TemporalSpan]:
             spans.append(TemporalSpan(i, i + 1, YEAR_POINT, year_span(y1, y1)))
             i += 1
             continue
-        if low(i) in SIGNAL_WORDS:
+        if word in SIGNAL_WORDS:
             spans.append(TemporalSpan(i, i + 1, SIGNAL, None))
             i += 1
             continue
@@ -235,7 +251,7 @@ def _event_phrase(tokens: Sequence[Token], start: int, limit: int = 8) -> Option
         lowered = t.lower()
         if not words and lowered in _PHRASE_SKIP:
             continue
-        if lowered in SIGNAL_WORDS or _year_of(tokens[k]) is not None:
+        if lowered in SIGNAL_WORDS or _year(t) is not None:
             break
         words.append(t)
     return " ".join(words) if words else None

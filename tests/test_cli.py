@@ -523,8 +523,15 @@ def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block
         (["reward", "--gt", "a", "--pred", "b"], {"reward": {"margin": None}}, "reward.margin: expected a number, got null"),
         (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": "1950"}}, 'synthetic.year_range: expected a list, got "1950"'),
         (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": [1990]}}, "synthetic: not enough values"),
+        (["reward", "--gt", "a", "--pred", "b"], {"reward": {"lookup_path": 5}}, "reward.lookup_path: expected a string, got 5"),
+        (
+            ["gen", "--out-dir", "{tmp}/d"],
+            {"synthetic": {"question_type_mix": {"L2": "1"}}},
+            'synthetic.question_type_mix.L2: expected a number, got "1"',
+        ),
     ],
-    ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short"],
+    ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short",
+         "lookup_path_not_string", "type_mix_weight_string"],
 )
 def test_config_errors_name_the_file_and_field(capsys, tmp_path, command, config, message):
     cfg = tmp_path / "bad.json"

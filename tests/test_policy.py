@@ -15,8 +15,10 @@ from tsqa.policy import (
     CandidateSet,
     PolicyParams,
     RecordFeatures,
+    compile_dataset,
     compile_record,
     extract_candidates,
+    featurize_record,
     forward,
     grad_check,
     greedy_predictions,
@@ -819,6 +821,38 @@ def test_greedy_predictions_order_and_texts(small_compiled, small_vocab, tiny_fe
     assert len(preds) == len(compiled)
     for pred, comp in zip(preds, compiled):
         assert pred in comp.candidates.texts
+
+
+def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
+    small_corpus, small_index, small_vocab, tiny_features
+):
+    compiled = compile_dataset(small_corpus[2][:8], small_index, small_vocab, tiny_features)
+    greedy_predictions(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
+    for comp in compiled:
+        assert "text" not in vars(comp.pool_rows)
+        assert "time" not in vars(comp.pool_rows)
+
+
+def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
+    small_corpus, small_index, small_vocab, tiny_features
+):
+    records = small_corpus[0][:12]
+    early, late = (compile_dataset(records, small_index, small_vocab, tiny_features) for _ in range(2))
+    params = params_for(len(small_vocab), tiny_features, seed=47)
+    params.time_table[:] = np.random.default_rng(47).normal(scale=0.1, size=params.time_table.shape)
+    checked = 0
+    for a, b in zip(early, late):
+        if a.gold_index < 0:
+            continue
+        a.pool_rows.text, a.pool_rows.time  # built before featurize and backward
+        inputs = {"gold_index": a.gold_index}
+        ga = loss_and_grads(params, featurize_record(a, params, tiny_features), "cross_entropy", inputs)[1]
+        assert "text" not in vars(b.pool_rows)
+        gb = loss_and_grads(params, featurize_record(b, params, tiny_features), "cross_entropy", inputs)[1]
+        assert "text" in vars(b.pool_rows) and "time" in vars(b.pool_rows)
+        assert ga.flat.tolist() == gb.flat.tolist()
+        checked += 1
+    assert checked >= 5
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, small_vocab, tiny_features):

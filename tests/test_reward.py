@@ -1,10 +1,13 @@
 """Answer embedding, triplet score, bounded reward map."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from tsqa import reward as reward_mod
+from tsqa.metrics import normalize_answer
 from tsqa.reward import (
     AnswerVector,
     RewardParams,
@@ -84,6 +87,56 @@ def test_embed_answer_deterministic():
     a = embed_answer("Gainsborough Trinity", params).values
     b = embed_answer("Gainsborough Trinity", params).values
     assert np.array_equal(a, b)
+
+
+def per_gram_embedding(answer, dim):
+    """Signed trigram hashing with one blake2b call per gram occurrence."""
+    acc = np.zeros(dim)
+    for word in normalize_answer(answer).split():
+        padded = f"#{word}#"
+        for i in range(len(padded) - 2):
+            digest = hashlib.blake2b(padded[i:i + 3].encode("utf-8"), digest_size=8).digest()
+            h = int.from_bytes(digest, "little")
+            acc[h % dim] += 1.0 if (h >> 60) & 1 else -1.0
+    norm = float(np.linalg.norm(acc))
+    return np.zeros(dim) if norm == 0.0 else acc / norm
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+@pytest.mark.parametrize(
+    "answer",
+    ["aaaa", "aaaa aaaa baaaab", "1987 to 1991", "?!.,;", "Zürich Straße", "Škoda Ωmega 東京", "Leeds United F.C."],
+)
+def test_embed_answer_matches_per_gram_hashing(answer, dim):
+    reward_mod._slot.cache_clear()
+    cold = embed_answer(answer, RewardParams(dim=dim)).values
+    warm = embed_answer(answer, RewardParams(dim=dim)).values
+    want = per_gram_embedding(answer, dim)
+    assert cold.tolist() == want.tolist()
+    assert warm.tolist() == want.tolist()
+
+
+def test_reward_cache_build_hashes_each_distinct_trigram_once(monkeypatch, small_compiled):
+    from tsqa.trainer import build_reward_caches
+
+    calls = []
+    original = reward_mod._hash
+    monkeypatch.setattr(reward_mod, "_hash", lambda gram: calls.append(gram) or original(gram))
+    reward_mod._slot.cache_clear()
+    train = small_compiled[0]
+    build_reward_caches(train, RewardParams())
+    texts = {t for comp in train for t in comp.candidates.texts + comp.remote_pool + comp.proximal_pool}
+    texts |= {comp.gold_answers[0] if comp.gold_answers else "" for comp in train}
+    grams = {
+        f"#{w}#"[i:i + 3]
+        for t in texts
+        for w in normalize_answer(t).split()
+        for i in range(len(w))
+    }
+    occurrences = sum(len(w) for t in texts for w in normalize_answer(t).split())
+    assert occurrences > 2 * len(grams)  # the memo has repeats to save
+    assert sorted(calls) == sorted(grams)
+    reward_mod._slot.cache_clear()
 
 
 def l2(a, b):

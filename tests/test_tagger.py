@@ -1,6 +1,7 @@
 """Tagger grammar: tokenization, span extraction, question scope parsing."""
 
 import numpy as np
+import pytest
 
 from tsqa.corpus import SyntheticConfig, generate_synthetic_annotated
 from tsqa.intervals import MAX_MONTH, MIN_MONTH, month_index
@@ -37,6 +38,57 @@ def test_tokenize_offsets_reconstruct():
 def test_tokenize_splits_dash_ranges():
     texts = [t.text for t in tokenize("1984-1991 and 1984–1991")]
     assert texts == ["1984", "-", "1991", "and", "1984", "–", "1991"]
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (
+            '("Hello," she said.)',
+            [("(", 0, 1), ('"', 1, 2), ("Hello", 2, 7), (",", 7, 8), ('"', 8, 9), ("she", 10, 13),
+             ("said", 14, 18), (".", 18, 19), (")", 19, 20)],
+        ),
+        (
+            "1984–1991, 1949-66",
+            [("1984", 0, 4), ("–", 4, 5), ("1991", 5, 9), (",", 9, 10),
+             ("1949", 11, 15), ("-", 15, 16), ("66", 16, 18)],
+        ),
+        (
+            "wait ...!? ok",
+            [("wait", 0, 4), (".", 5, 6), (".", 6, 7), (".", 7, 8), ("!", 8, 9), ("?", 9, 10),
+             ("ok", 11, 13)],
+        ),
+        (
+            "in ١٩٨٤ and ١٩٨٤-١٩٩١",
+            [("in", 0, 2), ("١٩٨٤", 3, 7), ("and", 8, 11),
+             ("١٩٨٤", 12, 16), ("-", 16, 17), ("١٩٩١", 17, 21)],
+        ),
+        ("high-66 1984-1", [("high-66", 0, 7), ("1984-1", 8, 14)]),
+    ],
+    ids=["edge_punctuation", "year_ranges", "all_punctuation", "non_ascii_digits", "dash_not_a_range"],
+)
+def test_tokenize_edge_chunks(text, want):
+    tokens = tokenize(text)
+    assert [(t.text, t.char_start, t.char_end) for t in tokens] == want
+    for tok in tokens:
+        assert text[tok.char_start:tok.char_end] == tok.text
+
+
+@pytest.mark.parametrize(
+    "text, kinds",
+    [
+        ("moved from", []),
+        ("from 1990", [YEAR_POINT]),
+        ("from 1990 to", [YEAR_POINT]),
+        ("between", []),
+        ("Jul", []),
+        ("Jul ,", []),
+        ("since", [SIGNAL]),
+        ("1990 -", [YEAR_POINT]),
+    ],
+)
+def test_tag_lookahead_stops_at_the_end_of_the_text(text, kinds):
+    assert [s.kind for s in spans_of(text)] == kinds
 
 
 def test_bare_year_point():
