@@ -170,9 +170,9 @@ def _cmd_mine(args) -> int:
 def _cmd_reward(args) -> int:
     cfg = _load_config(args.config)
     params = _reward_params(args, cfg)
-    gt = embed_answer(args.gt, params).values
-    pred = embed_answer(args.pred, params).values
-    negatives = np.array([embed_answer(n, params).values for n in args.negative])
+    gt = embed_answer(args.gt, params)
+    pred = embed_answer(args.pred, params)
+    negatives = np.array([embed_answer(n, params) for n in args.negative])
     t = triplet_score(gt, pred, negatives, params.margin, params.neg_aggregate)
     r = reward_fn(t, params)
     print(f"T = {t}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 
@@ -51,6 +52,8 @@ def _json_value(value, default, where: str):
     accepts, kind = next((a, k) for t, a, k in _JSON_KINDS if isinstance(default, t))
     if not isinstance(value, accepts) or (isinstance(value, bool) and bool not in accepts):
         raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):  # json parses NaN and Infinity
+        raise ValueError(f"{where}: expected a finite number, got {json.dumps(value)}")
     if isinstance(default, dict) and default:
         sample = next(iter(default.values()))
         return {k: _json_value(v, sample, f"{where}.{k}") for k, v in value.items()}

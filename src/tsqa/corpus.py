@@ -74,11 +74,10 @@ class QuestionTimeSpec:
         interval = None
         if start is not None and end is not None:
             interval = MonthInterval(parse_year_month(start), parse_year_month(end))
-        return cls(
-            kind=str(payload.get("kind", "none")),
-            interval=interval,
-            event_name=payload.get("event"),
-        )
+        event = payload.get("event")
+        if event is not None and not isinstance(event, str):
+            raise ValueError(f"event must be a string, got {json.dumps(event)}")
+        return cls(kind=str(payload.get("kind", "none")), interval=interval, event_name=event)
 
 
 @dataclass

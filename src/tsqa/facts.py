@@ -10,6 +10,7 @@ period).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -67,10 +68,16 @@ class TimeFact:
             raw = payload.get(key)
             return None if raw is None else parse_year_month(str(raw))
 
+        def text_of(key: str) -> str:
+            value = payload.get(key, "")
+            if not isinstance(value, str):
+                raise ValueError(f"fact field {key!r} must be a string, got {json.dumps(value)}")
+            return value
+
         return cls(
-            subject=str(payload.get("s", "")),
-            relation=str(payload.get("r", "")),
-            object=str(payload.get("o", "")),
+            subject=text_of("s"),
+            relation=text_of("r"),
+            object=text_of("o"),
             start=end_of("start"),
             end=end_of("end"),
         )

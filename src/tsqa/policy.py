@@ -48,44 +48,11 @@ class Candidate:
     tok_end: Optional[int] = None
     fact_interval: Optional[MonthInterval] = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.text == ""
 
-
-@dataclass
-class CandidateSet:
-    candidates: list[Candidate]
-
-    def __post_init__(self) -> None:
-        texts = [c.text for c in self.candidates]
-        if len(set(texts)) != len(texts):
-            raise ValueError("duplicate candidate texts")
-        if texts.count("") != 1:
-            raise ValueError("exactly one empty candidate required")
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-    def __getitem__(self, i: int) -> Candidate:
-        return self.candidates[i]
-
-    @property
-    def texts(self) -> list[str]:
-        return [c.text for c in self.candidates]
-
-    @property
-    def empty_index(self) -> int:
-        return next(i for i, c in enumerate(self.candidates) if c.is_empty)
-
-
-def extract_candidates(ctx_tokens: Sequence, index: FactIndex) -> CandidateSet:
+def extract_candidates(ctx_tokens: Sequence, index: FactIndex) -> list[Candidate]:
     """Candidates = distinct objects of facts whose subject is mentioned
     in the context tokens, each with its first mention, ordered by mention
-    position; the empty candidate comes last."""
+    position; the one empty candidate comes last."""
     low = [t.text.lower() for t in ctx_tokens]
 
     # Facts of the mentioned subjects, in store order.
@@ -110,7 +77,7 @@ def extract_candidates(ctx_tokens: Sequence, index: FactIndex) -> CandidateSet:
     ordered = sorted(found.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
     cands = [Candidate(text, s, e, iv) for text, (s, e, iv) in ordered]
     cands.append(Candidate(""))
-    return CandidateSet(cands)
+    return cands
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +93,7 @@ class CompiledRecord:
     token_ids: np.ndarray  # question tokens then context tokens
     bits: np.ndarray  # dilated temporal mask over the same axis
     question_len: int
-    candidates: CandidateSet
+    candidates: list[Candidate]  # distinct texts, the empty one last
     gold_index: int  # -1 when the gold matches no candidate
     window_pos: list[np.ndarray]  # per candidate, fused-row indices
     interval_feats: np.ndarray  # (K, 3): overlap, gap, presence
@@ -270,7 +237,7 @@ def compile_record(
     rows = []
     density = np.zeros(len(candidates))
     for k, cand in enumerate(candidates):
-        if cand.is_empty or cand.tok_start is None:
+        if cand.tok_start is None:
             window_pos.append(np.arange(0))
             rows.append(np.zeros(3))
             continue
@@ -288,11 +255,11 @@ def compile_record(
         pooled_extra = np.array([1.0, scaled, 1.0 if spec.event_name else 0.0])
 
     gold_index = -1
-    norm_texts = [normalize_answer(t) for t in candidates.texts]
+    norm_texts = [normalize_answer(c.text) for c in candidates]
     for gold in record.gold_answers:
         g = normalize_answer(gold)
         if g == "":
-            gold_index = candidates.empty_index
+            gold_index = len(candidates) - 1
             break
         if g in norm_texts:
             gold_index = norm_texts.index(g)
@@ -351,51 +318,21 @@ def compile_dataset(
 _NAMES = ("text_table", "time_table", "W1", "b1", "W2", "b2", "Wv", "bv", "u_question", "u_window")
 
 
-@dataclass
 class PolicyParams:
     """The policy's tensors, as views of `shapes` into one float64 vector
-    `flat` laid out in `named_tensors()` order.  Construction copies the
-    arrays into `flat`; write through the views (`params.W1 += g`), never
-    rebind them."""
+    `flat` laid out in `named_tensors()` order: text_table (V, d),
+    time_table (2, d), W1 (H, F), b1 (H,), W2 (1, H), b2 (1,), Wv (1, F̄),
+    bv (1,), and the attention vectors u_question and u_window (fw,) of the
+    question pool and the mention-window pools.  Write through the views
+    (`params.W1 += g`), never rebind them."""
 
-    text_table: np.ndarray  # (V, d)
-    time_table: np.ndarray  # (2, d)
-    W1: np.ndarray  # (H, F)
-    b1: np.ndarray  # (H,)
-    W2: np.ndarray  # (1, H)
-    b2: np.ndarray  # (1,)
-    Wv: np.ndarray  # (1, F̄)
-    bv: np.ndarray  # (1,)
-    u_question: np.ndarray  # (fw,) attention vector of the question pool
-    u_window: np.ndarray  # (fw,) attention vector of the mention-window pools
-
-    def __post_init__(self) -> None:
-        tensors = [np.asarray(getattr(self, name), dtype=np.float64) for name in _NAMES]
-        self._bind(np.concatenate([t.ravel() for t in tensors]), [t.shape for t in tensors])
-        self.check_finite()
-        if self.text_table.shape[1] != self.time_table.shape[1]:
-            raise ValueError("text and time tables disagree on embedding width")
-        if self.time_table.shape[0] != 2:
-            raise ValueError("time table must have exactly two rows")
-        if self.W1.shape[0] != self.b1.shape[0] or self.W2.shape[1] != self.W1.shape[0]:
-            raise ValueError("perceptron shapes inconsistent")
-        if self.u_question.ndim != 1 or self.u_question.shape != self.u_window.shape:
-            raise ValueError("attention vectors must be 1-d and of equal width")
-
-    def _bind(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
+    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
         self.flat, self.shapes = flat, list(shapes)
         offset = 0
         for name, shape in zip(_NAMES, shapes):
             size = math.prod(shape)
             setattr(self, name, flat[offset : offset + size].reshape(shape))
             offset += size
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> "PolicyParams":
-        """Views of `shapes` over `flat` itself, with no validation."""
-        params = object.__new__(cls)
-        params._bind(flat, shapes)
-        return params
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in _NAMES]
@@ -406,11 +343,11 @@ class PolicyParams:
             raise ValueError(f"non-finite values in {name}")
 
     def clone(self) -> "PolicyParams":
-        return PolicyParams.from_flat(self.flat.copy(), self.shapes)
+        return PolicyParams(self.flat.copy(), self.shapes)
 
 
 def zeros_like_params(params: PolicyParams) -> PolicyParams:
-    return PolicyParams.from_flat(np.zeros_like(params.flat), params.shapes)
+    return PolicyParams(np.zeros_like(params.flat), params.shapes)
 
 
 def param_shapes(vocab_size: int, config: FeatureConfig) -> list[tuple[int, ...]]:
@@ -425,7 +362,7 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
     fresh model coincides with the no-temporal baseline, and zero attention
     vectors so it pools uniformly."""
     shapes = param_shapes(vocab_size, config)
-    params = PolicyParams.from_flat(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+    params = PolicyParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
     for w in (params.text_table, params.W1, params.W2, params.Wv):
         limit = np.sqrt(6.0 / sum(w.shape))
         w[:] = rng.uniform(-limit, limit, size=w.shape)
@@ -792,6 +729,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
     expected = head + 8 * sum(math.prod(s) for s in shapes)
     if len(data) != expected:
         raise ValueError(f"{path}: checkpoint size {len(data)} != expected {expected}")
-    params = PolicyParams.from_flat(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
+    params = PolicyParams(np.frombuffer(data, "<f8", offset=head).astype(float), shapes)
     params.check_finite()
     return params, vocab, config

@@ -22,20 +22,6 @@ from .metrics import normalize_answer
 DEFAULT_DIM = 256
 
 
-@dataclass(frozen=True)
-class AnswerVector:
-    """Embedding of one answer string: zero (empty answer) or unit norm."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9 and abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"answer vector norm {norm} is neither 0 nor 1")
-        object.__setattr__(self, "values", v)
-
-
 @dataclass
 class RewardParams:
     alpha: float = 4.0
@@ -99,17 +85,17 @@ def _slot(gram: str, dim: int) -> tuple[int, float]:
     return h % dim, 1.0 if (h >> 60) & 1 else -1.0
 
 
-def embed_answer(answer: str, params: RewardParams) -> AnswerVector:
-    """Normalize then embed; the empty answer maps to the zero vector."""
+def embed_answer(answer: str, params: RewardParams) -> np.ndarray:
+    """Normalize then embed into a unit vector; nothing to embed gives zeros."""
     text = normalize_answer(answer)
     if not text:
-        return AnswerVector(np.zeros(params.dim))
+        return np.zeros(params.dim)
     if params.embedder == "lookup_table":
         if params.lookup_table is None:
             raise ValueError("lookup_table embedder selected but no table loaded")
         hits = [params.lookup_table[w] for w in text.split() if w in params.lookup_table]
         if not hits:
-            return AnswerVector(np.zeros(params.dim))
+            return np.zeros(params.dim)
         acc = np.mean(hits, axis=0)
     else:
         # Signed character-trigram hashing: stable across runs and platforms.
@@ -120,8 +106,8 @@ def embed_answer(answer: str, params: RewardParams) -> AnswerVector:
                 acc[bucket] += sign
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:
-        return AnswerVector(np.zeros(params.dim))
-    return AnswerVector(acc / norm)
+        return np.zeros(params.dim)
+    return acc / norm
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,8 +148,8 @@ def score_prediction(
     gt: str, pred: str, negatives: Sequence[str], params: RewardParams
 ) -> float:
     """Embed, score the triplet, and squash into a reward."""
-    gt_vec = embed_answer(gt, params).values
-    pred_vec = embed_answer(pred, params).values
-    neg_vecs = np.array([embed_answer(n, params).values for n in negatives])
+    gt_vec = embed_answer(gt, params)
+    pred_vec = embed_answer(pred, params)
+    neg_vecs = np.array([embed_answer(n, params) for n in negatives])
     t = triplet_score(gt_vec, pred_vec, neg_vecs, params.margin, params.neg_aggregate)
     return reward(t, params)

@@ -90,6 +90,8 @@ class PPOConfig:
             raise ValueError("learning_rate must be positive")
         if self.negatives_per_side < 0:
             raise ValueError("negatives_per_side must be non-negative")
+        if self.vf_coef < 0:  # a negative weight would climb the value loss
+            raise ValueError("vf_coef must be non-negative")
         if self.reward_kind not in ("contrastive", "exact_match"):
             raise ValueError(f"unknown reward kind {self.reward_kind!r}")
 
@@ -237,7 +239,7 @@ def build_reward_caches(
         i = rows.get(text)
         if i is None:
             i = rows[text] = len(vectors)
-            vectors.append(reward_mod.embed_answer(text, params).values)
+            vectors.append(reward_mod.embed_answer(text, params))
         return i
 
     def rows_of(texts: Sequence[str]) -> np.ndarray:
@@ -245,7 +247,7 @@ def build_reward_caches(
 
     row_ids = [
         (
-            rows_of(comp.candidates.texts),
+            rows_of([c.text for c in comp.candidates]),
             row_of(comp.gold_answers[0] if comp.gold_answers else ""),
             rows_of(comp.remote_pool),
             rows_of(comp.proximal_pool),
@@ -261,7 +263,7 @@ def build_reward_caches(
             remote_rows,
             proximal_rows,
             em_sign=np.array(
-                [1.0 if exact_match(t, comp.gold_answers) else -1.0 for t in comp.candidates.texts]
+                [1.0 if exact_match(c.text, comp.gold_answers) else -1.0 for c in comp.candidates]
             ),
         )
         for comp, (cand_rows, gold_row, remote_rows, proximal_rows) in zip(compiled, row_ids)

@@ -529,9 +529,16 @@ def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block
             {"synthetic": {"question_type_mix": {"L2": "1"}}},
             'synthetic.question_type_mix.L2: expected a number, got "1"',
         ),
+        (["reward", "--gt", "Mill A", "--pred", "Mill B"], {"reward": {"alpha": float("nan")}}, "reward.alpha: expected a finite number, got NaN"),
+        (["reward", "--gt", "Mill A", "--pred", "Mill B"], {"reward": {"margin": float("inf")}}, "reward.margin: expected a finite number, got Infinity"),
+        (
+            ["gen", "--out-dir", "{tmp}/d"],
+            {"synthetic": {"question_type_mix": {"L2": float("-inf")}}},
+            "synthetic.question_type_mix.L2: expected a finite number, got -Infinity",
+        ),
     ],
     ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short",
-         "lookup_path_not_string", "type_mix_weight_string"],
+         "lookup_path_not_string", "type_mix_weight_string", "alpha_nan", "margin_infinity", "type_mix_weight_infinity"],
 )
 def test_config_errors_name_the_file_and_field(capsys, tmp_path, command, config, message):
     cfg = tmp_path / "bad.json"
@@ -562,8 +569,29 @@ def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
             "line 1: time_spec: must be a JSON object",
         ),
         (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '["a"]', "line 1: fact must be a JSON object"),
+        (
+            ["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"],
+            '{"s": null, "r": "employer", "o": "Mill A", "start": "1950-01", "end": "1955-12"}',
+            "line 1: fact field 's' must be a string, got null",
+        ),
+        (
+            ["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"],
+            '{"s": "Ada", "r": "employer", "o": 5, "start": "1950-01", "end": "1955-12"}',
+            "line 1: fact field 'o' must be a string, got 5",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "facts": [{"s": "Ada", "r": 1, "o": "B"}]}',
+            "line 1: facts[0]: fact field 'r' must be a string, got 1",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "during_event", "event": ["x"]}}',
+            'line 1: time_spec: event must be a string, got ["x"]',
+        ),
     ],
-    ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object"],
+    ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object",
+         "fact_subject_null", "fact_object_number", "record_fact_relation_number", "time_spec_event_list"],
 )
 def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):
     bad = tmp_path / "bad_input.json"

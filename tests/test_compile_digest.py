@@ -53,8 +53,7 @@ def compiled_and_reward_digest() -> str:
         compiled = compile_dataset(train + dev + test, index, vocab, config)
         for comp in compiled:
             for f in fields(CompiledRecord):
-                value = getattr(comp, f.name)
-                _feed(digest, value.candidates if f.name == "candidates" else value)
+                _feed(digest, getattr(comp, f.name))
             rows = comp.pool_rows
             _feed(digest, [rows.pos, rows.pool, rows.question_len, rows.n_pools])
             _feed(digest, _runs(rows.pools) + _runs(rows.text) + _runs(rows.time))

@@ -12,7 +12,6 @@ from tsqa.features import Vocabulary, fuse
 from tsqa.intervals import year_span
 from tsqa.policy import (
     Candidate,
-    CandidateSet,
     PolicyParams,
     RecordFeatures,
     compile_dataset,
@@ -69,7 +68,8 @@ def test_extract_candidates_mentions_and_order():
         WARNOCK_FACTS,
     )
     cands = extract_candidates(tokenize(rec.context), FactIndex(WARNOCK_FACTS))
-    assert cands.texts == [
+    # Someone Else is not mentioned, so Elsewhere Hall is no candidate
+    assert [c.text for c in cands] == [
         "Girton College",
         "St Hugh's College",
         "University of Bath",
@@ -77,9 +77,6 @@ def test_extract_candidates_mentions_and_order():
     ]
     # mention spans point at the first occurrence in context tokens
     assert cands[0].tok_start < cands[1].tok_start < cands[2].tok_start
-    assert cands.empty_index == 3
-    # Someone Else is not mentioned, so Elsewhere Hall is no candidate
-    assert "Elsewhere Hall" not in cands.texts
 
 
 def test_extract_candidates_duplicate_object_keeps_first_interval():
@@ -99,8 +96,7 @@ def test_extract_candidates_no_mentions():
         [""],
         WARNOCK_FACTS,
     )
-    cands = extract_candidates(tokenize(rec.context), FactIndex(WARNOCK_FACTS))
-    assert cands.texts == [""]
+    assert extract_candidates(tokenize(rec.context), FactIndex(WARNOCK_FACTS)) == [Candidate("")]
 
 
 # Brute-force references: every subject and every fact scanned for every
@@ -195,14 +191,11 @@ def test_indexed_mention_lookup_matches_full_scan():
         assert infer_question_pair(tokenize(text), index) == scan_question_pair(text, index), text
 
 
-def test_candidate_set_validation():
-    CandidateSet([Candidate("a", 0, 1), Candidate("")])  # valid
-    with pytest.raises(ValueError):
-        CandidateSet([Candidate("x", 0, 1), Candidate("x", 2, 3), Candidate("")])
-    with pytest.raises(ValueError):
-        CandidateSet([Candidate("x", 0, 1)])  # missing empty
-    with pytest.raises(ValueError):
-        CandidateSet([Candidate(""), Candidate("")])
+def test_candidates_are_distinct_with_the_one_empty_candidate_last(small_compiled):
+    for comp in (comp for split in small_compiled for comp in split):
+        texts = [c.text for c in comp.candidates]
+        assert len(set(texts)) == len(texts), comp.id
+        assert texts.index("") == len(texts) - 1, comp.id
 
 
 def compile_warnock(config, question="Which employer did Neil Warnock work for in 1958?"):
@@ -215,7 +208,7 @@ def test_compile_record_gold_and_spec(tiny_features):
     comp, _ = compile_warnock(tiny_features)
     assert comp.spec.kind == "point"
     assert comp.q_interval == year_span(1958, 1958)
-    assert comp.candidates.texts[comp.gold_index] == "St Hugh's College"
+    assert comp.candidates[comp.gold_index].text == "St Hugh's College"
     assert comp.question_len > 0
     assert comp.token_ids.size == comp.bits.size
 
@@ -260,21 +253,22 @@ def test_compile_record_empty_gold_resolves_to_empty_candidate(tiny_features):
 
     vocab = Vocabulary.build([rec.question, rec.context], tokenize)
     comp = compile_record(rec, FactIndex(WARNOCK_FACTS), vocab, tiny_features)
-    assert comp.gold_index == comp.candidates.empty_index
+    assert comp.gold_index == len(comp.candidates) - 1
 
 
 def test_interval_features_exact_match_candidate(tiny_features):
     comp, _ = compile_warnock(
         tiny_features, "Which employer did Neil Warnock work for from 1957 to 1961?"
     )
-    hugh = comp.candidates.texts.index("St Hugh's College")
+    texts = [c.text for c in comp.candidates]
+    hugh = texts.index("St Hugh's College")
     overlap, gap, present = comp.interval_feats[hugh]
     assert (overlap, gap, present) == (1.0, 0.0, 1.0)
     # disjoint later candidate sits at a positive clamped gap
-    bath = comp.candidates.texts.index("University of Bath")
+    bath = texts.index("University of Bath")
     assert comp.interval_feats[bath][1] > 0
     # the empty candidate carries all-zero interval features and density
-    empty = comp.candidates.empty_index
+    empty = len(comp.candidates) - 1
     assert comp.interval_feats[empty].tolist() == [0.0, 0.0, 0.0]
     assert comp.density[empty] == 0.0
 
@@ -286,12 +280,12 @@ def test_featurize_identical_candidates_identical_rows(tiny_features):
 
     comp, vocab = compile_warnock(tiny_features)
     params = random_u_params(len(vocab), tiny_features, seed=0)
-    first, e = comp.candidates[0], comp.candidates.empty_index
+    first, e = comp.candidates[0], len(comp.candidates) - 1
     twin = Candidate("Twin", first.tok_start, first.tok_end, first.fact_interval)
     # A twin of candidate 0 with the same mention window and interval.
     twins = replace(
         comp,
-        candidates=CandidateSet([first, twin, comp.candidates[e]]),
+        candidates=[first, twin, comp.candidates[e]],
         window_pos=[comp.window_pos[0], comp.window_pos[0], comp.window_pos[e]],
         interval_feats=comp.interval_feats[[0, 0, e]],
         density=comp.density[[0, 0, e]],
@@ -335,7 +329,7 @@ def test_featurize_record_matches_reference_pools(tiny_features):
     for i, cand in enumerate(comp.candidates):
         row = rf.feats[i]
         assert np.allclose(row[:fw], question, rtol=0, atol=1e-12), cand.text
-        if cand.is_empty:
+        if not cand.text:
             assert not row[fw:].any()
             continue
         lo = max(0, n_q + cand.tok_start - window)
@@ -490,59 +484,12 @@ def test_init_params_bounds_and_determinism(tiny_features):
     assert np.abs(a.W2).max() <= limit_w2
 
 
-def test_params_validation():
-    with pytest.raises(ValueError, match="non-finite"):
-        PolicyParams(
-            text_table=np.array([[np.nan]]),
-            time_table=np.zeros((2, 1)),
-            W1=np.zeros((2, 3)),
-            b1=np.zeros(2),
-            W2=np.zeros((1, 2)),
-            b2=np.zeros(1),
-            Wv=np.zeros((1, 2)),
-            bv=np.zeros(1),
-            u_question=np.zeros(1),
-            u_window=np.zeros(1),
-        )
-    with pytest.raises(ValueError, match="two rows"):
-        PolicyParams(
-            text_table=np.zeros((3, 2)),
-            time_table=np.zeros((3, 2)),  # must be two rows
-            W1=np.zeros((2, 3)),
-            b1=np.zeros(2),
-            W2=np.zeros((1, 2)),
-            b2=np.zeros(1),
-            Wv=np.zeros((1, 2)),
-            bv=np.zeros(1),
-            u_question=np.zeros(2),
-            u_window=np.zeros(2),
-        )
+def test_check_finite_names_the_first_non_finite_tensor(small_vocab, tiny_features):
+    params = params_for(len(small_vocab), tiny_features, seed=4)
+    params.check_finite()
+    params.u_window[-1] = np.inf
     with pytest.raises(ValueError, match="non-finite values in u_window"):
-        PolicyParams(
-            text_table=np.zeros((3, 2)),
-            time_table=np.zeros((2, 2)),
-            W1=np.zeros((2, 3)),
-            b1=np.zeros(2),
-            W2=np.zeros((1, 2)),
-            b2=np.zeros(1),
-            Wv=np.zeros((1, 2)),
-            bv=np.zeros(1),
-            u_question=np.zeros(2),
-            u_window=np.array([0.0, np.inf]),
-        )
-    with pytest.raises(ValueError, match="attention vectors"):
-        PolicyParams(
-            text_table=np.zeros((3, 2)),
-            time_table=np.zeros((2, 2)),
-            W1=np.zeros((2, 3)),
-            b1=np.zeros(2),
-            W2=np.zeros((1, 2)),
-            b2=np.zeros(1),
-            Wv=np.zeros((1, 2)),
-            bv=np.zeros(1),
-            u_question=np.zeros(2),
-            u_window=np.zeros(4),  # widths must agree
-        )
+        params.check_finite()
 
 
 def test_cross_entropy_values_and_dlogits(tiny_features):
@@ -793,18 +740,19 @@ def test_grad_check_concat_mode(small_corpus, small_vocab):
 
 
 def test_grad_check_linear_loss_tight():
-    params = PolicyParams(
-        text_table=np.array([[0.3]]),
-        time_table=np.zeros((2, 1)),
-        W1=np.array([[0.2, 0.1]]),
-        b1=np.zeros(1),
-        W2=np.array([[0.5]]),
-        b2=np.zeros(1),
-        Wv=np.array([[1.0, 2.0]]),
-        bv=np.zeros(1),
-        u_question=np.array([0.4]),
-        u_window=np.array([-0.7]),
-    )
+    tensors = [
+        np.array([[0.3]]),  # text_table
+        np.zeros((2, 1)),  # time_table
+        np.array([[0.2, 0.1]]),  # W1
+        np.zeros(1),  # b1
+        np.array([[0.5]]),  # W2
+        np.zeros(1),  # b2
+        np.array([[1.0, 2.0]]),  # Wv
+        np.zeros(1),  # bv
+        np.array([0.4]),  # u_question
+        np.array([-0.7]),  # u_window
+    ]
+    params = PolicyParams(np.concatenate([t.ravel() for t in tensors]), [t.shape for t in tensors])
 
     def linear(p):
         grads = zeros_like_params(p)
@@ -820,7 +768,7 @@ def test_greedy_predictions_order_and_texts(small_compiled, small_vocab, tiny_fe
     preds = greedy_predictions(compiled, params, tiny_features)
     assert len(preds) == len(compiled)
     for pred, comp in zip(preds, compiled):
-        assert pred in comp.candidates.texts
+        assert pred in [c.text for c in comp.candidates]
 
 
 def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
@@ -886,7 +834,7 @@ def test_named_tensors_are_views_into_flat_in_order(small_vocab, tiny_features):
 def test_copies_do_not_alias_their_source(small_vocab, tiny_features):
     params = params_for(len(small_vocab), tiny_features, seed=4)
     kept = params.flat.copy()
-    for copy in (params.clone(), zeros_like_params(params), PolicyParams(**dict(params.named_tensors()))):
+    for copy in (params.clone(), zeros_like_params(params), PolicyParams(params.flat.copy(), params.shapes)):
         assert copy.shapes == params.shapes
         assert not np.shares_memory(copy.flat, params.flat)
         for (_, a), (_, b) in zip(copy.named_tensors(), params.named_tensors()):

@@ -9,7 +9,6 @@ import pytest
 from tsqa import reward as reward_mod
 from tsqa.metrics import normalize_answer
 from tsqa.reward import (
-    AnswerVector,
     RewardParams,
     embed_answer,
     load_lookup_table,
@@ -69,23 +68,23 @@ def test_reward_params_validation():
 
 def test_embed_answer_norms():
     params = RewardParams()
-    assert np.linalg.norm(embed_answer("", params).values) == 0.0
-    assert np.linalg.norm(embed_answer("the a an", params).values) == 0.0  # articles drop out
-    v = embed_answer("Leeds United F.C.", params).values
+    assert np.linalg.norm(embed_answer("", params)) == 0.0
+    assert np.linalg.norm(embed_answer("the a an", params)) == 0.0  # articles drop out
+    v = embed_answer("Leeds United F.C.", params)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embed_answer_normalization_invariance():
     params = RewardParams()
-    a = embed_answer("Leeds United F.C.", params).values
-    b = embed_answer("  leeds UNITED fc  ", params).values
+    a = embed_answer("Leeds United F.C.", params)
+    b = embed_answer("  leeds UNITED fc  ", params)
     assert np.allclose(a, b)
 
 
 def test_embed_answer_deterministic():
     params = RewardParams()
-    a = embed_answer("Gainsborough Trinity", params).values
-    b = embed_answer("Gainsborough Trinity", params).values
+    a = embed_answer("Gainsborough Trinity", params)
+    b = embed_answer("Gainsborough Trinity", params)
     assert np.array_equal(a, b)
 
 
@@ -109,8 +108,8 @@ def per_gram_embedding(answer, dim):
 )
 def test_embed_answer_matches_per_gram_hashing(answer, dim):
     reward_mod._slot.cache_clear()
-    cold = embed_answer(answer, RewardParams(dim=dim)).values
-    warm = embed_answer(answer, RewardParams(dim=dim)).values
+    cold = embed_answer(answer, RewardParams(dim=dim))
+    warm = embed_answer(answer, RewardParams(dim=dim))
     want = per_gram_embedding(answer, dim)
     assert cold.tolist() == want.tolist()
     assert warm.tolist() == want.tolist()
@@ -125,7 +124,7 @@ def test_reward_cache_build_hashes_each_distinct_trigram_once(monkeypatch, small
     reward_mod._slot.cache_clear()
     train = small_compiled[0]
     build_reward_caches(train, RewardParams())
-    texts = {t for comp in train for t in comp.candidates.texts + comp.remote_pool + comp.proximal_pool}
+    texts = {t for comp in train for t in [c.text for c in comp.candidates] + comp.remote_pool + comp.proximal_pool}
     texts |= {comp.gold_answers[0] if comp.gold_answers else "" for comp in train}
     grams = {
         f"#{w}#"[i:i + 3]
@@ -145,7 +144,7 @@ def l2(a, b):
 
 
 def vec(text, params):
-    return embed_answer(text, params).values
+    return embed_answer(text, params)
 
 
 def test_identical_answers_zero_distance():
@@ -191,7 +190,6 @@ def test_triplet_clamps_at_zero():
     # hinge is active: 0 - 0 + margin
     neg = vec("same", params)
     assert triplet_score(gt, pred, np.array([neg]), margin=0.5) == pytest.approx(0.5)
-    far = AnswerVector(np.zeros(8))
     # margin 0 with positive d_neg clamps to zero
     assert triplet_score(gt, pred, np.array([vec("other", params)]), margin=0.0) == 0.0
 
@@ -219,10 +217,10 @@ def test_lookup_table_embedder(tmp_path):
     )
     table = load_lookup_table(vec_file, dim=2)
     params = RewardParams(dim=2, embedder="lookup_table", lookup_table=table)
-    v = embed_answer("Mill Bank", params).values
+    v = embed_answer("Mill Bank", params)
     assert np.allclose(v, np.array([0.5, 0.5]) / np.linalg.norm([0.5, 0.5]))
     # OOV-only answers embed to zero
-    assert np.linalg.norm(embed_answer("unknown words", params).values) == 0.0
+    assert np.linalg.norm(embed_answer("unknown words", params)) == 0.0
 
 
 def test_lookup_table_parse_errors(tmp_path):
@@ -233,9 +231,3 @@ def test_lookup_table_parse_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_lookup_table(tmp_path / "missing.txt", dim=2)
 
-
-def test_answer_vector_validation():
-    with pytest.raises(ValueError):
-        AnswerVector(np.array([0.5, 0.5]))  # norm neither 0 nor 1
-    AnswerVector(np.zeros(4))
-    AnswerVector(np.array([1.0, 0.0]))

@@ -53,6 +53,9 @@ def test_config_validation():
         PPOConfig(cliprange=-0.1)
     with pytest.raises(ValueError):
         PPOConfig(reward_kind="shaped")
+    with pytest.raises(ValueError, match="vf_coef"):
+        PPOConfig(vf_coef=-0.5)  # would turn the value loss into gradient ascent
+    PPOConfig(vf_coef=0.0)  # no value loss is legal
     PPOConfig(cliprange=1e9)  # arbitrarily wide clipping is legal
 
 
@@ -276,9 +279,9 @@ def test_reward_caches_match_direct_scores(small_compiled):
 
     for comp, cache in zip(compiled, caches):
         gold = comp.gold_answers[0] if comp.gold_answers else ""
-        gvec = embed_answer(gold, rp).values
-        for k, text in enumerate(comp.candidates.texts):
-            d = float(np.linalg.norm(embed_answer(text, rp).values - gvec))
+        gvec = embed_answer(gold, rp)
+        for k, text in enumerate([c.text for c in comp.candidates]):
+            d = float(np.linalg.norm(embed_answer(text, rp) - gvec))
             got = np.linalg.norm(cache.table[cache.cand_rows[k]] - cache.table[cache.gold_row])
             assert got == pytest.approx(d, abs=1e-12)
             want = 1.0 if exact_match(text, comp.gold_answers) else -1.0
@@ -316,9 +319,9 @@ def _dense_contrastive(comp, action, config, params, rng):
     from tsqa.reward import embed_answer
 
     def vectors(texts):
-        return np.array([embed_answer(t, params).values for t in texts]).reshape(len(texts), params.dim)
+        return np.array([embed_answer(t, params) for t in texts]).reshape(len(texts), params.dim)
 
-    mat = vectors(comp.candidates.texts)
+    mat = vectors([c.text for c in comp.candidates])
     gold = vectors([comp.gold_answers[0] if comp.gold_answers else ""])[0]
     dist_gold = np.linalg.norm(mat - gold, axis=1)
     dist_remote = np.linalg.norm(mat[:, None] - vectors(comp.remote_pool)[None], axis=2)
@@ -362,7 +365,7 @@ def test_contrastive_reward_matches_score_prediction(small_compiled):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for comp, cache in zip(compiled, caches):
         gold = comp.gold_answers[0] if comp.gold_answers else ""
-        for action, pred in enumerate(comp.candidates.texts):
+        for action, pred in enumerate([c.text for c in comp.candidates]):
             got = _contrastive_raw(cache, action, config, rp, rng)
             remote, proximal = sample_negatives(
                 comp.remote_pool, comp.proximal_pool, config.negatives_per_side, ref_rng
