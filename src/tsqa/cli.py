@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import FeatureConfig, config_from_json
+from .config import FeatureConfig, config_from_json, json_object
 from .corpus import (
     QARecord,
     SyntheticConfig,
@@ -75,12 +75,9 @@ def _block(cls, args, cfg: dict, name: str, **overrides):
 
 def _reward_params(args, cfg: dict) -> RewardParams:
     params = _block(RewardParams, args, cfg, "reward")
-    lookup_path = cfg.get("reward", {}).get("lookup_path")
-    if lookup_path is not None and not isinstance(lookup_path, str):
-        where = _where(args, "reward")
-        raise ValueError(f"{where}.lookup_path: expected a string, got {json.dumps(lookup_path)}")
-    if lookup_path:
-        table = load_lookup_table(lookup_path, params.dim)
+    lookup = json_object(cfg.get("reward", {}), {"lookup_path": ("", None)}, (_where(args, "reward"),))
+    if lookup["lookup_path"]:
+        table = load_lookup_table(lookup["lookup_path"], params.dim)
         params = replace(params, embedder="lookup_table", lookup_table=table)
     return params
 

@@ -1,4 +1,5 @@
-"""Feature configuration, and the one constructor of a config from JSON."""
+"""Feature configuration, and the one checked reader of JSON input: configs,
+dataset records, facts and time specs."""
 
 from __future__ import annotations
 
@@ -35,44 +36,68 @@ class FeatureConfig:
         return asdict(self)
 
 
-# Type of a field's default -> the JSON types it takes; bool before its base int.
-_JSON_KINDS = (
-    (bool, (bool,), "true or false"),
-    (int, (int,), "an integer"),
-    (float, (int, float), "a number"),
-    (str, (str,), "a string"),
-    (tuple, (list,), "a list"),
-    (dict, (dict,), "a JSON object"),
-)
+REQUIRED = object()  # a shape's default for a key that must be present
+
+# Type of a sample -> the JSON value types it takes (json decodes to exactly these; True is no int).
+_JSON_KINDS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+    tuple: ((list,), "a list"),
+    dict: ((dict,), "a JSON object"),
+}
 
 
-def _json_value(value, default, where: str):
-    """`value` if it has the JSON type of `default`; a list becomes a tuple.
-    An object's values must have the type of the default's values."""
-    accepts, kind = next((a, k) for t, a, k in _JSON_KINDS if isinstance(default, t))
-    if not isinstance(value, accepts) or (isinstance(value, bool) and bool not in accepts):
-        raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):  # json parses NaN and Infinity
-        raise ValueError(f"{where}: expected a finite number, got {json.dumps(value)}")
-    if isinstance(default, dict) and default:
-        sample = next(iter(default.values()))
-        return {k: _json_value(v, sample, f"{where}.{k}") for k, v in value.items()}
-    return tuple(value) if isinstance(default, tuple) else value
+def field_error(where: tuple, message: str) -> ValueError:
+    """`message` behind the path `where`, formatted only here: ("facts", 0, "start") is facts[0].start."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)[1:]
+    return ValueError(f"{path}: {message}" if path else message)
+
+
+def _json_value(value, sample, where: tuple):
+    """`value` if it has the JSON type of `sample` (a tuple sample makes it a tuple),
+    its elements or values checked against the sample's first element or value."""
+    kind = type(value)
+    accepts, name = _JSON_KINDS[type(sample)]
+    if kind not in accepts:
+        raise field_error(where, f"expected {name}, got {json.dumps(value)}")
+    if kind is float and not math.isfinite(value):  # json parses NaN and Infinity
+        raise field_error(where, f"expected a finite number, got {json.dumps(value)}")
+    if kind is list:
+        if sample:
+            value = [_json_value(v, sample[0], (*where, i)) for i, v in enumerate(value)]
+        return tuple(value) if type(sample) is tuple else value
+    if kind is dict and sample:
+        inner = next(iter(sample.values()))
+        return {k: _json_value(v, inner, (*where, k)) for k, v in value.items()}
+    return value
+
+
+def json_object(payload, shape: dict, where: tuple = ()) -> dict:
+    """Each key of `shape` -> its checked value in the JSON object `payload`,
+    ignoring other keys.  `shape` maps a key to a sample of its JSON type and
+    its default: REQUIRED, a value, or None for a key that may be null or absent."""
+    if not isinstance(payload, dict):
+        raise field_error(where, f"expected a JSON object, got {json.dumps(payload)}")
+    values = {}
+    for key, (sample, default) in shape.items():
+        value = payload.get(key, default)
+        if value is REQUIRED:
+            raise field_error((*where, key), f"expected {_JSON_KINDS[type(sample)][1]}, got nothing")
+        if value is not default and not type(value) is str is type(sample):  # else valid as it is
+            value = _json_value(value, sample, (*where, key))
+        values[key] = value
+    return values
 
 
 def config_from_json(cls, block, where: str, **overrides):
-    """The config dataclass `cls` from the JSON object `block`, with the
-    overrides that are not None.  Unknown keys are ignored, so configs can
-    carry commentary, and a field whose default is None is no JSON key.
-    Errors start with `where` ("config.json: sft"), plus the field's name
-    for a value of the wrong type."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{where}: must be a JSON object")
-    kwargs = {}
-    for f in fields(cls):
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        if f.name in block and default is not None:
-            kwargs[f.name] = _json_value(block[f.name], default, f"{where}.{f.name}")
+    """The config dataclass `cls` from the JSON object `block` (other keys, such as
+    commentary, ignored), with the overrides that are not None.  A field whose
+    default is not None is a key with that default as sample."""
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(cls)}
+    kwargs = json_object(block, {k: (d, d) for k, d in defaults.items() if d is not None}, (where,))
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**kwargs)

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import REQUIRED, field_error, json_object
 from .facts import EVENT_RELATION, TimeFact
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month, year_span
@@ -66,19 +67,6 @@ class QuestionTimeSpec:
             "event": self.event_name,
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "QuestionTimeSpec":
-        if not isinstance(payload, dict):
-            raise TypeError("must be a JSON object")
-        start, end = payload.get("start"), payload.get("end")
-        interval = None
-        if start is not None and end is not None:
-            interval = MonthInterval(parse_year_month(start), parse_year_month(end))
-        event = payload.get("event")
-        if event is not None and not isinstance(event, str):
-            raise ValueError(f"event must be a string, got {json.dumps(event)}")
-        return cls(kind=str(payload.get("kind", "none")), interval=interval, event_name=event)
-
 
 @dataclass
 class QARecord:
@@ -106,70 +94,77 @@ class SpanAnnotation:
 # JSONL parsing / serialization.
 
 
-def parse_record(line: str, lineno: Optional[int] = None) -> QARecord:
-    """Parse one JSONL line; unknown keys are ignored."""
-    where = "" if lineno is None else f"line {lineno}: "
+# JSON key -> (a sample of its JSON type, its default); see config.json_object.
+_FACT = {"s": ("", REQUIRED), "r": ("", REQUIRED), "o": ("", REQUIRED), "start": ("", None), "end": ("", None)}
+_TIME_SPEC = {"kind": ("", "none"), "start": ("", None), "end": ("", None), "event": ("", None)}
+_RECORD = {"id": ("", None), "type": ("", "EASY"), "question": ("", REQUIRED), "context": ("", REQUIRED),
+           "answers": ([""], REQUIRED), "facts": ([], []), "time_spec": ({}, None)}
+
+
+def _built(where: tuple, build, *args):
+    """build(*args), with a ValueError it raises behind the field path `where`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise field_error(where, str(exc)) from exc
+
+
+def _bounds(obj: dict, where: tuple) -> list[Optional[int]]:
+    """Month indices of the "YYYY-MM" strings at start and end; None for null."""
+    return [None if obj[k] is None else _built((*where, k), parse_year_month, obj[k]) for k in ("start", "end")]
+
+
+def _time_fact(payload, where: tuple) -> TimeFact:
+    fact = json_object(payload, _FACT, where)
+    start, end = _bounds(fact, where)
+    return _built(where, TimeFact, fact["s"], fact["r"], fact["o"], start, end)
+
+
+def _time_spec(payload, where: tuple) -> QuestionTimeSpec:
+    spec = json_object(payload, _TIME_SPEC, where)
+    start, end = _bounds(spec, where)
+    if (start is None) != (end is None):  # a time spec has both bounds or neither
+        unset = "start" if start is None else "end"
+        raise field_error((*where, unset), "expected a string like the other bound, got null")
+    interval = None if start is None else _built(where, MonthInterval, start, end)
+    return _built(where, QuestionTimeSpec, spec["kind"], interval, spec["event"])
+
+
+def _record(payload, lineno: Optional[int]) -> QARecord:
+    rec = json_object(payload, _RECORD)
+    for key in ("question", "context", "answers"):
+        if not rec[key]:
+            raise field_error((key,), f"expected a non-empty value, got {json.dumps(rec[key])}")
+    rec_id = rec["id"]
+    if rec_id is None:
+        rec_id = f"line-{lineno}" if lineno is not None else "r0"
+    return QARecord(
+        id=rec_id,
+        question=rec["question"],
+        context=rec["context"],
+        gold_answers=rec["answers"],
+        question_type=_built(("type",), QuestionType, rec["type"]),
+        facts=[_time_fact(f, ("facts", k)) for k, f in enumerate(rec["facts"])],
+        time_spec=None if rec["time_spec"] is None else _time_spec(rec["time_spec"], ("time_spec",)),
+    )
+
+
+def _parse_line(line: str, lineno: Optional[int], read, where: str = ""):
+    """`read(payload, lineno)` of a JSONL line; ParseError for bad JSON, ValidationError for a bad shape."""
+    where += "" if lineno is None else f"line {lineno}: "
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}invalid JSON ({exc.msg})") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{where}record must be a JSON object")
-
-    def need(key: str) -> object:
-        if key not in payload:
-            raise ValidationError(f"{where}missing required field {key!r}")
-        return payload[key]
-
-    question = need("question")
-    context = need("context")
-    answers = need("answers")
-    if not isinstance(question, str) or not question:
-        raise ValidationError(f"{where}field 'question' must be a non-empty string")
-    if not isinstance(context, str) or not context:
-        raise ValidationError(f"{where}field 'context' must be a non-empty string")
-    if (
-        not isinstance(answers, list)
-        or not answers
-        or not all(isinstance(a, str) for a in answers)
-    ):
-        raise ValidationError(f"{where}field 'answers' must be a non-empty string list")
-
-    rec_id = payload.get("id")
-    if rec_id is None:
-        rec_id = f"line-{lineno}" if lineno is not None else "r0"
-    type_code = payload.get("type", "EASY")
     try:
-        qtype = QuestionType(type_code)
+        return read(payload, lineno)
     except ValueError as exc:
-        raise ValidationError(f"{where}unknown question type {type_code!r}") from exc
+        raise ValidationError(f"{where}{exc}") from exc
 
-    facts_raw = payload.get("facts", [])
-    if not isinstance(facts_raw, list):
-        raise ValidationError(f"{where}field 'facts' must be a list")
-    facts = []
-    for k, item in enumerate(facts_raw):
-        try:
-            facts.append(TimeFact.from_json_dict(item))
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{where}facts[{k}]: {exc}") from exc
 
-    spec = None
-    if payload.get("time_spec") is not None:
-        try:
-            spec = QuestionTimeSpec.from_json_dict(payload["time_spec"])
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{where}time_spec: {exc}") from exc
-
-    return QARecord(
-        id=str(rec_id),
-        question=question,
-        context=context,
-        gold_answers=list(answers),
-        question_type=qtype,
-        facts=facts,
-        time_spec=spec,
-    )
+def parse_record(line: str, lineno: Optional[int] = None) -> QARecord:
+    """Parse one JSONL line; unknown keys are ignored."""
+    return _parse_line(line, lineno, _record)
 
 
 def serialize_record(record: QARecord) -> str:
@@ -186,18 +181,16 @@ def serialize_record(record: QARecord) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
+def _read_jsonl(path: str | Path, read) -> list:
+    """`_parse_line` of each non-blank line; errors name the file and line."""
+    where = f"{path}: "
+    with open(path, encoding="utf-8") as fh:
+        return [_parse_line(line, n, read, where) for n, line in enumerate(fh, start=1) if line.strip()]
+
+
 def load_dataset(path: str | Path) -> list[QARecord]:
     """Read a JSONL dataset, aborting with the offending line number."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(parse_record(line, lineno))
-            except ValueError as exc:
-                raise type(exc)(f"{path}: {exc}") from exc
-    return records
+    return _read_jsonl(path, _record)
 
 
 def save_dataset(records: Sequence[QARecord], path: str | Path) -> None:
@@ -205,16 +198,7 @@ def save_dataset(records: Sequence[QARecord], path: str | Path) -> None:
 
 
 def load_facts(path: str | Path) -> list[TimeFact]:
-    facts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                facts.append(TimeFact.from_json_dict(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return facts
+    return _read_jsonl(path, lambda payload, _: _time_fact(payload, ""))
 
 
 def save_facts(facts: Sequence[TimeFact], path: str | Path) -> None:

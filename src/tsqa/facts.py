@@ -10,14 +10,13 @@ period).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .intervals import MonthInterval, format_year_month, parse_year_month
+from .intervals import MonthInterval, format_year_month
 from .tagger import Token, tokenize
 
 # Relation name reserved for era/event definitions used by during-event
@@ -59,28 +58,6 @@ class TimeFact:
             "start": None if self.start is None else format_year_month(self.start),
             "end": None if self.end is None else format_year_month(self.end),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TimeFact":
-        if not isinstance(payload, dict):
-            raise TypeError("fact must be a JSON object")
-        def end_of(key: str) -> Optional[int]:
-            raw = payload.get(key)
-            return None if raw is None else parse_year_month(str(raw))
-
-        def text_of(key: str) -> str:
-            value = payload.get(key, "")
-            if not isinstance(value, str):
-                raise ValueError(f"fact field {key!r} must be a string, got {json.dumps(value)}")
-            return value
-
-        return cls(
-            subject=text_of("s"),
-            relation=text_of("r"),
-            object=text_of("o"),
-            start=end_of("start"),
-            end=end_of("end"),
-        )
 
 
 class FactIndex:

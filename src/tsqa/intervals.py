@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 MIN_YEAR = 1000
@@ -35,6 +36,7 @@ def index_to_year_month(idx: int) -> tuple[int, int]:
     return idx // 12, idx % 12 + 1
 
 
+@lru_cache(maxsize=4096)  # datasets repeat a few hundred distinct months many times
 def parse_year_month(text: str) -> int:
     """Parse "YYYY-MM" into a month index."""
     m = _YM_RE.match(text)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from tsqa.cli import main
-from tsqa.corpus import load_dataset, save_facts
+from tsqa.corpus import load_dataset, load_facts, save_facts, serialize_record
 from tsqa.facts import TimeFact
 from tsqa.intervals import year_span
 
@@ -492,7 +492,7 @@ def _corpus(capsys, tmp_path):
         ("features", {"fusion_mode": 1}, "features.fusion_mode: expected a string, got 1"),
         ("sft", {"batch_size": 2.5}, "sft.batch_size: expected an integer, got 2.5"),
         ("sft", {"learning_rate": "0.1"}, 'sft.learning_rate: expected a number, got "0.1"'),
-        ("features", [1], "features: must be a JSON object"),
+        ("features", [1], "features: expected a JSON object, got [1]"),
         ("sft", {"epochs": -1}, "sft: epochs must be non-negative"),
     ],
     ids=["bool_as_string", "int_as_string", "int_as_bool", "str_as_int", "int_as_real",
@@ -566,32 +566,59 @@ def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
         (
             ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
             '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": [1]}',
-            "line 1: time_spec: must be a JSON object",
+            "line 1: time_spec: expected a JSON object, got [1]",
         ),
-        (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '["a"]', "line 1: fact must be a JSON object"),
+        (["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"], '["a"]', 'line 1: expected a JSON object, got ["a"]'),
         (
             ["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"],
             '{"s": null, "r": "employer", "o": "Mill A", "start": "1950-01", "end": "1955-12"}',
-            "line 1: fact field 's' must be a string, got null",
+            "line 1: s: expected a string, got null",
         ),
         (
             ["mine", "--facts", "{bad}", "--subject", "Ada", "--relation", "employer"],
             '{"s": "Ada", "r": "employer", "o": 5, "start": "1950-01", "end": "1955-12"}',
-            "line 1: fact field 'o' must be a string, got 5",
+            "line 1: o: expected a string, got 5",
         ),
         (
             ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
             '{"question": "Q?", "context": "C.", "answers": ["A"], "facts": [{"s": "Ada", "r": 1, "o": "B"}]}',
-            "line 1: facts[0]: fact field 'r' must be a string, got 1",
+            "line 1: facts[0].r: expected a string, got 1",
         ),
         (
             ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
             '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "during_event", "event": ["x"]}}',
-            'line 1: time_spec: event must be a string, got ["x"]',
+            'line 1: time_spec.event: expected a string, got ["x"]',
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"id": ["x"], "question": "Q?", "context": "C.", "answers": ["A"]}',
+            'line 1: id: expected a string, got ["x"]',
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "point", "start": 1950, "end": 1951}}',
+            "line 1: time_spec.start: expected a string, got 1950",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "facts": [{"s": "Ada", "r": "e", "o": "B", "start": 1950}]}',
+            "line 1: facts[0].start: expected a string, got 1950",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "after", "start": "1950-01"}}',
+            "line 1: time_spec.end: expected a string like the other bound, got null",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "before", "start": null, "end": "1950-01"}}',
+            "line 1: time_spec.start: expected a string like the other bound, got null",
         ),
     ],
     ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object",
-         "fact_subject_null", "fact_object_number", "record_fact_relation_number", "time_spec_event_list"],
+         "fact_subject_null", "fact_object_number", "record_fact_relation_number", "time_spec_event_list",
+         "record_id_list", "time_spec_start_number", "record_fact_start_number", "time_spec_without_end",
+         "time_spec_without_start"],
 )
 def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):
     bad = tmp_path / "bad_input.json"
@@ -601,3 +628,63 @@ def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, mes
     assert code == 2
     assert f"{bad}: " in err
     assert message in err
+
+
+_FACT = {"s": "Ada", "r": "employer", "o": "Mill A", "start": "1950-01", "end": "1955-12"}
+_SPEC = {"kind": "range", "start": "1950-01", "end": "1952-12", "event": "War"}
+_RECORD = {
+    "id": "q1", "type": "L2", "question": "Where did Ada work?", "context": "Ada worked for Mill A.",
+    "answers": ["Mill A"], "facts": [_FACT], "time_spec": _SPEC,
+}
+# Keys that may be null; a time spec's start and end may be null only together.
+_NULLABLE = {"id", "time_spec", "start", "end", "event"}
+_SHAPES = (
+    [("record", key, (key,)) for key in _RECORD]
+    + [("record_fact", key, ("facts", 0, key)) for key in _FACT]
+    + [("fact_line", key, (key,)) for key in _FACT]
+    + [("time_spec", key, ("time_spec", key)) for key in _SPEC]
+)
+
+
+def _json_type(value) -> str:
+    kinds = {type(None): "null", bool: "bool", int: "number", str: "string", list: "list", dict: "object"}
+    return kinds[type(value)]
+
+
+@pytest.mark.parametrize("shape, key, path", _SHAPES, ids=[f"{s}.{k}" for s, k, _ in _SHAPES])
+def test_every_field_takes_its_json_type_and_names_itself_otherwise(capsys, tmp_path, shape, key, path):
+    """Each field set to each JSON type: a value of its own type, or null
+    where the key may be null, loads as written; anything else exits 2 and
+    names the file, the line and the field path."""
+    facts_file = shape == "fact_line"
+    bad = tmp_path / "mutated.jsonl"
+    for value in (None, True, 1950, "x", ["x"], {"x": 1}):
+        line = json.loads(json.dumps(_FACT if facts_file else _RECORD))
+        target = line
+        for step in path[:-1]:
+            target = target[step]
+        own = target[key]
+        if _json_type(value) == _json_type(own):
+            value = own
+        target[key] = value
+        bad.write_text(json.dumps(line) + "\n")
+        one_bound = shape == "time_spec" and key in ("start", "end")
+        if value is own or (value is None and key in _NULLABLE and not one_bound):
+            if facts_file:
+                assert load_facts(bad)[0].to_json_dict() == line
+            else:
+                loaded = json.loads(serialize_record(load_dataset(bad)[0]))
+                if line["id"] is None:
+                    line["id"] = "line-1"
+                if line["time_spec"] is None:
+                    del line["time_spec"]
+                assert loaded == line
+            continue
+        if facts_file:
+            argv = ["mine", "--facts", str(bad), "--subject", "Ada", "--relation", "employer"]
+        else:
+            argv = ["train-sft", "--train", str(bad), "--dev", str(bad), "--out", str(tmp_path / "p.ckpt")]
+        code, _, err = run(capsys, *argv)
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        assert code == 2, (key, value)
+        assert f"{bad}: line 1: {field}: " in err, (key, value, err)

@@ -103,7 +103,10 @@ def test_facts_file_round_trip(tmp_path, small_corpus):
     loaded = load_facts(path)
     assert loaded == facts
     (tmp_path / "bad.jsonl").write_text('{"subject": 1}\n', encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="line 1: s: expected a string, got nothing"):
+        load_facts(tmp_path / "bad.jsonl")
+    (tmp_path / "bad.jsonl").write_text("{\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1: invalid JSON"):
         load_facts(tmp_path / "bad.jsonl")
 
 
