@@ -56,15 +56,21 @@ def field_error(where: tuple, message: str) -> ValueError:
     return ValueError(f"{path}: {message}" if path else message)
 
 
+def _shown(value, limit: int = 60) -> str:
+    """`value` as JSON, cut short past `limit` characters (a sidecar's vocabulary runs to thousands)."""
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _json_value(value, sample, where: tuple):
     """`value` if it has the JSON type of `sample` (a tuple sample makes it a tuple),
     its elements or values checked against the sample's first element or value."""
     kind = type(value)
     accepts, name = _JSON_KINDS[type(sample)]
     if kind not in accepts:
-        raise field_error(where, f"expected {name}, got {json.dumps(value)}")
+        raise field_error(where, f"expected {name}, got {_shown(value)}")
     if kind is float and not math.isfinite(value):  # json parses NaN and Infinity
-        raise field_error(where, f"expected a finite number, got {json.dumps(value)}")
+        raise field_error(where, f"expected a finite number, got {_shown(value)}")
     if kind is list:
         if sample:
             value = [_json_value(v, sample[0], (*where, i)) for i, v in enumerate(value)]
@@ -80,7 +86,7 @@ def json_object(payload, shape: dict, where: tuple = ()) -> dict:
     ignoring other keys.  `shape` maps a key to a sample of its JSON type and
     its default: REQUIRED, a value, or None for a key that may be null or absent."""
     if not isinstance(payload, dict):
-        raise field_error(where, f"expected a JSON object, got {json.dumps(payload)}")
+        raise field_error(where, f"expected a JSON object, got {_shown(payload)}")
     values = {}
     for key, (sample, default) in shape.items():
         value = payload.get(key, default)

@@ -63,7 +63,10 @@ class TimeFact:
 class FactIndex:
     """Deduplicated fact store with a pair map and vectorized interval scan."""
 
-    def __init__(self, facts: Sequence[TimeFact]) -> None:
+    def __init__(self, facts: Sequence[TimeFact], names: Optional[dict[str, list[str]]] = None) -> None:
+        """`names` memoizes the token texts of subject and object names; indexes
+        built one per record pass one dict, so a recurring name is tokenized once."""
+        self._names = {} if names is None else names
         seen: set[tuple] = set()
         kept: list[TimeFact] = []
         for f in facts:
@@ -101,7 +104,7 @@ class FactIndex:
         self._by_first: dict[str, list[str]] = {}
         self._by_first_lower: dict[str, list[str]] = {}
         for s in self.subjects:
-            toks = [t.text for t in tokenize(s)]
+            toks = self._name_tokens(s)
             low = [t.lower() for t in toks]
             self._subject_tokens[s] = toks
             self._subject_tokens_lower[s] = low
@@ -134,11 +137,17 @@ class FactIndex:
         hit = (self._lo <= interval.hi) & (self._hi >= interval.lo)
         return np.nonzero(hit)[0]
 
+    def _name_tokens(self, name: str) -> list[str]:
+        toks = self._names.get(name)
+        if toks is None:
+            toks = self._names[name] = [t.text for t in tokenize(name)]
+        return toks
+
     def object_tokens(self, obj: str) -> list[str]:
         """Lower-cased token texts of a fact object, cached."""
         toks = self._object_tokens.get(obj)
         if toks is None:
-            toks = self._object_tokens[obj] = [t.text.lower() for t in tokenize(obj)]
+            toks = self._object_tokens[obj] = [t.lower() for t in self._name_tokens(obj)]
         return toks
 
     def mentioned_subjects(self, tokens: Sequence[str], lower: bool) -> list[str]:
@@ -292,13 +301,17 @@ def infer_question_pair(
     return subject, relation
 
 
-def _subseq_at(haystack: Sequence[str], needle: Sequence[str]) -> Optional[int]:
+def _subseq_at(haystack: list[str], needle: Sequence[str]) -> Optional[int]:
     """First index where `needle` occurs as a consecutive run, else None."""
     n, m = len(haystack), len(needle)
     if m == 0 or m > n:
         return None
-    first = needle[0]
-    for i in range(n - m + 1):
-        if haystack[i] == first and list(haystack[i:i + m]) == list(needle):
-            return i
-    return None
+    first, rest = needle[0], list(needle[1:])
+    i = -1
+    try:
+        while True:  # jump from one hit of the first token to the next
+            i = haystack.index(first, i + 1, n - m + 1)
+            if haystack[i + 1 : i + m] == rest:
+                return i
+    except ValueError:  # no further hit
+        return None

@@ -34,6 +34,13 @@ class TemporalMask:
     def __len__(self) -> int:
         return int(self.bits.size)
 
+    @classmethod
+    def _built(cls, bits: np.ndarray) -> "TemporalMask":
+        """A mask of int8 0/1 bits that this module built, not checked again."""
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "bits", bits)
+        return mask
+
 
 def build_mask(length: int, spans: Sequence[TemporalSpan]) -> TemporalMask:
     """Zeros with 1 at every position covered by a span (signals included)."""
@@ -44,7 +51,7 @@ def build_mask(length: int, spans: Sequence[TemporalSpan]) -> TemporalMask:
                 f"span [{s.tok_start}, {s.tok_end}) outside mask of length {length}"
             )
         bits[s.tok_start:s.tok_end] = 1
-    return TemporalMask(bits)
+    return TemporalMask._built(bits)
 
 
 def dilate(mask: TemporalMask, window: int) -> TemporalMask:
@@ -54,16 +61,16 @@ def dilate(mask: TemporalMask, window: int) -> TemporalMask:
         raise ValueError("window must be >= 0")
     bits = mask.bits
     if window == 0 or bits.size == 0:
-        return TemporalMask(bits.copy())
+        return TemporalMask._built(bits.copy())
     kernel = np.ones(2 * window + 1, dtype=np.int64)
     # mode="full" plus a centered slice keeps the output aligned with the
     # input even when the kernel is wider than the sequence.
     hit = np.convolve(bits.astype(np.int64), kernel, mode="full")[window : window + bits.size]
-    return TemporalMask((hit > 0).astype(np.int8))
+    return TemporalMask._built((hit > 0).astype(np.int8))
 
 
 def concat_masks(question_mask: TemporalMask, context_mask: TemporalMask) -> TemporalMask:
-    return TemporalMask(np.concatenate([question_mask.bits, context_mask.bits]))
+    return TemporalMask._built(np.concatenate([question_mask.bits, context_mask.bits]))
 
 
 def embed_temporal(bits: np.ndarray, time_table: np.ndarray) -> np.ndarray:

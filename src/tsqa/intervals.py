@@ -18,7 +18,7 @@ MAX_YEAR = 2999
 MIN_MONTH = MIN_YEAR * 12
 MAX_MONTH = MAX_YEAR * 12 + 11
 
-_YM_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_YM_RE = re.compile(r"(\d{4})-(\d{2})")
 
 
 def month_index(year: int, month: int) -> int:
@@ -39,7 +39,7 @@ def index_to_year_month(idx: int) -> tuple[int, int]:
 @lru_cache(maxsize=4096)  # datasets repeat a few hundred distinct months many times
 def parse_year_month(text: str) -> int:
     """Parse "YYYY-MM" into a month index."""
-    m = _YM_RE.match(text)
+    m = _YM_RE.fullmatch(text)  # the whole string, so "1950-01\n" is rejected
     if m is None:
         raise ValueError(f"bad year-month literal {text!r}, expected YYYY-MM")
     return month_index(int(m.group(1)), int(m.group(2)))

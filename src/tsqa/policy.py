@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import FeatureConfig, config_from_json
+from .config import REQUIRED, FeatureConfig, config_from_json, json_object
 from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, mine_proximal, mine_remote
 from .features import Vocabulary, build_mask, concat_masks, dilate, fuse
 from .fileio import write_atomic
@@ -112,43 +112,44 @@ class CompiledRecord:
 
 
 @dataclass(frozen=True)
-class _Runs:
-    """Rows grouped by an integer key, for per-key sums with one reduceat."""
+class _Groups:
+    """Tokens grouped by an integer key, for per-key sums of token rows."""
 
-    order: np.ndarray  # row indices sorted by key, ties in row order
-    starts: np.ndarray  # where each key's run begins in `order`
-    counts: np.ndarray  # rows per run
-    keys: np.ndarray  # the key of each run, ascending
+    keys: np.ndarray  # the distinct keys, ascending
+    index: np.ndarray  # (T,) each token's key, as a position in `keys`
 
     @classmethod
-    def of(cls, keys: np.ndarray) -> "_Runs":
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        # A run starts wherever the key changes, and at row 0.
-        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
-        return cls(order, starts, np.diff(np.append(starts, keys.size)), ordered[starts])
+    def of(cls, keys: np.ndarray) -> "_Groups":
+        return cls(*np.unique(keys, return_inverse=True))
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values[self.order], self.starts, axis=0)
+        """(len(keys), w) sums of the (T, w) rows of `values`, each key's rows added in token order."""
+        w = values.shape[1]
+        cells = (self.index[:, None] * w + np.arange(w)).ravel()
+        return np.bincount(cells, values.ravel(), minlength=self.keys.size * w).reshape(-1, w)
 
 
 @dataclass(frozen=True)
 class PoolRows:
-    """Which fused rows each attention pool reads, static per record.
+    """Which tokens each attention pool reads, static per record.
 
     Pool 0 is the question, pool 1 + c the mention window of candidate c.
     Rows are listed question first, then window by window, so each pool's
-    rows are one consecutive run.  The groupings by token id and by mask
-    bit serve only backward, so they are built on first read.
+    rows are one consecutive run; windows overlap, so a token may be the
+    row of several pools.  `flat` places each row's weight in a (pools x
+    tokens) attention matrix.  The groupings of the tokens by id and by
+    mask bit serve only backward, so they are built on first read.
     """
 
-    pos: np.ndarray  # (N,) fused-row index per row
+    pos: np.ndarray  # (N,) token index per row
     pool: np.ndarray  # (N,) pool per row
-    pools: _Runs  # rows grouped by pool
+    flat: np.ndarray  # (N,) pool * T + pos, the row's index in the flattened (P, T) matrix
+    starts: np.ndarray  # where each pool with rows begins
+    counts: np.ndarray  # and how many rows it has
     question_len: int
     n_pools: int
-    token_ids: np.ndarray  # the record's, over the fused axis
-    bits: np.ndarray  # the record's mask, over the fused axis
+    token_ids: np.ndarray  # the record's, over the token axis
+    bits: np.ndarray  # the record's mask, over the token axis
 
     @classmethod
     def of(
@@ -158,28 +159,33 @@ class PoolRows:
         token_ids: np.ndarray,
         bits: np.ndarray,
     ) -> "PoolRows":
-        sizes = [question_len] + [p.size for p in window_pos]
+        sizes = np.array([question_len] + [p.size for p in window_pos], dtype=np.intp)
         pos = np.concatenate([np.arange(question_len)] + list(window_pos)).astype(np.intp)
-        pool = np.repeat(np.arange(len(sizes)), sizes)
+        pool = np.repeat(np.arange(sizes.size), sizes)
+        counts = sizes[sizes > 0]
         return cls(
             pos=pos,
             pool=pool,
-            pools=_Runs.of(pool),
+            flat=pool * np.size(token_ids) + pos,
+            starts=np.cumsum(counts) - counts,
+            counts=counts,
             question_len=question_len,
-            n_pools=len(sizes),
+            n_pools=sizes.size,
             token_ids=token_ids,
             bits=bits,
         )
 
     @cached_property
-    def text(self) -> _Runs:
-        """Rows grouped by token id, for the text-table gradient."""
-        return _Runs.of(np.asarray(self.token_ids, dtype=np.intp)[self.pos])
+    def text(self) -> _Groups:
+        """Tokens grouped by token id, for the text-table gradient."""
+        return _Groups.of(np.asarray(self.token_ids, dtype=np.intp))
 
     @cached_property
-    def time(self) -> _Runs:
-        """Rows grouped by mask bit, for the time-table gradient."""
-        return _Runs.of(np.asarray(self.bits, dtype=np.intp)[self.pos])
+    def time(self) -> np.ndarray:
+        """(2, T) one-hot rows of the mask bits, so that `time @ rows` sums
+        the token rows per bit, for the time-table gradient."""
+        on = np.asarray(self.bits, dtype=float)
+        return np.stack([1.0 - on, on])
 
 
 def _window_positions(
@@ -205,9 +211,15 @@ def _interval_row(q_iv: Optional[MonthInterval], c_iv: Optional[MonthInterval]) 
 
 
 def compile_record(
-    record, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig
+    record,
+    index: Optional[FactIndex],
+    vocab: Vocabulary,
+    config: FeatureConfig,
+    names: Optional[dict[str, list[str]]] = None,
 ) -> CompiledRecord:
-    idx = index if index is not None else FactIndex(record.facts)
+    """The record against `index`, or with `index=None` against its own facts
+    (an index whose name tokens are memoized in `names`)."""
+    idx = index if index is not None else FactIndex(record.facts, names)
     q_tokens = tokenize(record.question)
     ctx_tokens = tokenize(record.context)
     q_spans = tag(q_tokens)
@@ -307,7 +319,8 @@ def compile_record(
 def compile_dataset(
     records: Sequence, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig
 ) -> list[CompiledRecord]:
-    return [compile_record(r, index, vocab, config) for r in records]
+    names: dict[str, list[str]] = {}  # shared by the per-record indexes of `index=None`
+    return [compile_record(r, index, vocab, config, names) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -375,41 +388,42 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
 
 @dataclass
 class RecordFeatures:
-    """Per-candidate feature matrix plus the fused rows the pools read.
+    """Per-candidate feature matrix plus what backward needs of the pools.
 
-    The rows, their attention weights and the record's `PoolRows` are
-    what lets backward reach the attention vectors and scatter gradients
-    into the shared tables; `config` tells backward the fusion mode and
-    whether the time table took part.
+    The fused vectors, the attention matrix and the record's `PoolRows`
+    are what lets backward reach the attention vectors and scatter
+    gradients into the shared tables; `config` tells backward the fusion
+    mode and whether the time table took part.
     """
 
     feats: np.ndarray  # (K, F)
     pooled: np.ndarray  # (F̄,)
-    rows: np.ndarray  # (N, fw) fused rows, in `layout` order
-    weights: np.ndarray  # (N,) attention weight within the row's pool
+    vectors: np.ndarray  # (T, fw) fused rows, one per token
+    attention: np.ndarray  # (P, T) each pool row's weight at (pool, token), else 0
     layout: PoolRows
     config: FeatureConfig
 
 
 def _attention_pools(
-    rows: np.ndarray, layout: PoolRows, u_question: np.ndarray, u_window: np.ndarray
+    vectors: np.ndarray, layout: PoolRows, u_question: np.ndarray, u_window: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool the question rows and each mention window with weights
+    """Pool the question tokens and each mention window with weights
     softmax(u·x_i), one u for the question and one for the windows.
 
-    Returns (pools, weights): pools is (n_pools, fw), zero for a pool with
-    no rows; weights holds each row's weight within its pool.
+    Returns (pools, attention): the (n_pools, T) attention matrix holds
+    each row's weight within its pool at the row's (pool, token), and
+    pools = attention @ vectors is (n_pools, fw), zero for a pool with no
+    rows.
     """
-    pools = np.zeros((layout.n_pools, rows.shape[1]))
-    if not rows.shape[0]:
-        return pools, np.zeros(0)
-    n_q = layout.question_len
-    runs = layout.pools
-    scores = np.concatenate([rows[:n_q] @ u_question, rows[n_q:] @ u_window])
-    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, runs.starts), runs.counts))
-    weights = e / np.repeat(np.add.reduceat(e, runs.starts), runs.counts)
-    pools[runs.keys] = np.add.reduceat(weights[:, None] * rows, runs.starts, axis=0)
-    return pools, weights
+    attention = np.zeros(layout.n_pools * vectors.shape[0])
+    if layout.pos.size:
+        n_q, starts, counts = layout.question_len, layout.starts, layout.counts
+        # Each token is scored once per attention vector, not once per row.
+        scores = np.concatenate([vectors[:n_q] @ u_question, (vectors @ u_window)[layout.pos[n_q:]]])
+        e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
+        attention[layout.flat] = e / np.repeat(np.add.reduceat(e, starts), counts)
+    attention = attention.reshape(layout.n_pools, vectors.shape[0])
+    return attention @ vectors, attention
 
 
 def featurize_record(
@@ -423,8 +437,7 @@ def featurize_record(
     k = len(comp.candidates)
 
     layout = comp.pool_rows
-    rows = vectors[layout.pos]
-    pools, weights = _attention_pools(rows, layout, params.u_question, params.u_window)
+    pools, attention = _attention_pools(vectors, layout, params.u_question, params.u_window)
     feats = np.empty((k, 2 * fw + 4))
     feats[:, :fw] = pools[0]
     feats[:, fw : 2 * fw] = pools[1:]
@@ -435,8 +448,8 @@ def featurize_record(
     return RecordFeatures(
         feats=feats,
         pooled=pooled,
-        rows=rows,
-        weights=weights,
+        vectors=vectors,
+        attention=attention,
         layout=layout,
         config=config,
     )
@@ -573,30 +586,40 @@ def _scatter_table_grads(
     attention vectors and the table rows.
 
     For a pool p = sum_i w_i x_i with w = softmax(u·x) and upstream g:
-    s_i = w_i g·(x_i - p), dx_i = w_i g + s_i u, du = sum_i s_i x_i.
+    s_i = w_i g·(x_i - p), dx_i = w_i g + s_i u, du = sum_i s_i x_i.  Row i
+    reads token pos_i, so token t's gradient sums its rows' dx_i: it is
+    column t of `coef` (the attention matrix, then the s_i summed per token
+    for each u) times the rows of `basis` (each pool's g, then the two u).
+    The tables' gradients group those columns by token id and by mask bit
+    before that product, so no per-token gradient row is ever formed.
     """
     layout = rf.layout
     if not layout.pos.size:
         return
     config = rf.config
     fw, d, n_q = config.fused_width, config.embed_dim, layout.question_len
+    vectors = rf.vectors
     # The question pool feeds every candidate's row.
     g_pools = np.concatenate([dfeats[:, :fw].sum(axis=0, keepdims=True), dfeats[:, fw : 2 * fw]])
     pools = np.concatenate([rf.feats[:1, :fw], rf.feats[:, fw : 2 * fw]])
-    g = g_pools[layout.pool]
-    s = rf.weights * ((rf.rows - pools[layout.pool]) * g).sum(axis=1)
-    dx = rf.weights[:, None] * g
-    dx[:n_q] += s[:n_q, None] * params.u_question
-    dx[n_q:] += s[n_q:, None] * params.u_window
-    grads.u_question += scale * (s[:n_q] @ rf.rows[:n_q])
-    grads.u_window += scale * (s[n_q:] @ rf.rows[n_q:])
+    # g_p·x_i is entry (pool_i, pos_i) of the (P, T) products.
+    g_rows = (g_pools @ vectors.T).ravel()[layout.flat]
+    weights = rf.attention.ravel()[layout.flat]
+    s = weights * (g_rows - (pools * g_pools).sum(axis=1)[layout.pool])
+    coef = np.concatenate([rf.attention, np.zeros((2, vectors.shape[0]))])
+    coef[-2, :n_q] = s[:n_q]
+    coef[-1] = np.bincount(layout.pos[n_q:], s[n_q:], minlength=vectors.shape[0])
+    basis = np.concatenate([g_pools, params.u_question[None], params.u_window[None]])
+    du = coef[-2:] @ vectors
+    grads.u_question += scale * du[0]
+    grads.u_window += scale * du[1]
     if config.fusion_mode == "add":
-        text_part, time_part = dx, dx
+        text_basis, time_basis = basis, basis
     else:
-        text_part, time_part = dx[:, :d], dx[:, d:]
-    grads.text_table[layout.text.keys] += scale * layout.text.sums(text_part)
+        text_basis, time_basis = basis[:, :d], basis[:, d:]
+    grads.text_table[layout.text.keys] += scale * (layout.text.sums(coef.T) @ text_basis)
     if config.temporal_fusion:  # off, featurize read a constant zero table
-        grads.time_table[layout.time.keys] += scale * layout.time.sums(time_part)
+        grads.time_table += scale * ((layout.time @ coef.T) @ time_basis)
 
 
 def backward(
@@ -686,6 +709,10 @@ _HEADER_FIELDS = (
 )
 
 
+# The sidecar's JSON shape: token -> id, and the feature config's block.
+_SIDECAR = {"vocab": ({"": 0}, REQUIRED), "features": ({}, REQUIRED)}
+
+
 def save_checkpoint(
     path: str | Path, params: PolicyParams, vocab: Vocabulary, config: FeatureConfig
 ) -> None:
@@ -710,14 +737,11 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, Vocabulary, Feature
 
     sidecar_path = _sidecar_path(path)
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar = json_object(json.loads(sidecar_path.read_text(encoding="utf-8")), _SIDECAR)
         vocab = Vocabulary.from_json(json.dumps(sidecar["vocab"]))
-        features = sidecar["features"]
-    except KeyError as exc:
-        raise ValueError(f"{sidecar_path}: missing field {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from exc
-    config = config_from_json(FeatureConfig, features, f"{sidecar_path}: features")
+    config = config_from_json(FeatureConfig, sidecar["features"], f"{sidecar_path}: features")
 
     shapes = param_shapes(len(vocab), config)
     for have, want, (what, field) in zip(sizes, _header_sizes(shapes), _HEADER_FIELDS):

@@ -227,8 +227,8 @@ def features_from_matrix(feats, pooled):
     return RecordFeatures(
         feats=feats,
         pooled=pooled,
-        rows=np.zeros((0, TINY.fused_width)),
-        weights=np.zeros(0),
+        vectors=np.zeros((0, TINY.fused_width)),
+        attention=np.zeros((1, 0)),
         layout=PoolRows.of(0, [], empty, empty),
         config=TINY,
     )

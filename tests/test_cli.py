@@ -437,17 +437,24 @@ def _sidecar_vocab_list(text):
     return json.dumps(sidecar)
 
 
+def _sidecar_vocab_id_string(text):
+    sidecar = json.loads(text)
+    sidecar["vocab"]["<unk>"] = "0"
+    return json.dumps(sidecar)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_sidecar_ids_outside_the_table, "vocabulary ids"),
         (_sidecar_negative_window, "window"),
         (_sidecar_corrupt, "Expecting property name"),
-        (_sidecar_without_vocab, "missing field 'vocab'"),
-        (_sidecar_vocab_list, "has no attribute"),
-        (lambda text: "[]", "list indices"),
+        (_sidecar_without_vocab, "vocab: expected a JSON object, got nothing"),
+        (_sidecar_vocab_list, 'vocab: expected a JSON object, got ["'),
+        (_sidecar_vocab_id_string, 'vocab.<unk>: expected an integer, got "0"'),
+        (lambda text: "[]", "mismatch.ckpt.json: expected a JSON object, got []"),
     ],
-    ids=["vocab_ids", "window", "corrupt", "no_vocab", "vocab_list", "not_an_object"],
+    ids=["vocab_ids", "window", "corrupt", "no_vocab", "vocab_list", "vocab_id_string", "not_an_object"],
 )
 def test_eval_names_the_sidecar_it_cannot_parse(capsys, tmp_path, edit, message):
     corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
@@ -460,6 +467,7 @@ def test_eval_names_the_sidecar_it_cannot_parse(capsys, tmp_path, edit, message)
     assert code == 2
     assert "mismatch.ckpt.json" in err
     assert message in err
+    assert len(err) < 300  # a long value is cut short, not the whole vocabulary
 
 
 def test_eval_on_truncated_checkpoint_names_the_file(capsys, tmp_path):
@@ -606,6 +614,11 @@ def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
         ),
         (
             ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "facts": [{"s": "Ada", "r": "e", "o": "B", "start": "1950-01\\n"}]}',
+            "line 1: facts[0].start: bad year-month literal '1950-01\\n'",
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
             '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "after", "start": "1950-01"}}',
             "line 1: time_spec.end: expected a string like the other bound, got null",
         ),
@@ -617,7 +630,8 @@ def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
     ],
     ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object",
          "fact_subject_null", "fact_object_number", "record_fact_relation_number", "time_spec_event_list",
-         "record_id_list", "time_spec_start_number", "record_fact_start_number", "time_spec_without_end",
+         "record_id_list", "time_spec_start_number", "record_fact_start_number", "record_fact_start_newline",
+         "time_spec_without_end",
          "time_spec_without_start"],
 )
 def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):

@@ -3,11 +3,15 @@
 The speedups in the tokenizer, the tagger, `compile_record` and the reward
 embedding are meant to leave every output bit for bit the same.  This test
 compiles a seeded corpus, with the shared fact index and with `index=None`,
-builds its reward caches, and compares one digest of every compiled field
-and of the reward table with the value recorded before those speedups.
+builds its reward caches, and compares two digests with recorded values:
+FIELDS_DIGEST of every compiled field and of the reward table, and
+LAYOUT_DIGEST of the static pool layout (`PoolRows`) that featurize and
+backward read.
 
 A change that alters compilation or the reward embedding on purpose
-updates DIGEST here and says so, with the reason, in CHANGES.md.
+updates the digest it moves here and says so, with the reason, in
+CHANGES.md.  FIELDS_DIGEST was last recorded before the exact compile
+speedups; LAYOUT_DIGEST when the pools moved to the token axis.
 """
 
 import hashlib
@@ -22,7 +26,8 @@ from tsqa.policy import CompiledRecord, compile_dataset
 from tsqa.reward import RewardParams
 from tsqa.trainer import build_reward_caches, build_vocabulary
 
-DIGEST = "07ae2f3deace331c70cba82c2412cdf4438654b73f2db5cfe1c6e2f5610bd720"
+FIELDS_DIGEST = "0de8b5d4fb5ad3c06dd331c3c57bea806af8833484bfff9d32b06cccf4d9ecb1"
+LAYOUT_DIGEST = "533276c781004126bc7f88c774e0907d03fd6745cc3e8142bda31cd273c7f2e0"
 
 
 def _feed(digest, value) -> None:
@@ -40,29 +45,25 @@ def _feed(digest, value) -> None:
     digest.update(b";")
 
 
-def _runs(runs) -> list:
-    return [runs.order, runs.starts, runs.counts, runs.keys]
-
-
-def compiled_and_reward_digest() -> str:
+def compiled_and_reward_digests() -> tuple[str, str]:
     train, dev, test, facts = generate_synthetic(SyntheticConfig(n_entities=40, seed=3))
     vocab = build_vocabulary([train, dev])
     config = FeatureConfig()
-    digest = hashlib.sha256()
+    digest, layout = hashlib.sha256(), hashlib.sha256()
     for index in (FactIndex(facts), None):
         compiled = compile_dataset(train + dev + test, index, vocab, config)
         for comp in compiled:
             for f in fields(CompiledRecord):
                 _feed(digest, getattr(comp, f.name))
             rows = comp.pool_rows
-            _feed(digest, [rows.pos, rows.pool, rows.question_len, rows.n_pools])
-            _feed(digest, _runs(rows.pools) + _runs(rows.text) + _runs(rows.time))
+            _feed(layout, [rows.pos, rows.pool, rows.flat, rows.starts, rows.counts, rows.question_len, rows.n_pools])
+            _feed(layout, [rows.text.keys, rows.text.index, rows.time])
         caches = build_reward_caches(compiled, RewardParams())
         _feed(digest, caches[0].table)
         for cache in caches:
             _feed(digest, [cache.cand_rows, cache.gold_row, cache.remote_rows, cache.proximal_rows, cache.em_sign])
-    return digest.hexdigest()
+    return digest.hexdigest(), layout.hexdigest()
 
 
 def test_compiled_records_and_reward_table_match_the_recorded_digest():
-    assert compiled_and_reward_digest() == DIGEST
+    assert compiled_and_reward_digests() == (FIELDS_DIGEST, LAYOUT_DIGEST)

@@ -9,6 +9,7 @@ from tsqa.facts import (
     FactIndex,
     ResolutionError,
     TimeFact,
+    _subseq_at,
     mine_proximal,
     mine_remote,
     resolve_question,
@@ -243,3 +244,34 @@ def test_sample_negatives_no_replacement():
         )
         assert len(set(got_remote)) == 4
         assert len(set(got_proximal)) == 4
+
+
+def test_subseq_at_finds_the_first_run_like_a_scan():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        haystack = [str(t) for t in rng.integers(0, 3, size=int(rng.integers(0, 12)))]
+        needle = [str(t) for t in rng.integers(0, 3, size=int(rng.integers(0, 4)))]
+        m = len(needle)
+        want = next((i for i in range(len(haystack) - m + 1) if m and haystack[i : i + m] == needle), None)
+        assert _subseq_at(haystack, needle) == want, (haystack, needle)
+
+
+def test_indexes_sharing_a_name_memo_tokenize_each_name_once(monkeypatch):
+    import tsqa.facts
+
+    calls = []
+    tokenize = tsqa.facts.tokenize
+    monkeypatch.setattr(tsqa.facts, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    names: dict = {}
+    shared = [FactIndex(CAREER, names) for _ in range(3)]
+    for idx in shared:
+        assert [idx.object_tokens(f.object) for f in CAREER] == [idx.object_tokens(f.object) for f in CAREER]
+    distinct = {f.subject for f in CAREER} | {f.object for f in CAREER}
+    assert sorted(calls) == sorted(distinct)
+    # The memo changes no answer: a fresh index reads the same tokens and subjects.
+    fresh = FactIndex(CAREER)
+    for idx in shared:
+        assert idx.mentioned_subjects(["ada", "met", "ben"], lower=True) == fresh.mentioned_subjects(
+            ["ada", "met", "ben"], lower=True
+        )
+        assert [idx.object_tokens(f.object) for f in CAREER] == [fresh.object_tokens(f.object) for f in CAREER]

@@ -148,3 +148,17 @@ def test_vocabulary_rejects_ids_that_are_not_a_range():
 def test_mask_rejects_non_binary():
     with pytest.raises(ValueError):
         TemporalMask(np.array([0, 2, 1]))
+
+
+def test_masks_built_here_skip_the_public_check(monkeypatch):
+    checked = []
+    check = TemporalMask.__post_init__
+    monkeypatch.setattr(TemporalMask, "__post_init__", lambda self: checked.append(1) or check(self))
+    toks = tokenize("He played from 1966 to 1972 there.")
+    q = dilate(build_mask(len(toks), tag(toks)), 1)
+    c = dilate(build_mask(3, []), 0)
+    mask = concat_masks(q, c)
+    assert not checked
+    # The same bits and dtype as the checked constructor gives them.
+    assert mask.bits.dtype == np.int8 and mask.bits.tolist() == [0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0]
+    assert np.array_equal(TemporalMask(mask.bits).bits, mask.bits) and checked == [1]

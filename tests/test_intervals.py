@@ -102,3 +102,9 @@ def test_parse_and_format_year_month():
     assert format_year_month(month_index(1996, 7)) == "1996-07"
     with pytest.raises(ValueError):
         parse_year_month("1996/07")
+
+
+@pytest.mark.parametrize("text", ["1996-07\n", "1996-07 ", " 1996-07", "1996-7", "x1996-07"])
+def test_parse_year_month_reads_the_whole_string(text):
+    with pytest.raises(ValueError, match="bad year-month literal"):
+        parse_year_month(text)

@@ -24,7 +24,7 @@ from tsqa.metrics import evaluate_compiled
 from tsqa.policy import compile_dataset, save_checkpoint
 from tsqa.trainer import PPOConfig, SFTConfig, build_vocabulary, train_ppo_compiled, train_sft_compiled
 
-DIGEST = "60b7419df0b991aaebcdb474047ce2e0e83b89982c09da9be90a4f0564f259bc"
+DIGEST = "459ff51a44c6e008e362efb9fca6b0d22d6e0e9b3817239287c042daf36f142f"
 
 FUSIONS = {
     "add": FeatureConfig(),
