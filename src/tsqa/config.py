@@ -98,6 +98,20 @@ def json_object(payload, shape: dict, where: tuple = ()) -> dict:
     return values
 
 
+def one_of(value, allowed, where: tuple):
+    """`value` if it is one of `allowed`, else a field error listing them."""
+    if value not in allowed:
+        raise field_error(where, f"expected one of {', '.join(map(_shown, allowed))}, got {_shown(value)}")
+    return value
+
+
+def non_empty(values: dict, keys, where: tuple = ()) -> None:
+    """Raise a field error for the first of `keys` whose value in `values` is empty."""
+    for key in keys:
+        if not values[key]:
+            raise field_error((*where, key), f"expected a non-empty value, got {_shown(values[key])}")
+
+
 def config_from_json(cls, block, where: str, **overrides):
     """The config dataclass `cls` from the JSON object `block` (other keys, such as
     commentary, ignored), with the overrides that are not None.  A field whose

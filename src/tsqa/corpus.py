@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, field_error, json_object
+from .config import REQUIRED, field_error, json_object, non_empty, one_of
 from .facts import EVENT_RELATION, TimeFact
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month, year_span
@@ -38,9 +38,7 @@ class QuestionType(str, Enum):
     HARD_IMPLICIT = "HARD"
 
 
-_SPEC_KINDS = {
-    "point", "range", "before", "after", "during_event", "first", "last", "none",
-}
+_SPEC_KINDS = ("point", "range", "before", "after", "during_event", "first", "last", "none")
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,14 @@ def _bounds(obj: dict, where: tuple) -> list[Optional[int]]:
 
 def _time_fact(payload, where: tuple) -> TimeFact:
     fact = json_object(payload, _FACT, where)
+    non_empty(fact, ("s", "r", "o"), where)
     start, end = _bounds(fact, where)
     return _built(where, TimeFact, fact["s"], fact["r"], fact["o"], start, end)
 
 
 def _time_spec(payload, where: tuple) -> QuestionTimeSpec:
     spec = json_object(payload, _TIME_SPEC, where)
+    one_of(spec["kind"], _SPEC_KINDS, (*where, "kind"))
     start, end = _bounds(spec, where)
     if (start is None) != (end is None):  # a time spec has both bounds or neither
         unset = "start" if start is None else "end"
@@ -132,9 +132,7 @@ def _time_spec(payload, where: tuple) -> QuestionTimeSpec:
 
 def _record(payload, lineno: Optional[int]) -> QARecord:
     rec = json_object(payload, _RECORD)
-    for key in ("question", "context", "answers"):
-        if not rec[key]:
-            raise field_error((key,), f"expected a non-empty value, got {json.dumps(rec[key])}")
+    non_empty(rec, ("question", "context", "answers"), ())
     rec_id = rec["id"]
     if rec_id is None:
         rec_id = f"line-{lineno}" if lineno is not None else "r0"
@@ -143,7 +141,7 @@ def _record(payload, lineno: Optional[int]) -> QARecord:
         question=rec["question"],
         context=rec["context"],
         gold_answers=rec["answers"],
-        question_type=_built(("type",), QuestionType, rec["type"]),
+        question_type=QuestionType(one_of(rec["type"], [t.value for t in QuestionType], ("type",))),
         facts=[_time_fact(f, ("facts", k)) for k, f in enumerate(rec["facts"])],
         time_spec=None if rec["time_spec"] is None else _time_spec(rec["time_spec"], ("time_spec",)),
     )

@@ -96,10 +96,11 @@ def fuse(
         raise ValueError("token_ids and mask length differ")
     if ids.size and (ids.min() < 0 or ids.max() >= text_table.shape[0]):
         raise ValueError("token id outside the text table")
-    text = text_table[ids]
-    time = time_table[np.asarray(bits, dtype=np.intp)]
+    text = text_table.take(ids, axis=0)
+    time = time_table.take(np.asarray(bits, dtype=np.intp), axis=0)
     if mode == "add":
-        return text + time
+        text += time
+        return text
     if mode == "concat":
         return np.concatenate([text, time], axis=1)
     raise ValueError(f"unknown fusion mode {mode!r}")

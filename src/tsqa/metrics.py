@@ -90,10 +90,14 @@ def score_predictions(
 
 
 def evaluate_compiled(compiled: Sequence, params, config) -> Metrics:
-    """Greedy-decode the policy over compiled records and score it."""
-    from .policy import greedy_predictions
+    """Greedy-decode the policy over compiled records and score it: each
+    chosen candidate's EM and F1, which a record keeps for later calls."""
+    from .policy import greedy_choices
 
-    return score_predictions(greedy_predictions(compiled, params, config), compiled)
+    choices = greedy_choices(compiled, params, config)
+    return _aggregate(
+        [(comp.question_type.value, *comp.candidate_score(int(i))) for comp, i in zip(compiled, choices)]
+    )
 
 
 def evaluate(dataset: Sequence, params, index, config, vocab) -> Metrics:

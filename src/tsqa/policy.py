@@ -27,7 +27,7 @@ from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, 
 from .features import Vocabulary, build_mask, concat_masks, dilate, fuse
 from .fileio import write_atomic
 from .intervals import MonthInterval
-from .metrics import normalize_answer
+from .metrics import exact_match, f1, normalize_answer
 from .tagger import parse_question_time, tag, tokenize
 
 # Interval features saturate at ten years so far-apart periods stop
@@ -106,86 +106,81 @@ class CompiledRecord:
     proximal_pool: list[str]
 
     @cached_property
-    def pool_rows(self) -> "PoolRows":
-        """The rows the attention pools read, worked out on first use."""
-        return PoolRows.of(self.question_len, self.window_pos, self.token_ids, self.bits)
+    def layout(self) -> "RecordLayout":
+        """The static arrays featurize reads, worked out once, on first use."""
+        return RecordLayout.of(self)
+
+    @cached_property
+    def _scores(self) -> dict[int, tuple[float, float]]:
+        return {}
+
+    def candidate_score(self, index: int) -> tuple[float, float]:
+        """Candidate `index`'s EM and F1 against the gold answers, scored on first use."""
+        score = self._scores.get(index)
+        if score is None:
+            text = self.candidates[index].text
+            score = self._scores[index] = (exact_match(text, self.gold_answers), f1(text, self.gold_answers))
+        return score
 
 
 @dataclass(frozen=True)
-class _Groups:
-    """Tokens grouped by an integer key, for per-key sums of token rows."""
-
-    keys: np.ndarray  # the distinct keys, ascending
-    index: np.ndarray  # (T,) each token's key, as a position in `keys`
-
-    @classmethod
-    def of(cls, keys: np.ndarray) -> "_Groups":
-        return cls(*np.unique(keys, return_inverse=True))
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """(len(keys), w) sums of the (T, w) rows of `values`, each key's rows added in token order."""
-        w = values.shape[1]
-        cells = (self.index[:, None] * w + np.arange(w)).ravel()
-        return np.bincount(cells, values.ravel(), minlength=self.keys.size * w).reshape(-1, w)
-
-
-@dataclass(frozen=True)
-class PoolRows:
-    """Which tokens each attention pool reads, static per record.
+class RecordLayout:
+    """Which tokens each attention pool reads, and the other static inputs
+    of featurize: per record, as arrays that a batch concatenates.
 
     Pool 0 is the question, pool 1 + c the mention window of candidate c.
     Rows are listed question first, then window by window, so each pool's
     rows are one consecutive run; windows overlap, so a token may be the
-    row of several pools.  `flat` places each row's weight in a (pools x
-    tokens) attention matrix.  The groupings of the tokens by id and by
-    mask bit serve only backward, so they are built on first read.
+    row of several pools.  The groupings by token id and mask bit serve
+    only backward, so `grouping` is built on first read.
     """
 
-    pos: np.ndarray  # (N,) token index per row
-    pool: np.ndarray  # (N,) pool per row
-    flat: np.ndarray  # (N,) pool * T + pos, the row's index in the flattened (P, T) matrix
-    starts: np.ndarray  # where each pool with rows begins
-    counts: np.ndarray  # and how many rows it has
-    question_len: int
-    n_pools: int
     token_ids: np.ndarray  # the record's, over the token axis
     bits: np.ndarray  # the record's mask, over the token axis
+    sizes: tuple[int, int, int]  # tokens T, pools P, rows N
+    rows: np.ndarray  # (3, N): 2 * token + (1 for a window row), pool * T + token, pool
+    counts: np.ndarray  # rows of each pool that has rows, in pool order
+    interval_feats: np.ndarray  # (K, 3)
+    density: np.ndarray  # (K,)
+    pooled_extra: np.ndarray  # (3,)
 
     @classmethod
-    def of(
-        cls,
-        question_len: int,
-        window_pos: Sequence[np.ndarray],
-        token_ids: np.ndarray,
-        bits: np.ndarray,
-    ) -> "PoolRows":
-        sizes = np.array([question_len] + [p.size for p in window_pos], dtype=np.intp)
-        pos = np.concatenate([np.arange(question_len)] + list(window_pos)).astype(np.intp)
-        pool = np.repeat(np.arange(sizes.size), sizes)
-        counts = sizes[sizes > 0]
+    def of(cls, comp: "CompiledRecord") -> "RecordLayout":
+        n_q, total = comp.question_len, comp.token_ids.size
+        sizes = np.array([n_q] + [p.size for p in comp.window_pos], dtype=np.intp)
+        pos = np.concatenate([np.arange(n_q)] + comp.window_pos, dtype=np.intp)
+        rows = np.empty((3, pos.size), dtype=np.intp)
+        rows[2] = np.repeat(np.arange(sizes.size), sizes)
+        np.multiply(pos, 2, out=rows[0])
+        rows[0, n_q:] += 1
+        np.multiply(rows[2], total, out=rows[1])
+        rows[1] += pos
         return cls(
-            pos=pos,
-            pool=pool,
-            flat=pool * np.size(token_ids) + pos,
-            starts=np.cumsum(counts) - counts,
-            counts=counts,
-            question_len=question_len,
-            n_pools=sizes.size,
-            token_ids=token_ids,
-            bits=bits,
+            token_ids=comp.token_ids,
+            bits=comp.bits,
+            sizes=(total, sizes.size, pos.size),
+            rows=rows,
+            counts=sizes[sizes > 0],
+            interval_feats=comp.interval_feats,
+            density=comp.density,
+            pooled_extra=comp.pooled_extra,
         )
 
     @cached_property
-    def text(self) -> _Groups:
-        """Tokens grouped by token id, for the text-table gradient."""
-        return _Groups.of(np.asarray(self.token_ids, dtype=np.intp))
+    def alone(self) -> "Batch":
+        """The record as a batch of one, for one-record calls; it shares the layout's arrays."""
+        return Batch([self])
 
     @cached_property
-    def time(self) -> np.ndarray:
-        """(2, T) one-hot rows of the mask bits, so that `time @ rows` sums
-        the token rows per bit, for the time-table gradient."""
-        on = np.asarray(self.bits, dtype=float)
-        return np.stack([1.0 - on, on])
+    def grouping(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct token ids, and (2, N) cells per row for backward's
+        (P + 2, ids) matrix that sums the attention weights (rows 0..P-1)
+        and the u terms (row P for the question's u, P + 1 for the
+        windows') per token id."""
+        score, _, pool = self.rows
+        keys, key = np.unique(self.token_ids, return_inverse=True)
+        key = key[score >> 1]
+        return keys, np.stack([pool * keys.size + key, (self.sizes[1] + (score & 1)) * keys.size + key])
 
 
 def _window_positions(
@@ -336,7 +331,8 @@ class PolicyParams:
     `flat` laid out in `named_tensors()` order: text_table (V, d),
     time_table (2, d), W1 (H, F), b1 (H,), W2 (1, H), b2 (1,), Wv (1, F̄),
     bv (1,), and the attention vectors u_question and u_window (fw,) of the
-    question pool and the mention-window pools.  Write through the views
+    question pool and the mention-window pools, which end the vector and
+    are also the one (2, fw) view `u`.  Write through the views
     (`params.W1 += g`), never rebind them."""
 
     def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> None:
@@ -346,6 +342,7 @@ class PolicyParams:
             size = math.prod(shape)
             setattr(self, name, flat[offset : offset + size].reshape(shape))
             offset += size
+        self.u = flat[offset - 2 * size : offset].reshape(2, size)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in _NAMES]
@@ -383,76 +380,121 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
 
 
 # ---------------------------------------------------------------------------
-# Featurization against current parameters.
+# The batched engine: featurize, forward and backward a list of records at
+# once.  A batch concatenates its records' layouts; only the (pools x
+# tokens) products stay per record, everything else is one numpy call per
+# batch.  The one-record entry points below are batches of one.
+
+
+def _joined(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """`arrays` concatenated; a single array is returned as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+class Batch:
+    """The layouts of a list of records, concatenated: one token axis, one
+    pool-row axis, one pool axis and one candidate axis, each record's block
+    after the one before.  A record may appear more than once.
+
+    The pool axis gives each record P + 2 rows: its pools, then two rows
+    that backward fills with the question's and the windows' u, so that a
+    record's (P + 2, fw) block is the basis its token gradients are
+    combinations of.
+    """
+
+    def __init__(self, layouts: Sequence["RecordLayout"]) -> None:
+        self.layouts = layouts
+        # Per record: the slice bounds of its tokens, attention cells and
+        # pools, then its row count, candidate count and first candidate.
+        self.blocks, sizes, t, c, p, k = [], [], 0, 0, 0, 0
+        for lay in layouts:
+            n_tokens, n_pools, n = lay.sizes
+            self.blocks.append((t, t + n_tokens, c, c + n_pools * n_tokens, p, p + n_pools))
+            sizes.append((n_tokens, n, n_pools - 1, k))
+            t, c, p, k = t + n_tokens, c + n_pools * n_tokens, p + n_pools + 2, k + n_pools - 1
+        self.n_cells, self.n_pools = c, p
+        bounds = np.array(self.blocks, dtype=np.intp).reshape(-1, 6)
+        self.pool_starts = bounds[:, 4]
+        self.n_tokens, self.n_rows, self.n_cands, self.cand_starts = np.array(sizes, dtype=np.intp).reshape(-1, 4).T
+        self.rows = _joined([lay.rows for lay in layouts], axis=1)
+        if len(layouts) > 1:  # a lone record's offsets are zero
+            offsets = bounds[:, 0::2].T * np.array([[2], [1], [1]])
+            self.rows = self.rows + np.repeat(offsets, self.n_rows, axis=1)
+        self.counts = _joined([lay.counts for lay in layouts])
+        self.row_starts = np.cumsum(self.counts) - self.counts
+        self.token_ids = _joined([lay.token_ids for lay in layouts])
+        self.bits = _joined([lay.bits for lay in layouts])
+        # Each candidate's pools: its record's question pool, and its own window pool.
+        self.question_pools = np.repeat(self.pool_starts, self.n_cands)
+        self.window_pools = np.arange(k) + np.repeat(self.pool_starts + 1 - self.cand_starts, self.n_cands)
+        self.interval_feats = _joined([lay.interval_feats for lay in layouts])
+        self.density = _joined([lay.density for lay in layouts])
+        self.pooled_extra = np.array([lay.pooled_extra for lay in layouts])
+
+    def __len__(self) -> int:
+        return len(self.layouts)
 
 
 @dataclass
-class RecordFeatures:
-    """Per-candidate feature matrix plus what backward needs of the pools.
+class BatchFeatures:
+    """Candidate feature rows and pooled states of a batch, plus what
+    backward needs of the pools: the fused vectors, the row weights and the
+    pools themselves.  `config` tells backward the fusion mode and whether
+    the time table took part."""
 
-    The fused vectors, the attention matrix and the record's `PoolRows`
-    are what lets backward reach the attention vectors and scatter
-    gradients into the shared tables; `config` tells backward the fusion
-    mode and whether the time table took part.
-    """
-
-    feats: np.ndarray  # (K, F)
-    pooled: np.ndarray  # (F̄,)
-    vectors: np.ndarray  # (T, fw) fused rows, one per token
-    attention: np.ndarray  # (P, T) each pool row's weight at (pool, token), else 0
-    layout: PoolRows
+    feats: np.ndarray  # (ΣK, F), record by record
+    pooled: np.ndarray  # (B, F̄)
+    vectors: np.ndarray  # (ΣT, fw) fused rows, one per token
+    weights: np.ndarray  # (ΣN,) each pool row's attention weight
+    pools: np.ndarray  # (ΣP + 2B, fw) on the batch's pool axis; the basis rows are zero
+    batch: Batch
     config: FeatureConfig
 
 
-def _attention_pools(
-    vectors: np.ndarray, layout: PoolRows, u_question: np.ndarray, u_window: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def featurize_batch(
+    records: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
+) -> BatchFeatures:
     """Pool the question tokens and each mention window with weights
-    softmax(u·x_i), one u for the question and one for the windows.
-
-    Returns (pools, attention): the (n_pools, T) attention matrix holds
-    each row's weight within its pool at the row's (pool, token), and
-    pools = attention @ vectors is (n_pools, fw), zero for a pool with no
-    rows.
-    """
-    attention = np.zeros(layout.n_pools * vectors.shape[0])
-    if layout.pos.size:
-        n_q, starts, counts = layout.question_len, layout.starts, layout.counts
-        # Each token is scored once per attention vector, not once per row.
-        scores = np.concatenate([vectors[:n_q] @ u_question, (vectors @ u_window)[layout.pos[n_q:]]])
-        e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
-        attention[layout.flat] = e / np.repeat(np.add.reduceat(e, starts), counts)
-    attention = attention.reshape(layout.n_pools, vectors.shape[0])
-    return attention @ vectors, attention
-
-
-def featurize_record(
-    comp: CompiledRecord, params: PolicyParams, config: FeatureConfig
-) -> RecordFeatures:
+    softmax(u·x_i), one u for the question and one for the windows, and
+    lay out each candidate's features: its question pool, its window pool,
+    then its interval features and density."""
+    batch = records[0].layout.alone if len(records) == 1 else Batch([c.layout for c in records])
     # With temporal fusion off the time table reads as zero, and backward
-    # leaves its gradient alone (`_scatter_table_grads`).
+    # leaves its gradient alone.
     time_table = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
-    vectors = fuse(comp.token_ids, comp.bits, params.text_table, time_table, config.fusion_mode)
+    vectors = fuse(batch.token_ids, batch.bits, params.text_table, time_table, config.fusion_mode)
     fw = vectors.shape[1]
-    k = len(comp.candidates)
+    score, flat, _ = batch.rows
 
-    layout = comp.pool_rows
-    pools, attention = _attention_pools(vectors, layout, params.u_question, params.u_window)
-    feats = np.empty((k, 2 * fw + 4))
-    feats[:, :fw] = pools[0]
-    feats[:, fw : 2 * fw] = pools[1:]
-    feats[:, 2 * fw : 2 * fw + 3] = comp.interval_feats
-    feats[:, -1] = comp.density
-    pooled = np.concatenate([vectors.mean(axis=0), comp.pooled_extra])
+    weights = np.zeros(0)
+    attention = np.zeros(batch.n_cells)
+    if score.size:
+        # Each token is scored once per attention vector, not once per row.
+        scores = (vectors @ params.u.T).ravel()[score]
+        starts, counts = batch.row_starts, batch.counts
+        e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
+        weights = e / np.repeat(np.add.reduceat(e, starts), counts)
+        attention[flat] = weights
+    pools = np.zeros((batch.n_pools, fw))
+    pooled = np.empty((len(batch), fw + 3))
+    for b, (t0, t1, c0, c1, p0, p1) in enumerate(batch.blocks):
+        np.matmul(attention[c0:c1].reshape(p1 - p0, t1 - t0), vectors[t0:t1], out=pools[p0:p1])
+        # Summed per record as `mean` sums, so a record's pooled state is the same bits in any batch.
+        np.add.reduce(vectors[t0:t1], axis=0, out=pooled[b, :fw])
 
-    return RecordFeatures(
-        feats=feats,
-        pooled=pooled,
-        vectors=vectors,
-        attention=attention,
-        layout=layout,
-        config=config,
-    )
+    feats = np.empty((batch.window_pools.size, 2 * fw + 4))
+    feats[:, :fw] = pools[batch.question_pools]
+    feats[:, fw : 2 * fw] = pools[batch.window_pools]
+    feats[:, 2 * fw : 2 * fw + 3] = batch.interval_feats
+    feats[:, -1] = batch.density
+    pooled[:, :fw] /= batch.n_tokens[:, None]
+    pooled[:, fw:] = batch.pooled_extra
+    return BatchFeatures(feats, pooled, vectors, weights, pools, batch, config)
+
+
+def featurize_record(comp: CompiledRecord, params: PolicyParams, config: FeatureConfig) -> BatchFeatures:
+    """`featurize_batch` of one record: feats is (K, F), pooled (1, F̄)."""
+    return featurize_batch([comp], params, config)
 
 
 def featurize(
@@ -473,157 +515,219 @@ class PolicyOutput:
     value: float
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def forward(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray) -> PolicyOutput:
-    feats = np.asarray(feats, dtype=float)
-    pooled = np.asarray(pooled, dtype=float)
+def _check_widths(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray, pooled_shape: tuple) -> None:
     if feats.ndim != 2 or feats.shape[1] != params.W1.shape[1]:
         raise ValueError(
             f"feature width {feats.shape} does not match W1 {params.W1.shape}"
         )
-    if pooled.shape != (params.Wv.shape[1],):
+    if pooled.shape != pooled_shape:
         raise ValueError(f"pooled state width {pooled.shape} does not match Wv")
-    _, logits = _hidden_and_logits(params, feats)
-    value = float((params.Wv @ pooled)[0] + params.bv[0])
-    return PolicyOutput(logits=logits, probs=_softmax(logits), value=value)
 
 
-def _hidden_and_logits(params: PolicyParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, H) tanh activations and the K candidate logits."""
+_FIRST = np.zeros(1, dtype=np.intp)  # the one record's start in a one-record call
+
+
+def _head(
+    params: PolicyParams, feats: np.ndarray, starts: np.ndarray, counts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (ΣK, H) tanh activations, the candidate logits, and their softmax
+    within each record's run of `counts` candidates from `starts`."""
     h = np.tanh(feats @ params.W1.T + params.b1)
-    return h, (h @ params.W2.T).ravel() + params.b2[0]
+    logits = (h @ params.W2.T).ravel() + params.b2[0]
+    e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), counts))
+    return h, logits, e / np.repeat(np.add.reduceat(e, starts), counts)
+
+
+def forward(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray) -> PolicyOutput:
+    """One record's logits and probabilities over its (K, F) candidate rows,
+    and the value of its (F̄,) pooled state."""
+    feats = np.asarray(feats, dtype=float)
+    pooled = np.asarray(pooled, dtype=float)
+    _check_widths(params, feats, pooled, (params.Wv.shape[1],))
+    _, logits, probs = _head(params, feats, _FIRST, feats.shape[0])
+    value = float(pooled @ params.Wv[0] + params.bv[0])
+    return PolicyOutput(logits=logits, probs=probs, value=value)
+
+
+def batch_probs(params: PolicyParams, features: BatchFeatures) -> np.ndarray:
+    """The (ΣK,) candidate probabilities of a batch, record by record."""
+    batch = features.batch
+    _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
+    return _head(params, features.feats, batch.cand_starts, batch.n_cands)[2]
 
 
 LOSS_KINDS = ("cross_entropy", "ppo_surrogate", "value_mse")
 
 
-def loss_and_grads(
-    params: PolicyParams,
-    rf: RecordFeatures,
-    loss_kind: str,
-    loss_inputs: dict,
-    into: Optional[PolicyParams] = None,
-    scale: float = 1.0,
-) -> tuple[float, PolicyParams, Optional[np.ndarray]]:
-    """Scalar loss, exact gradients and the candidate probabilities for one
-    record (None for value_mse, which computes none).
+def _picked(batch: Batch, inputs: dict, key: str) -> np.ndarray:
+    """Each record's candidate `inputs[key]`, as a position on the candidate axis."""
+    index = np.asarray(inputs[key], dtype=np.intp).reshape(len(batch))
+    outside = (index < 0) | (index >= batch.n_cands)
+    if outside.any():
+        b = int(np.argmax(outside))
+        name = "gold index" if key == "gold_index" else key
+        raise ValueError(f"{name} {index[b]} outside {batch.n_cands[b]} candidates")
+    return batch.cand_starts + index
 
-    The pooled state is treated as a constant input to the value head, so
-    value_mse touches only Wv and bv; the policy losses are the only path
-    into the perceptron and the shared tables.  With `into`, `scale` times
-    the gradients are added to it and it is returned: the sum a trainer
-    would form from fresh gradients, bit for bit, but the text table is
-    touched only at the rows the record reads.
-    """
-    grads = zeros_like_params(params) if into is None else into
-    if loss_kind == "value_mse":
-        ret = float(loss_inputs["return"])
-        v = float((params.Wv @ rf.pooled)[0] + params.bv[0])
-        diff = v - ret
-        grads.Wv[0, :] += scale * (2.0 * diff * rf.pooled)
-        grads.bv[0] += scale * (2.0 * diff)
-        return diff * diff, grads, None
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
 
-    feats = rf.feats
-    k = feats.shape[0]
-    h, logits = _hidden_and_logits(params, feats)
-    probs = _softmax(logits)
-
-    if loss_kind == "cross_entropy":
-        gold = int(loss_inputs["gold_index"])
-        if not 0 <= gold < k:
-            raise ValueError(f"gold index {gold} outside {k} candidates")
-        loss = -float(np.log(max(probs[gold], 1e-300)))
+def _policy_loss(
+    kind: str, probs: np.ndarray, batch: Batch, inputs: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record losses of a policy loss kind, and d(loss)/d(logits)."""
+    if kind == "cross_entropy":
+        gold = _picked(batch, inputs, "gold_index")
         dlogits = probs.copy()
         dlogits[gold] -= 1.0
-    else:
-        action = int(loss_inputs["action"])
-        if not 0 <= action < k:
-            raise ValueError(f"action {action} outside {k} candidates")
-        logp_old = float(loss_inputs["logprob_old"])
-        adv = float(loss_inputs["advantage"])
-        clip = float(loss_inputs["cliprange"])
-        if clip <= 0:
-            raise ValueError("cliprange must be positive")
-        logp_new = float(np.log(max(probs[action], 1e-300)))
-        ratio = float(np.exp(logp_new - logp_old))
-        clipped = float(np.clip(ratio, 1.0 - clip, 1.0 + clip))
-        loss = -min(ratio * adv, clipped * adv)
-        if ratio * adv <= clipped * adv:
-            coef = -ratio * adv  # unclipped branch active
-        else:
-            coef = 0.0
-        dlogits = coef * (-probs)
-        dlogits[action] += coef
-
-    dh = dlogits[:, None] * params.W2  # (K, H)
-    dz = dh * (1.0 - h * h)
-    grads.W2[0, :] += scale * (dlogits @ h)
-    grads.b2[0] += scale * float(dlogits.sum())
-    grads.W1 += scale * (dz.T @ feats)
-    grads.b1 += scale * dz.sum(axis=0)
-    dfeats = dz @ params.W1  # (K, F)
-
-    _scatter_table_grads(grads, scale, params, rf, dfeats)
-    return loss, grads, probs
+        return -np.log(np.maximum(probs[gold], 1e-300)), dlogits
+    action = _picked(batch, inputs, "action")
+    logp_old = np.asarray(inputs["logprob_old"], dtype=float)
+    adv = np.asarray(inputs["advantage"], dtype=float)
+    clip = np.asarray(inputs["cliprange"], dtype=float)
+    if (clip <= 0).any():
+        raise ValueError("cliprange must be positive")
+    ratio = np.exp(np.log(np.maximum(probs[action], 1e-300)) - logp_old)
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    # Only the unclipped branch has a gradient.
+    coef = np.where(ratio * adv <= clipped * adv, -ratio * adv, 0.0)
+    dlogits = np.repeat(coef, batch.n_cands) * -probs
+    dlogits[action] += coef
+    return -np.minimum(ratio * adv, clipped * adv), dlogits
 
 
-def _scatter_table_grads(
-    grads: PolicyParams,
-    scale: float,
+def loss_and_grads_batch(
     params: PolicyParams,
-    rf: RecordFeatures,
-    dfeats: np.ndarray,
-) -> None:
+    features: BatchFeatures,
+    losses: dict,
+    into: Optional[PolicyParams] = None,
+) -> tuple[dict, PolicyParams, Optional[np.ndarray]]:
+    """Per-record losses, exact gradients and the candidate probabilities
+    of a batch (None when only value_mse is asked for, which computes none).
+
+    `losses` maps each loss kind to its inputs, one entry per record:
+    gold_index (cross_entropy); action, logprob_old, advantage and cliprange
+    (ppo_surrogate); return (value_mse); and an optional scale, a number or
+    one per record.  Returns each kind's (B,) losses and the sum of the
+    scaled gradients, added to `into` when it is given.  The pooled state is
+    a constant input to the value head, so value_mse touches only Wv and
+    bv; the policy losses are the only path into the perceptron and the
+    shared tables.  The softmax ignores b2, so its gradient is zero.
+    """
+    batch = features.batch
+    _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
+    for kind in losses:
+        if kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {kind!r}")
+    grads = zeros_like_params(params) if into is None else into
+    out: dict[str, np.ndarray] = {}
+    h = probs = dlogits = None
+    for kind, inputs in losses.items():
+        scale = np.broadcast_to(np.asarray(inputs.get("scale", 1.0), dtype=float), (len(batch),))
+        if kind == "value_mse":
+            values = features.pooled @ params.Wv[0] + params.bv[0]
+            diff = values - np.asarray(inputs["return"], dtype=float)
+            dvalues = scale * (2.0 * diff)
+            grads.Wv[0] += dvalues @ features.pooled
+            grads.bv[0] += dvalues.sum()
+            out[kind] = diff * diff
+            continue
+        if probs is None:
+            h, _, probs = _head(params, features.feats, batch.cand_starts, batch.n_cands)
+            dlogits = np.zeros_like(probs)
+        out[kind], d = _policy_loss(kind, probs, batch, inputs)
+        dlogits += np.repeat(scale, batch.n_cands) * d
+    if dlogits is not None:
+        dz = dlogits[:, None] * params.W2 * (1.0 - h * h)  # (ΣK, H)
+        grads.W2[0] += dlogits @ h
+        grads.W1 += dz.T @ features.feats
+        grads.b1 += dz.sum(axis=0)
+        _pool_grads(grads, params, features, dz @ params.W1)
+    return out, grads, probs
+
+
+def _pool_grads(grads: PolicyParams, params: PolicyParams, features: BatchFeatures, dfeats: np.ndarray) -> None:
     """Backprop feature gradients through the attention pools into the
     attention vectors and the table rows.
 
     For a pool p = sum_i w_i x_i with w = softmax(u·x) and upstream g:
     s_i = w_i g·(x_i - p), dx_i = w_i g + s_i u, du = sum_i s_i x_i.  Row i
-    reads token pos_i, so token t's gradient sums its rows' dx_i: it is
-    column t of `coef` (the attention matrix, then the s_i summed per token
-    for each u) times the rows of `basis` (each pool's g, then the two u).
-    The tables' gradients group those columns by token id and by mask bit
-    before that product, so no per-token gradient row is ever formed.
+    reads one token, so a token's gradient sums its rows' dx_i: the
+    weights times their pools' g, then the s_i times their u.
     """
-    layout = rf.layout
-    if not layout.pos.size:
+    batch = features.batch
+    score, flat, pool = batch.rows
+    if not score.size:
         return
-    config = rf.config
-    fw, d, n_q = config.fused_width, config.embed_dim, layout.question_len
-    vectors = rf.vectors
-    # The question pool feeds every candidate's row.
-    g_pools = np.concatenate([dfeats[:, :fw].sum(axis=0, keepdims=True), dfeats[:, fw : 2 * fw]])
-    pools = np.concatenate([rf.feats[:1, :fw], rf.feats[:, fw : 2 * fw]])
-    # g_p·x_i is entry (pool_i, pos_i) of the (P, T) products.
-    g_rows = (g_pools @ vectors.T).ravel()[layout.flat]
-    weights = rf.attention.ravel()[layout.flat]
-    s = weights * (g_rows - (pools * g_pools).sum(axis=1)[layout.pool])
-    coef = np.concatenate([rf.attention, np.zeros((2, vectors.shape[0]))])
-    coef[-2, :n_q] = s[:n_q]
-    coef[-1] = np.bincount(layout.pos[n_q:], s[n_q:], minlength=vectors.shape[0])
-    basis = np.concatenate([g_pools, params.u_question[None], params.u_window[None]])
-    du = coef[-2:] @ vectors
-    grads.u_question += scale * du[0]
-    grads.u_window += scale * du[1]
-    if config.fusion_mode == "add":
-        text_basis, time_basis = basis, basis
-    else:
-        text_basis, time_basis = basis[:, :d], basis[:, d:]
-    grads.text_table[layout.text.keys] += scale * (layout.text.sums(coef.T) @ text_basis)
+    vectors, weights, fw = features.vectors, features.weights, features.config.fused_width
+    # The pool axis as the basis: each record's pool gradients, then its u.
+    # The question pool feeds each of its record's candidate rows.
+    basis = np.empty_like(features.pools)
+    basis[batch.pool_starts] = np.add.reduceat(dfeats[:, :fw], batch.cand_starts, axis=0)
+    basis[batch.window_pools] = dfeats[:, fw : 2 * fw]
+    u_rows = batch.pool_starts + batch.n_cands + 1
+    basis[u_rows], basis[u_rows + 1] = params.u
+    # g_p·x_t for each record's pools and tokens; row i reads (pool_i, token_i).
+    products = np.empty(batch.n_cells)
+    for t0, t1, c0, c1, p0, p1 in batch.blocks:
+        np.matmul(basis[p0:p1], vectors[t0:t1].T, out=products[c0:c1].reshape(p1 - p0, t1 - t0))
+    s = weights * (products[flat] - np.einsum("ij,ij->i", features.pools, basis)[pool])
+    # (token, u) sums of s; `score` is 2 * token + (1 for a window row).
+    du = np.bincount(score, s, minlength=2 * vectors.shape[0]).reshape(-1, 2).T @ vectors
+    grads.u += du
+    _table_grads(grads, features, np.concatenate([weights, s]), basis)
+
+
+def _table_grads(grads: PolicyParams, features: BatchFeatures, ws: np.ndarray, basis: np.ndarray) -> None:
+    """The tables' gradients from the row weights and s_i, `ws`, and the
+    basis: grouped by token id within each record, times the record's
+    basis block, then added into the text table; grouped by mask bit,
+    times the whole basis, for the time table."""
+    batch, config = features.batch, features.config
+    d = config.embed_dim
+    # Each record's (P + 2, ids) block of the grouped weights and s_i, and its slice bounds.
+    keys, cells, blocks, k, g = [], [], [], 0, 0
+    for lay, (_, _, _, _, p0, p1) in zip(batch.layouts, batch.blocks):
+        ids, index = lay.grouping
+        n_basis = p1 - p0 + 2
+        keys.append(ids)
+        cells.append(index)
+        blocks.append((k, k + ids.size, g, g + n_basis * ids.size, p0, p0 + n_basis))
+        k, g = k + ids.size, g + n_basis * ids.size
+    cells = np.concatenate(cells, axis=1) + np.repeat(np.array(blocks, dtype=np.intp)[:, 2], batch.n_rows)
+    text_basis, time_basis = (basis, basis) if config.fusion_mode == "add" else (basis[:, :d], basis[:, d:])
+    grouped = np.bincount(cells.ravel(), ws, minlength=g)
+    text = np.empty((k, d))
+    for k0, k1, g0, g1, b0, b1 in blocks:
+        np.matmul(grouped[g0:g1].reshape(b1 - b0, k1 - k0).T, text_basis[b0:b1], out=text[k0:k1])
+    # Records share token ids, so the one scatter must add repeated rows.
+    at = (np.concatenate(keys)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(grads.text_table.reshape(-1), at, text.ravel())
     if config.temporal_fusion:  # off, featurize read a constant zero table
-        grads.time_table += scale * ((layout.time @ coef.T) @ time_basis)
+        # The (basis row, mask bit) sums: row i's pool and its u row, each with the bit of its token.
+        score, _, pool = batch.rows
+        u_row = np.repeat(batch.pool_starts + batch.n_cands + 1, batch.n_rows) + (score & 1)
+        bit = batch.bits[score >> 1]
+        per_bit = np.bincount(np.concatenate([2 * pool + bit, 2 * u_row + bit]), ws, minlength=2 * batch.n_pools)
+        grads.time_table += per_bit.reshape(-1, 2).T @ time_basis
+
+
+def loss_and_grads(
+    params: PolicyParams,
+    rf: BatchFeatures,
+    loss_kind: str,
+    loss_inputs: dict,
+    into: Optional[PolicyParams] = None,
+    scale: float = 1.0,
+) -> tuple[float, PolicyParams, Optional[np.ndarray]]:
+    """`loss_and_grads_batch` of a one-record batch and one loss kind:
+    the scalar loss, the gradients (times `scale`, added to `into` when it
+    is given) and the candidate probabilities (None for value_mse)."""
+    inputs = {**loss_inputs, "scale": scale}
+    losses, grads, probs = loss_and_grads_batch(params, rf, {loss_kind: inputs}, into)
+    return float(losses[loss_kind][0]), grads, probs
 
 
 def backward(
-    params: PolicyParams, rf: RecordFeatures, loss_kind: str, loss_inputs: dict
+    params: PolicyParams, rf: BatchFeatures, loss_kind: str, loss_inputs: dict
 ) -> PolicyParams:
     """The gradients of `loss_and_grads`; kept as a name the benchmark's tracer lists."""
     return loss_and_grads(params, rf, loss_kind, loss_inputs)[1]
@@ -668,17 +772,47 @@ def grad_check(
 # ---------------------------------------------------------------------------
 # Inference.
 
+# Records per inference batch are cut at this many tokens, which bounds
+# the batch's temporaries while keeping the per-call cost shared.
+_CHUNK_TOKENS = 1024
+
+
+def token_chunks(records: Sequence[CompiledRecord]) -> list[Sequence[CompiledRecord]]:
+    """`records` cut into consecutive runs of at most `_CHUNK_TOKENS`
+    tokens, or of one record that is longer."""
+    chunks, start, used = [], 0, 0
+    for i, comp in enumerate(records):
+        n = comp.token_ids.size
+        if used and used + n > _CHUNK_TOKENS:
+            chunks.append(records[start:i])
+            start, used = i, 0
+        used += n
+    if start < len(records):
+        chunks.append(records[start:])
+    return chunks
+
+
+def greedy_choices(
+    compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
+) -> np.ndarray:
+    """Each record's argmax candidate (the first of equal ones), in input order."""
+    out = []
+    for chunk in token_chunks(compiled):
+        features = featurize_batch(chunk, params, config)
+        batch = features.batch
+        probs = batch_probs(params, features)
+        top = probs == np.repeat(np.maximum.reduceat(probs, batch.cand_starts), batch.n_cands)
+        first = np.where(top, np.arange(probs.size), probs.size)
+        out.append(np.minimum.reduceat(first, batch.cand_starts) - batch.cand_starts)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
+
 
 def greedy_predictions(
     compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
 ) -> list[str]:
     """Argmax candidate text per record, in input order."""
-    out = []
-    for comp in compiled:
-        rf = featurize_record(comp, params, config)
-        result = forward(params, rf.feats, rf.pooled)
-        out.append(comp.candidates[int(np.argmax(result.probs))].text)
-    return out
+    choices = greedy_choices(compiled, params, config)
+    return [comp.candidates[int(c)].text for comp, c in zip(compiled, choices)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ from .metrics import evaluate_compiled, exact_match
 from .policy import (
     CompiledRecord,
     PolicyParams,
+    batch_probs,
+    featurize_batch,
     featurize_record,
     forward,
     init_params,
-    loss_and_grads,
-    zeros_like_params,
+    loss_and_grads_batch,
+    token_chunks,
 )
 from .reward import RewardParams
 from .tagger import tokenize
@@ -182,20 +184,11 @@ def train_sft_compiled(
         order = rng.permutation(len(usable))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            chunk = order[start : start + config.batch_size]
-            grads = zeros_like_params(params)
-            for j in chunk:
-                comp = usable[int(j)]
-                rf = featurize_record(comp, params, feature_config)
-                loss, _, _ = loss_and_grads(
-                    params,
-                    rf,
-                    "cross_entropy",
-                    {"gold_index": comp.gold_index},
-                    into=grads,
-                    scale=1.0 / len(chunk),
-                )
-                epoch_loss += loss
+            chunk = [usable[int(j)] for j in order[start : start + config.batch_size]]
+            features = featurize_batch(chunk, params, feature_config)
+            inputs = {"gold_index": [comp.gold_index for comp in chunk], "scale": 1.0 / len(chunk)}
+            losses, grads, _ = loss_and_grads_batch(params, features, {"cross_entropy": inputs})
+            epoch_loss += float(losses["cross_entropy"].sum())
             optimizer.step(params, grads)
         metrics = evaluate_compiled(compiled_dev, params, feature_config)
         history.append(
@@ -332,7 +325,7 @@ def collect_rollouts(
         i = int(rng.integers(len(dataset)))
         comp = dataset[i]
         rf = featurize_record(comp, params, feature_config)
-        out = forward(params, rf.feats, rf.pooled)
+        out = forward(params, rf.feats, rf.pooled[0])
         a = int(rng.choice(len(out.probs), p=out.probs))
         logp = float(np.log(max(out.probs[a], 1e-300)))
         logp_ref = float(np.log(max(ref_probs[i][a], 1e-300)))
@@ -369,9 +362,9 @@ def reference_probs(
     feature_config: FeatureConfig,
 ) -> list[np.ndarray]:
     out = []
-    for comp in dataset:
-        rf = featurize_record(comp, reference_params, feature_config)
-        out.append(forward(reference_params, rf.feats, rf.pooled).probs)
+    for chunk in token_chunks(dataset):
+        features = featurize_batch(chunk, reference_params, feature_config)
+        out += np.split(batch_probs(reference_params, features), features.batch.cand_starts[1:])
     return out
 
 
@@ -398,48 +391,39 @@ def ppo_update(
         order = rng.permutation(n)
         for start in range(0, n, config.chunk_size):
             chunk = order[start : start + config.chunk_size]
-            grads = zeros_like_params(params)
-            for j in chunk:
-                j = int(j)
-                comp = batch.compiled[j]
-                rf = featurize_record(comp, params, feature_config)
-                p_loss, _, probs = loss_and_grads(
-                    params,
-                    rf,
-                    "ppo_surrogate",
-                    {
-                        "action": int(batch.actions[j]),
-                        "logprob_old": float(batch.logprob_old[j]),
-                        "advantage": float(batch.advantages[j]),
+            records = [batch.compiled[int(j)] for j in chunk]
+            features = featurize_batch(records, params, feature_config)
+            actions, logprob_old = batch.actions[chunk], batch.logprob_old[chunk]
+            losses, grads, probs = loss_and_grads_batch(
+                params,
+                features,
+                {
+                    "ppo_surrogate": {
+                        "action": actions,
+                        "logprob_old": logprob_old,
+                        "advantage": batch.advantages[chunk],
                         "cliprange": config.cliprange,
+                        "scale": 1.0 / len(chunk),
                     },
-                    into=grads,
-                    scale=1.0 / len(chunk),
+                    "value_mse": {"return": batch.returns[chunk], "scale": config.vf_coef / len(chunk)},
+                },
+            )
+            p_loss, v_loss = losses["ppo_surrogate"], losses["value_mse"]
+            finite = np.isfinite(p_loss + config.vf_coef * v_loss)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise RuntimeError(
+                    f"non-finite PPO loss on record {records[j].id}: "
+                    f"policy={p_loss[j]}, value={v_loss[j]}"
                 )
-                v_loss, _, _ = loss_and_grads(
-                    params,
-                    rf,
-                    "value_mse",
-                    {"return": float(batch.returns[j])},
-                    into=grads,
-                    scale=config.vf_coef / len(chunk),
-                )
-                total = p_loss + config.vf_coef * v_loss
-                if not np.isfinite(total):
-                    raise RuntimeError(
-                        f"non-finite PPO loss on record {comp.id}: "
-                        f"policy={p_loss}, value={v_loss}"
-                    )
-                policy_losses.append(p_loss)
-                value_losses.append(v_loss)
+            policy_losses += p_loss.tolist()
+            value_losses += v_loss.tolist()
 
-                # The policy loss's own probabilities: the parameters only
-                # change at the end of the chunk.
-                logp_new = float(np.log(max(probs[int(batch.actions[j])], 1e-300)))
-                ratio = np.exp(logp_new - float(batch.logprob_old[j]))
-                kl_terms.append(float(batch.logprob_old[j]) - logp_new)
-                if abs(ratio - 1.0) > config.cliprange:
-                    clip_hits += 1
+            # The policy loss's own probabilities: the parameters only
+            # change at the end of the chunk.
+            logp_new = np.log(np.maximum(probs[features.batch.cand_starts + actions], 1e-300))
+            kl_terms += (logprob_old - logp_new).tolist()
+            clip_hits += int((np.abs(np.exp(logp_new - logprob_old) - 1.0) > config.cliprange).sum())
             optimizer.step(params, grads)
     stats = {
         "policy_loss": float(np.mean(policy_losses)),

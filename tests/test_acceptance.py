@@ -19,8 +19,8 @@ from tsqa.features import TemporalMask, Vocabulary, build_mask, dilate
 from tsqa.intervals import MonthInterval, month_index
 from tsqa.metrics import evaluate_compiled, exact_match, f1
 from tsqa.policy import (
-    PoolRows,
-    RecordFeatures,
+    Candidate,
+    CompiledRecord,
     compile_dataset,
     compile_record,
     featurize_record,
@@ -221,17 +221,20 @@ def random_params(rng, vocab_size):
 
 
 def features_from_matrix(feats, pooled):
-    """Features with no table provenance: no pooled rows, so backward
-    reaches neither the tables nor the attention vectors."""
-    empty = np.arange(0)
-    return RecordFeatures(
-        feats=feats,
-        pooled=pooled,
-        vectors=np.zeros((0, TINY.fused_width)),
-        attention=np.zeros((1, 0)),
-        layout=PoolRows.of(0, [], empty, empty),
-        config=TINY,
+    """Features with no table provenance: those of a record with no pooled
+    rows, overwritten, so backward reaches neither the tables nor the
+    attention vectors."""
+    k = feats.shape[0]
+    stub = CompiledRecord(
+        id="stub", question_type=None, gold_answers=[""], spec=None,
+        token_ids=np.zeros(1, dtype=np.intp), bits=np.zeros(1, dtype=np.int8), question_len=0,
+        candidates=[Candidate("")] * k, gold_index=k - 1, window_pos=[np.arange(0)] * k,
+        interval_feats=np.zeros((k, 3)), density=np.zeros(k), pooled_extra=np.zeros(3),
+        q_interval=None, subject=None, relation=None, remote_pool=[], proximal_pool=[],
     )
+    rf = featurize_record(stub, init_params(np.random.default_rng(0), 1, TINY), TINY)
+    rf.feats[:], rf.pooled[0] = feats, pooled
+    return rf
 
 
 def test_criterion_4_gradient_fidelity():
@@ -241,7 +244,7 @@ def test_criterion_4_gradient_fidelity():
     worst = {"cross_entropy": 0.0, "ppo_surrogate": 0.0, "value_mse": 0.0}
 
     def ppo_inputs(params, rf):
-        out = forward(params, rf.feats, rf.pooled)
+        out = forward(params, rf.feats, rf.pooled[0])
         action = int(rng.integers(len(out.probs)))
         offset = float(rng.choice([-0.5, 0.0, 0.5]))
         sign = 1.0 if rng.random() < 0.5 else -1.0

@@ -627,12 +627,28 @@ def test_gen_reads_year_range_as_a_list(capsys, tmp_path):
             '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "before", "start": null, "end": "1950-01"}}',
             "line 1: time_spec.start: expected a string like the other bound, got null",
         ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"type": "L9", "question": "Q?", "context": "C.", "answers": ["A"]}',
+            'line 1: type: expected one of "L2", "L3", "EASY", "HARD", got "L9"',
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "facts": [{"s": "", "r": "e", "o": "B"}]}',
+            'line 1: facts[0].s: expected a non-empty value, got ""',
+        ),
+        (
+            ["train-sft", "--train", "{bad}", "--dev", "{bad}", "--out", "{tmp}/p.ckpt"],
+            '{"question": "Q?", "context": "C.", "answers": ["A"], "time_spec": {"kind": "sometime"}}',
+            'line 1: time_spec.kind: expected one of "point", "range", "before", "after", "during_event", '
+            '"first", "last", "none", got "sometime"',
+        ),
     ],
     ids=["config_json", "dataset_line", "facts_line", "time_spec_not_object", "fact_not_object",
          "fact_subject_null", "fact_object_number", "record_fact_relation_number", "time_spec_event_list",
          "record_id_list", "time_spec_start_number", "record_fact_start_number", "record_fact_start_newline",
          "time_spec_without_end",
-         "time_spec_without_start"],
+         "time_spec_without_start", "record_type_unknown", "record_fact_subject_empty", "time_spec_kind_unknown"],
 )
 def test_input_file_errors_name_the_file(capsys, tmp_path, command, content, message):
     bad = tmp_path / "bad_input.json"

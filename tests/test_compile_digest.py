@@ -5,13 +5,13 @@ embedding are meant to leave every output bit for bit the same.  This test
 compiles a seeded corpus, with the shared fact index and with `index=None`,
 builds its reward caches, and compares two digests with recorded values:
 FIELDS_DIGEST of every compiled field and of the reward table, and
-LAYOUT_DIGEST of the static pool layout (`PoolRows`) that featurize and
-backward read.
+LAYOUT_DIGEST of the static per-record layout (`RecordLayout`) that the
+batched featurize and backward concatenate.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in
 CHANGES.md.  FIELDS_DIGEST was last recorded before the exact compile
-speedups; LAYOUT_DIGEST when the pools moved to the token axis.
+speedups; LAYOUT_DIGEST when featurize and backward became batched.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ from tsqa.reward import RewardParams
 from tsqa.trainer import build_reward_caches, build_vocabulary
 
 FIELDS_DIGEST = "0de8b5d4fb5ad3c06dd331c3c57bea806af8833484bfff9d32b06cccf4d9ecb1"
-LAYOUT_DIGEST = "533276c781004126bc7f88c774e0907d03fd6745cc3e8142bda31cd273c7f2e0"
+LAYOUT_DIGEST = "e0412a718e908290a2324363df9a65af66f96a9c79785e6e88c9849792344eed"
 
 
 def _feed(digest, value) -> None:
@@ -55,9 +55,9 @@ def compiled_and_reward_digests() -> tuple[str, str]:
         for comp in compiled:
             for f in fields(CompiledRecord):
                 _feed(digest, getattr(comp, f.name))
-            rows = comp.pool_rows
-            _feed(layout, [rows.pos, rows.pool, rows.flat, rows.starts, rows.counts, rows.question_len, rows.n_pools])
-            _feed(layout, [rows.text.keys, rows.text.index, rows.time])
+            lay = comp.layout
+            _feed(layout, [lay.sizes, lay.rows, lay.counts])
+            _feed(layout, list(lay.grouping))
         caches = build_reward_caches(compiled, RewardParams())
         _feed(digest, caches[0].table)
         for cache in caches:

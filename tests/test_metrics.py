@@ -5,10 +5,13 @@ import io
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from tsqa import policy
 from tsqa.metrics import (
     Metrics,
+    evaluate_compiled,
     exact_match,
     f1,
     normalize_answer,
@@ -186,3 +189,16 @@ def test_report_formats_and_csv_round_trip():
     assert parsed.keys() - {"overall"} == metrics.by_type.keys()
     with pytest.raises(ValueError):
         report(metrics, fmt="xml")
+
+
+def test_cached_candidate_scores_equal_score_predictions(monkeypatch, small_compiled, small_vocab, tiny_features):
+    records = [c for split in small_compiled for c in split]
+    params = policy.init_params(np.random.default_rng(0), len(small_vocab), tiny_features)
+    greedy = [score_predictions(policy.greedy_predictions(split, params, tiny_features), split) for split in small_compiled]
+    assert [evaluate_compiled(split, params, tiny_features) for split in small_compiled] == greedy
+    # Every candidate choice, record by record: the j-th candidate, or the last.
+    for j in range(max(len(c.candidates) for c in records)):
+        picks = np.array([min(j, len(c.candidates) - 1) for c in records])
+        monkeypatch.setattr(policy, "greedy_choices", lambda compiled, params, config: picks)
+        texts = [c.candidates[i].text for c, i in zip(records, picks)]
+        assert evaluate_compiled(records, params, tiny_features) == score_predictions(texts, records)

@@ -13,7 +13,6 @@ from tsqa.intervals import year_span
 from tsqa.policy import (
     Candidate,
     PolicyParams,
-    RecordFeatures,
     compile_dataset,
     compile_record,
     extract_candidates,
@@ -338,7 +337,7 @@ def test_featurize_record_matches_reference_pools(tiny_features):
         assert np.allclose(row[fw : 2 * fw], want, rtol=0, atol=1e-12), cand.text
         assert np.array_equal(row[2 * fw : 2 * fw + 3], comp.interval_feats[i])
         assert row[-1] == comp.bits[lo : hi + 1].mean()
-    assert np.array_equal(rf.pooled[:fw], vectors.mean(axis=0))
+    assert np.array_equal(rf.pooled[0, :fw], vectors.mean(axis=0))
 
 
 def params_for(vocab_size, config, seed=0):
@@ -351,7 +350,7 @@ def test_forward_zero_params_uniform(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     k = len(comp.candidates)
     assert np.allclose(out.probs, np.full(k, 1.0 / k))
     assert out.value == 0.0
@@ -363,12 +362,12 @@ def test_forward_probs_simplex_and_shift_invariance(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert (out.probs > 0).all()
     shifted = params.clone()
     shifted.b2[0] += 7.5
-    out2 = forward(shifted, rf.feats, rf.pooled)
+    out2 = forward(shifted, rf.feats, rf.pooled[0])
     assert np.allclose(out.probs, out2.probs)
 
 
@@ -381,8 +380,8 @@ def test_forward_permutation_equivariance(tiny_features):
     rng = np.random.default_rng(2)
     for _ in range(20):
         perm = rng.permutation(rf.feats.shape[0])
-        out = forward(params, rf.feats, rf.pooled)
-        out_p = forward(params, rf.feats[perm], rf.pooled)
+        out = forward(params, rf.feats, rf.pooled[0])
+        out_p = forward(params, rf.feats[perm], rf.pooled[0])
         assert np.allclose(out_p.logits, out.logits[perm])
         assert np.allclose(out_p.probs, out.probs[perm])
 
@@ -394,9 +393,9 @@ def test_forward_shape_errors(tiny_features):
 
     rf = featurize_record(comp, params, tiny_features)
     with pytest.raises(ValueError):
-        forward(params, rf.feats[:, :-1], rf.pooled)
+        forward(params, rf.feats[:, :-1], rf.pooled[0])
     with pytest.raises(ValueError):
-        forward(params, rf.feats, rf.pooled[:-1])
+        forward(params, rf.feats, rf.pooled[0, :-1])
 
 
 def test_zero_time_table_fusion_switch_identity():
@@ -414,8 +413,8 @@ def test_zero_time_table_fusion_switch_identity():
         rf_off = featurize_record(comp, params, fc_off)
         assert np.array_equal(rf_on.feats, rf_off.feats)
         assert np.array_equal(rf_on.pooled, rf_off.pooled)
-        on = forward(params, rf_on.feats, rf_on.pooled)
-        off = forward(params, rf_off.feats, rf_off.pooled)
+        on = forward(params, rf_on.feats, rf_on.pooled[0])
+        off = forward(params, rf_off.feats, rf_off.pooled[0])
         assert np.array_equal(on.logits, off.logits)
         assert on.value == off.value
 
@@ -458,7 +457,7 @@ def test_time_table_gradient_is_zero_when_fusion_off(small_corpus, small_vocab, 
         inputs = {"gold_index": comp.gold_index}
     else:
         rf = featurize_record(comp, params, fc)
-        base = float(np.log(forward(params, rf.feats, rf.pooled).probs[0]))
+        base = float(np.log(forward(params, rf.feats, rf.pooled[0]).probs[0]))
         inputs = {"action": 0, "logprob_old": base, "advantage": 1.3, "cliprange": 0.2}
     run = _closure(comp, fc, kind, inputs)
     _, grads, _ = run(params)
@@ -507,11 +506,11 @@ def test_cross_entropy_values_and_dlogits(tiny_features):
     rf = featurize_record(comp, params, tiny_features)
     loss, grads, _ = loss_and_grads(params, rf, "cross_entropy", {"gold_index": comp.gold_index})
     h = np.tanh(rf.feats @ params.W1.T + params.b1)
-    probs = forward(params, rf.feats, rf.pooled).probs
+    probs = forward(params, rf.feats, rf.pooled[0]).probs
     dlogits = probs.copy()
     dlogits[comp.gold_index] -= 1.0
     assert np.allclose(grads.W2[0], dlogits @ h, atol=1e-12)
-    assert grads.b2[0] == pytest.approx(dlogits.sum(), abs=1e-12)
+    assert grads.b2[0] == 0.0  # the softmax ignores b2: dlogits sums to zero
     assert loss == pytest.approx(-math.log(probs[comp.gold_index]))
     # uniform-start sanity: gold-logit derivative is 1/k - 1
     assert (1.0 / k - 1.0) == pytest.approx(float(dlogits[comp.gold_index]) if np.allclose(probs, 1 / k) else 1.0 / k - 1.0)
@@ -555,7 +554,7 @@ def test_ppo_zero_advantage_all_grads_zero(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     loss, grads, _ = loss_and_grads(
         params,
         rf,
@@ -578,7 +577,7 @@ def test_ppo_unclipped_at_ratio_one_matches_policy_gradient(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     action, adv = 0, 1.7
     loss, grads, _ = loss_and_grads(
         params,
@@ -605,7 +604,7 @@ def test_ppo_clipped_branch_zero_policy_grads(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     action = 0
     # logp_old far below the current logp drives the ratio beyond 1 + clip;
     # with positive advantage the clipped branch freezes the gradient
@@ -638,11 +637,11 @@ def test_value_mse_touches_only_value_head(tiny_features):
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    v = forward(params, rf.feats, rf.pooled).value
+    v = forward(params, rf.feats, rf.pooled[0]).value
     ret = v + 0.75
     loss, grads, _ = loss_and_grads(params, rf, "value_mse", {"return": ret})
     assert loss == pytest.approx(0.75**2, abs=1e-12)
-    assert np.allclose(grads.Wv[0], 2 * (v - ret) * rf.pooled)
+    assert np.allclose(grads.Wv[0], 2 * (v - ret) * rf.pooled[0])
     assert grads.bv[0] == pytest.approx(2 * (v - ret), abs=1e-12)
     for name in ("text_table", "time_table", "W1", "b1", "W2", "b2"):
         assert not dict(grads.named_tensors())[name].any(), name
@@ -684,7 +683,7 @@ def test_grad_check_ppo_both_branches(small_compiled, small_vocab, tiny_features
     from tsqa.policy import featurize_record
 
     rf = featurize_record(comp, params, tiny_features)
-    out = forward(params, rf.feats, rf.pooled)
+    out = forward(params, rf.feats, rf.pooled[0])
     base = float(np.log(out.probs[0]))
     # ratio pinned at 1 (deep inside the trust region) and ratio ~ e^0.5
     # (deep inside the clipped plateau): both far from the hinge
@@ -777,8 +776,7 @@ def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
     compiled = compile_dataset(small_corpus[2][:8], small_index, small_vocab, tiny_features)
     greedy_predictions(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
     for comp in compiled:
-        assert "text" not in vars(comp.pool_rows)
-        assert "time" not in vars(comp.pool_rows)
+        assert "grouping" not in vars(comp.layout)
 
 
 def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
@@ -792,12 +790,12 @@ def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
     for a, b in zip(early, late):
         if a.gold_index < 0:
             continue
-        a.pool_rows.text, a.pool_rows.time  # built before featurize and backward
+        a.layout.grouping  # built before featurize and backward
         inputs = {"gold_index": a.gold_index}
         ga = loss_and_grads(params, featurize_record(a, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "text" not in vars(b.pool_rows)
+        assert "grouping" not in vars(b.layout)
         gb = loss_and_grads(params, featurize_record(b, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "text" in vars(b.pool_rows) and "time" in vars(b.pool_rows)
+        assert "grouping" in vars(b.layout)
         assert ga.flat.tolist() == gb.flat.tolist()
         checked += 1
     assert checked >= 5

@@ -1,6 +1,7 @@
 """Optimizer, advantage estimation, both training stages, PPO mechanics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,7 +389,7 @@ def test_collect_rollouts_shapes_and_shaping(
     for j, comp in enumerate(batch.compiled):
         assert 0 <= batch.actions[j] < len(comp.candidates)
         rf = featurize_record(comp, sft_setup, tiny_features)
-        out = forward(sft_setup, rf.feats, rf.pooled)
+        out = forward(sft_setup, rf.feats, rf.pooled[0])
         assert batch.values_old[j] == pytest.approx(out.value, abs=1e-12)
         assert batch.logprob_old[j] == pytest.approx(
             math.log(out.probs[batch.actions[j]]), abs=1e-12
@@ -490,7 +491,7 @@ def test_ppo_update_stats_match_a_separate_forward(
     kl_terms, clipped = [], 0
     for j in np.random.default_rng(3).permutation(n):
         rf = featurize_record(batch.compiled[j], start, tiny_features)
-        probs = forward(start, rf.feats, rf.pooled).probs
+        probs = forward(start, rf.feats, rf.pooled[0]).probs
         logp = float(np.log(max(probs[batch.actions[j]], 1e-300)))
         kl_terms.append(float(batch.logprob_old[j]) - logp)
         clipped += abs(np.exp(logp - float(batch.logprob_old[j])) - 1.0) > cfg.cliprange
@@ -549,6 +550,23 @@ def test_train_ppo_history_and_best_dev_floor(
     base = evaluate_compiled(small_compiled[1], sft_setup, tiny_features).em
     after = evaluate_compiled(small_compiled[1], params, tiny_features).em
     assert after >= base
+
+
+def test_b2_stays_zero_through_sft_and_ppo(sft_setup, small_compiled, tiny_features):
+    # The softmax ignores b2, so its exact gradient is zero and AdamW never moves it.
+    assert not sft_setup.b2.any()
+    cfg = PPOConfig(iterations=2, num_rollouts=16, chunk_size=8, ppo_epochs=2, seed=4)
+    for kind in ("contrastive", "exact_match"):
+        params, history = train_ppo_compiled(
+            small_compiled[0], small_compiled[1], sft_setup, replace(cfg, reward_kind=kind), tiny_features
+        )
+        assert len(history) == 2
+        assert not params.b2.any(), kind
+    batch = rollouts(sft_setup, small_compiled[0][:20], cfg, tiny_features, 4)
+    params = sft_setup.clone()
+    ppo_update(params, batch, cfg, tiny_features, AdamW(params, 0.01), np.random.default_rng(4))
+    assert not params.b2.any()
+    assert not np.array_equal(params.W2, sft_setup.W2)
 
 
 def test_train_ppo_rejects_empty_splits(sft_setup, small_compiled, tiny_features):

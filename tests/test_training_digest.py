@@ -7,7 +7,11 @@ off and concat.  One digest covers every SFT and PPO history, the trained
 parameters, the checkpoint and sidecar bytes, and the test EM/F1.
 
 DIGEST was recorded with numpy 2.4.6 on Python 3.11.7, x86-64 Linux (2
-vCPU).  numpy may sum in another order on another CPU or BLAS build; a
+vCPU), with OpenBLAS's default thread count (2 there).  numpy may sum in
+another order on another CPU or BLAS build, and a batch's products are
+large enough for OpenBLAS to split them over threads, so the thread count
+changes the digest too (OPENBLAS_NUM_THREADS=1 gives
+d80faf2a4133a5dc699e9ab6fc17dfe086ddb21b2f5ec49771086f8c5dc775af); a
 mismatch there is re-recorded with a note in CHANGES.md, never given a
 tolerance.  A change that alters a training trajectory on purpose updates
 DIGEST, logs the old and new values in CHANGES.md, and re-reports
@@ -24,7 +28,7 @@ from tsqa.metrics import evaluate_compiled
 from tsqa.policy import compile_dataset, save_checkpoint
 from tsqa.trainer import PPOConfig, SFTConfig, build_vocabulary, train_ppo_compiled, train_sft_compiled
 
-DIGEST = "459ff51a44c6e008e362efb9fca6b0d22d6e0e9b3817239287c042daf36f142f"
+DIGEST = "706de9dc98c6e4d05f57a679af0bea59ae833a914ae15f57493df130d1e49131"
 
 FUSIONS = {
     "add": FeatureConfig(),
