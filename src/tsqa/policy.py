@@ -149,7 +149,8 @@ class RecordLayout:
         n_q, total = comp.question_len, comp.token_ids.size
         sizes = np.array([n_q] + [p.size for p in comp.window_pos], dtype=np.intp)
         pos = np.concatenate([np.arange(n_q)] + comp.window_pos, dtype=np.intp)
-        rows = np.empty((3, pos.size), dtype=np.intp)
+        # int32 halves what every compiled record keeps; a batch's rows are intp.
+        rows = np.empty((3, pos.size), dtype=np.int32)
         rows[2] = np.repeat(np.arange(sizes.size), sizes)
         np.multiply(pos, 2, out=rows[0])
         rows[0, n_q:] += 1
@@ -167,11 +168,6 @@ class RecordLayout:
         )
 
     @cached_property
-    def alone(self) -> "Batch":
-        """The record as a batch of one, for one-record calls; it shares the layout's arrays."""
-        return Batch([self])
-
-    @cached_property
     def grouping(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct token ids, and (2, N) cells per row for backward's
         (P + 2, ids) matrix that sums the attention weights (rows 0..P-1)
@@ -180,7 +176,8 @@ class RecordLayout:
         score, _, pool = self.rows
         keys, key = np.unique(self.token_ids, return_inverse=True)
         key = key[score >> 1]
-        return keys, np.stack([pool * keys.size + key, (self.sizes[1] + (score & 1)) * keys.size + key])
+        cells = [pool * keys.size + key, (self.sizes[1] + (score & 1)) * keys.size + key]
+        return keys, np.stack(cells, dtype=np.int32)
 
 
 def _window_positions(
@@ -386,11 +383,6 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
 # batch.  The one-record entry points below are batches of one.
 
 
-def _joined(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-    """`arrays` concatenated; a single array is returned as it is, not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
-
-
 class Batch:
     """The layouts of a list of records, concatenated: one token axis, one
     pool-row axis, one pool axis and one candidate axis, each record's block
@@ -416,19 +408,17 @@ class Batch:
         bounds = np.array(self.blocks, dtype=np.intp).reshape(-1, 6)
         self.pool_starts = bounds[:, 4]
         self.n_tokens, self.n_rows, self.n_cands, self.cand_starts = np.array(sizes, dtype=np.intp).reshape(-1, 4).T
-        self.rows = _joined([lay.rows for lay in layouts], axis=1)
-        if len(layouts) > 1:  # a lone record's offsets are zero
-            offsets = bounds[:, 0::2].T * np.array([[2], [1], [1]])
-            self.rows = self.rows + np.repeat(offsets, self.n_rows, axis=1)
-        self.counts = _joined([lay.counts for lay in layouts])
+        offsets = bounds[:, 0::2].T * np.array([[2], [1], [1]])
+        self.rows = np.concatenate([lay.rows for lay in layouts], axis=1) + np.repeat(offsets, self.n_rows, axis=1)
+        self.counts = np.concatenate([lay.counts for lay in layouts])
         self.row_starts = np.cumsum(self.counts) - self.counts
-        self.token_ids = _joined([lay.token_ids for lay in layouts])
-        self.bits = _joined([lay.bits for lay in layouts])
+        self.token_ids = np.concatenate([lay.token_ids for lay in layouts])
+        self.bits = np.concatenate([lay.bits for lay in layouts])
         # Each candidate's pools: its record's question pool, and its own window pool.
         self.question_pools = np.repeat(self.pool_starts, self.n_cands)
         self.window_pools = np.arange(k) + np.repeat(self.pool_starts + 1 - self.cand_starts, self.n_cands)
-        self.interval_feats = _joined([lay.interval_feats for lay in layouts])
-        self.density = _joined([lay.density for lay in layouts])
+        self.interval_feats = np.concatenate([lay.interval_feats for lay in layouts])
+        self.density = np.concatenate([lay.density for lay in layouts])
         self.pooled_extra = np.array([lay.pooled_extra for lay in layouts])
 
     def __len__(self) -> int:
@@ -458,7 +448,7 @@ def featurize_batch(
     softmax(u·x_i), one u for the question and one for the windows, and
     lay out each candidate's features: its question pool, its window pool,
     then its interval features and density."""
-    batch = records[0].layout.alone if len(records) == 1 else Batch([c.layout for c in records])
+    batch = Batch([c.layout for c in records])
     # With temporal fusion off the time table reads as zero, and backward
     # leaves its gradient alone.
     time_table = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
@@ -683,24 +673,21 @@ def _table_grads(grads: PolicyParams, features: BatchFeatures, ws: np.ndarray, b
     times the whole basis, for the time table."""
     batch, config = features.batch, features.config
     d = config.embed_dim
-    # Each record's (P + 2, ids) block of the grouped weights and s_i, and its slice bounds.
-    keys, cells, blocks, k, g = [], [], [], 0, 0
+    # Each record's distinct ids, and the slice bounds of its (P + 2, ids)
+    # block of the grouped weights and s_i and of its basis rows.
+    cells, blocks, g = [], [], 0
     for lay, (_, _, _, _, p0, p1) in zip(batch.layouts, batch.blocks):
         ids, index = lay.grouping
         n_basis = p1 - p0 + 2
-        keys.append(ids)
         cells.append(index)
-        blocks.append((k, k + ids.size, g, g + n_basis * ids.size, p0, p0 + n_basis))
-        k, g = k + ids.size, g + n_basis * ids.size
-    cells = np.concatenate(cells, axis=1) + np.repeat(np.array(blocks, dtype=np.intp)[:, 2], batch.n_rows)
+        blocks.append((ids, g, g + n_basis * ids.size, p0, p0 + n_basis))
+        g += n_basis * ids.size
+    cells = np.concatenate(cells, axis=1) + np.repeat(np.array([b[1] for b in blocks], dtype=np.intp), batch.n_rows)
     text_basis, time_basis = (basis, basis) if config.fusion_mode == "add" else (basis[:, :d], basis[:, d:])
     grouped = np.bincount(cells.ravel(), ws, minlength=g)
-    text = np.empty((k, d))
-    for k0, k1, g0, g1, b0, b1 in blocks:
-        np.matmul(grouped[g0:g1].reshape(b1 - b0, k1 - k0).T, text_basis[b0:b1], out=text[k0:k1])
-    # Records share token ids, so the one scatter must add repeated rows.
-    at = (np.concatenate(keys)[:, None] * d + np.arange(d)).ravel()
-    np.add.at(grads.text_table.reshape(-1), at, text.ravel())
+    for ids, g0, g1, b0, b1 in blocks:
+        # A record's ids are distinct, so a fancy add scatters its rows.
+        grads.text_table[ids] += grouped[g0:g1].reshape(b1 - b0, ids.size).T @ text_basis[b0:b1]
     if config.temporal_fusion:  # off, featurize read a constant zero table
         # The (basis row, mask bit) sums: row i's pool and its u row, each with the bit of its token.
         score, _, pool = batch.rows

@@ -298,6 +298,9 @@ def edge_records(compiled):
             comp, candidates=[Candidate("")], gold_index=0, window_pos=[np.arange(0)],
             interval_feats=np.zeros((1, 3)), density=np.zeros(1),
         )
+        # Each edit must reach the case it is named for.
+        assert no_question.layout.rows.size and not no_rows.layout.rows.size
+        assert len(abstain_only.candidates) == 1
         out += [no_question, no_rows, abstain_only]
     return out
 

@@ -6,13 +6,13 @@ of 64 rollouts for each of contrastive and exact-match reward x fusion add,
 off and concat.  One digest covers every SFT and PPO history, the trained
 parameters, the checkpoint and sidecar bytes, and the test EM/F1.
 
-DIGEST was recorded with numpy 2.4.6 on Python 3.11.7, x86-64 Linux (2
-vCPU), with OpenBLAS's default thread count (2 there).  numpy may sum in
-another order on another CPU or BLAS build, and a batch's products are
-large enough for OpenBLAS to split them over threads, so the thread count
-changes the digest too (OPENBLAS_NUM_THREADS=1 gives
-d80faf2a4133a5dc699e9ab6fc17dfe086ddb21b2f5ec49771086f8c5dc775af); a
-mismatch there is re-recorded with a note in CHANGES.md, never given a
+DIGEST was recorded with numpy 2.4.6 on Python 3.11.7, x86-64 Linux, with
+one BLAS thread.  A batch's products are large enough for OpenBLAS to split
+them over threads, and the split changes the order of float sums, so the
+grid runs in a fresh interpreter with every BLAS and OpenMP thread count
+set to 1, as perfbench runs; the digest then does not depend on the core
+count.  numpy may still sum in another order on another CPU or BLAS build;
+a mismatch there is re-recorded with a note in CHANGES.md, never given a
 tolerance.  A change that alters a training trajectory on purpose updates
 DIGEST, logs the old and new values in CHANGES.md, and re-reports
 criteria 6, 7a and 7b.
@@ -20,7 +20,12 @@ criteria 6, 7a and 7b.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tsqa
 from tsqa.config import FeatureConfig
 from tsqa.corpus import SyntheticConfig, generate_synthetic, load_dataset, load_facts, save_dataset, save_facts
 from tsqa.facts import FactIndex
@@ -28,7 +33,10 @@ from tsqa.metrics import evaluate_compiled
 from tsqa.policy import compile_dataset, save_checkpoint
 from tsqa.trainer import PPOConfig, SFTConfig, build_vocabulary, train_ppo_compiled, train_sft_compiled
 
-DIGEST = "706de9dc98c6e4d05f57a679af0bea59ae833a914ae15f57493df130d1e49131"
+DIGEST = "d80faf2a4133a5dc699e9ab6fc17dfe086ddb21b2f5ec49771086f8c5dc775af"
+
+# Set before numpy is first imported, in the interpreter that trains.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 FUSIONS = {
     "add": FeatureConfig(),
@@ -73,4 +81,12 @@ def training_digest(tmp_path) -> str:
 
 
 def test_training_matches_the_recorded_digest(tmp_path):
-    assert training_digest(tmp_path) == DIGEST
+    paths = [str(Path(tsqa.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    script = (
+        f"import sys; sys.path[:0] = {paths!r}; from pathlib import Path; "
+        f"from test_training_digest import training_digest; print(training_digest(Path({str(tmp_path)!r})))"
+    )
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == DIGEST
