@@ -270,8 +270,8 @@ def sample_negatives(
 
     The two sides stay balanced: a short side truncates the other, so the
     result always holds equally many remote and proximal items (possibly
-    zero of each).  The sides may be answer lists or, as in the reward,
-    the rows of those answers in an embedding table.
+    zero of each).  Only the sides' lengths decide which indices are drawn,
+    so any two sequences of those lengths consume the RNG alike.
     """
     n = min(int(k_per_side), len(remote), len(proximal))
     if n <= 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,20 +115,31 @@ class AdamW:
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
+        self._update = np.empty_like(params.flat)
+        self._denom = np.empty_like(params.flat)
 
     def step(self, params: PolicyParams, grads: PolicyParams) -> None:
         self.t += 1
-        g, m, v = grads.flat, self._m, self._v
+        # Every product goes into a kept buffer: temporaries the size of the
+        # parameters would be handed back to the OS and faulted in anew.
+        g, m, v, update, denom = grads.flat, self._m, self._v, self._update, self._denom
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=update)
+        m += update
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        np.multiply(g, 1.0 - self.beta2, out=update)
+        update *= g
+        v += update
         if self.weight_decay:
             for w in (params.W1, params.W2, params.Wv):
                 w -= self.learning_rate * self.weight_decay * w
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
-        params.flat -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        np.divide(m, 1.0 - self.beta1**self.t, out=update)
+        update *= self.learning_rate
+        np.divide(v, 1.0 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        params.flat -= update
         params.check_finite()
 
 
@@ -207,60 +218,47 @@ def train_sft_compiled(
 
 
 # ---------------------------------------------------------------------------
-# Reward caches: every answer string a rollout can score is embedded once
-# into one shared table; distances are computed on read, only for the
-# prediction, the gold answer and the negatives a rollout draws.
+# Reward caches: the candidates and gold answer of every record are embedded
+# at build time, a pooled negative the first time a rollout draws it, each
+# distinct string once through one memo per build.  Distances are computed on
+# read, only for the prediction, the gold answer and the drawn negatives.
 
 
 @dataclass
 class _RewardCache:
-    table: np.ndarray  # (strings, dim) embeddings, shared by every record
-    cand_rows: np.ndarray  # (K,) table row of each candidate
-    gold_row: int
-    remote_rows: np.ndarray  # (R,)
-    proximal_rows: np.ndarray  # (P,)
+    vector: Callable[[str], np.ndarray]  # the build's string -> embedding memo
+    candidates: list[str]  # (K,) candidate texts
+    gold: str
+    remote_pool: list[str]  # the record's own pools, not copies
+    proximal_pool: list[str]
     em_sign: np.ndarray  # (K,) exact-match reward in {-1, +1}
 
 
 def build_reward_caches(
     compiled: Sequence[CompiledRecord], params: RewardParams
 ) -> list[_RewardCache]:
-    rows: dict[str, int] = {}
-    vectors: list[np.ndarray] = []
+    memo: dict[str, np.ndarray] = {}
 
-    def row_of(text: str) -> int:
-        i = rows.get(text)
-        if i is None:
-            i = rows[text] = len(vectors)
-            vectors.append(reward_mod.embed_answer(text, params))
-        return i
+    def vector(text: str) -> np.ndarray:
+        v = memo.get(text)
+        if v is None:
+            # Looked up at call time, so a wrapper set on the module sees every embed.
+            v = memo[text] = reward_mod.embed_answer(text, params)
+        return v
 
-    def rows_of(texts: Sequence[str]) -> np.ndarray:
-        return np.array([row_of(t) for t in texts], dtype=np.intp)
-
-    row_ids = [
-        (
-            rows_of([c.text for c in comp.candidates]),
-            row_of(comp.gold_answers[0] if comp.gold_answers else ""),
-            rows_of(comp.remote_pool),
-            rows_of(comp.proximal_pool),
+    caches = []
+    for comp in compiled:
+        texts = [c.text for c in comp.candidates]
+        gold = comp.gold_answers[0] if comp.gold_answers else ""
+        for text in texts + [gold]:
+            vector(text)
+        caches.append(
+            _RewardCache(
+                vector, texts, gold, comp.remote_pool, comp.proximal_pool,
+                em_sign=np.array([1.0 if exact_match(t, comp.gold_answers) else -1.0 for t in texts]),
+            )
         )
-        for comp in compiled
-    ]
-    table = np.stack(vectors) if vectors else np.zeros((0, params.dim))
-    return [
-        _RewardCache(
-            table,
-            cand_rows,
-            gold_row,
-            remote_rows,
-            proximal_rows,
-            em_sign=np.array(
-                [1.0 if exact_match(c.text, comp.gold_answers) else -1.0 for c in comp.candidates]
-            ),
-        )
-        for comp, (cand_rows, gold_row, remote_rows, proximal_rows) in zip(compiled, row_ids)
-    ]
+    return caches
 
 
 def _contrastive_raw(
@@ -271,11 +269,12 @@ def _contrastive_raw(
     rng: np.random.Generator,
 ) -> float:
     remote, proximal = sample_negatives(
-        cache.remote_rows, cache.proximal_rows, config.negatives_per_side, rng
+        cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng
     )
     t = reward_mod.triplet_score(
-        cache.table[cache.gold_row], cache.table[cache.cand_rows[action]],
-        cache.table[remote + proximal], params.margin, params.neg_aggregate,
+        cache.vector(cache.gold), cache.vector(cache.candidates[action]),
+        np.array([cache.vector(text) for text in remote + proximal]),
+        params.margin, params.neg_aggregate,
     )
     return reward_mod.reward(t, params)
 

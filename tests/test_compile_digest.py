@@ -1,17 +1,21 @@
-"""Guard for exact speedups: compilation and the reward table, hashed.
+"""Guard for exact speedups: compilation and the reward vectors, hashed.
 
 The speedups in the tokenizer, the tagger, `compile_record` and the reward
 embedding are meant to leave every output bit for bit the same.  This test
 compiles a seeded corpus, with the shared fact index and with `index=None`,
 builds its reward caches, and compares two digests with recorded values:
-FIELDS_DIGEST of every compiled field and of the reward table, and
-LAYOUT_DIGEST of the static per-record layout (`RecordLayout`) that the
-batched featurize and backward concatenate.
+FIELDS_DIGEST of every compiled field and, per record, of the embedding of
+every candidate, the gold answer and every pooled negative, read through
+the reward cache, and of the exact-match signs; and LAYOUT_DIGEST of the
+static per-record layout (`RecordLayout`) that the batched featurize and
+backward concatenate.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in
-CHANGES.md.  FIELDS_DIGEST was last recorded before the exact compile
-speedups; LAYOUT_DIGEST when featurize and backward became batched.
+CHANGES.md.  FIELDS_DIGEST was last recorded when the reward caches began
+embedding pooled negatives on first draw (the same value is computed from
+the shared embedding table the caches held before); LAYOUT_DIGEST when
+featurize and backward became batched.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ from tsqa.policy import CompiledRecord, compile_dataset
 from tsqa.reward import RewardParams
 from tsqa.trainer import build_reward_caches, build_vocabulary
 
-FIELDS_DIGEST = "0de8b5d4fb5ad3c06dd331c3c57bea806af8833484bfff9d32b06cccf4d9ecb1"
+FIELDS_DIGEST = "1c25a8adb3620373521a12555176503a05cbf025ef704e99430d1673406e39b8"
 LAYOUT_DIGEST = "e0412a718e908290a2324363df9a65af66f96a9c79785e6e88c9849792344eed"
 
 
@@ -58,10 +62,10 @@ def compiled_and_reward_digests() -> tuple[str, str]:
             lay = comp.layout
             _feed(layout, [lay.sizes, lay.rows, lay.counts])
             _feed(layout, list(lay.grouping))
-        caches = build_reward_caches(compiled, RewardParams())
-        _feed(digest, caches[0].table)
-        for cache in caches:
-            _feed(digest, [cache.cand_rows, cache.gold_row, cache.remote_rows, cache.proximal_rows, cache.em_sign])
+        for cache in build_reward_caches(compiled, RewardParams()):
+            texts = cache.candidates + [cache.gold] + cache.remote_pool + cache.proximal_pool
+            _feed(digest, [cache.vector(t) for t in texts])
+            _feed(digest, cache.em_sign)
     return digest.hexdigest(), layout.hexdigest()
 
 

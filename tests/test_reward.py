@@ -118,23 +118,28 @@ def test_embed_answer_matches_per_gram_hashing(answer, dim):
 def test_reward_cache_build_hashes_each_distinct_trigram_once(monkeypatch, small_compiled):
     from tsqa.trainer import build_reward_caches
 
+    def grams_of(texts):
+        return {
+            f"#{w}#"[i:i + 3]
+            for t in texts
+            for w in normalize_answer(t).split()
+            for i in range(len(w))
+        }
+
     calls = []
     original = reward_mod._hash
     monkeypatch.setattr(reward_mod, "_hash", lambda gram: calls.append(gram) or original(gram))
     reward_mod._slot.cache_clear()
-    train = small_compiled[0]
+    train = small_compiled[0][:20]
     build_reward_caches(train, RewardParams())
-    texts = {t for comp in train for t in [c.text for c in comp.candidates] + comp.remote_pool + comp.proximal_pool}
+    texts = {t for comp in train for t in [c.text for c in comp.candidates]}
     texts |= {comp.gold_answers[0] if comp.gold_answers else "" for comp in train}
-    grams = {
-        f"#{w}#"[i:i + 3]
-        for t in texts
-        for w in normalize_answer(t).split()
-        for i in range(len(w))
-    }
+    pooled = {t for comp in train for t in comp.remote_pool + comp.proximal_pool}
+    grams = grams_of(texts)
+    assert grams_of(pooled - texts) - grams  # pool-only strings bring grams of their own
     occurrences = sum(len(w) for t in texts for w in normalize_answer(t).split())
     assert occurrences > 2 * len(grams)  # the memo has repeats to save
-    assert sorted(calls) == sorted(grams)
+    assert sorted(calls) == sorted(grams)  # pooled negatives wait for a draw
     reward_mod._slot.cache_clear()
 
 

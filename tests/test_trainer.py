@@ -94,6 +94,25 @@ def test_adamw_first_step_direction():
     assert not delta.any()
 
 
+def test_adamw_step_allocates_no_parameter_sized_temporaries():
+    # A temporary the size of the parameters, made on every step, may be
+    # handed back to the OS and faulted in again on the next one.
+    import tracemalloc
+
+    params = init_params(np.random.default_rng(0), 4000, FeatureConfig())
+    grads = zeros_like_params(params)
+    grads.flat[:] = 1e-3
+    opt = AdamW(params, learning_rate=0.01, weight_decay=1e-4)
+    opt.step(params, grads)
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes / 4  # the finiteness check's bool mask is an eighth
+
+
 def test_adamw_step_rejects_non_finite_parameters():
     # The finiteness check runs once per step, not once per record featurized.
     params = tiny_params()
@@ -283,25 +302,27 @@ def test_reward_caches_match_direct_scores(small_compiled):
         gvec = embed_answer(gold, rp)
         for k, text in enumerate([c.text for c in comp.candidates]):
             d = float(np.linalg.norm(embed_answer(text, rp) - gvec))
-            got = np.linalg.norm(cache.table[cache.cand_rows[k]] - cache.table[cache.gold_row])
+            got = np.linalg.norm(cache.vector(cache.candidates[k]) - cache.vector(cache.gold))
             assert got == pytest.approx(d, abs=1e-12)
             want = 1.0 if exact_match(text, comp.gold_answers) else -1.0
             assert cache.em_sign[k] == want
-        assert len(cache.cand_rows) == len(comp.candidates)
-        assert len(cache.remote_rows) == len(comp.remote_pool)
-        assert len(cache.proximal_rows) == len(comp.proximal_pool)
+        assert cache.candidates == [c.text for c in comp.candidates]
+        assert cache.gold == gold
+        assert cache.remote_pool is comp.remote_pool
+        assert cache.proximal_pool is comp.proximal_pool
 
 
 def test_contrastive_reward_no_negatives_uses_raw_distance():
     from tsqa.trainer import _contrastive_raw, _RewardCache
 
     rp = RewardParams()
+    vectors = {"gold": np.array([0.0, 0.0]), "far": np.array([1.3, 0.0])}
     cache = _RewardCache(
-        table=np.array([[0.0, 0.0], [1.3, 0.0]]),
-        cand_rows=np.array([0, 1]),
-        gold_row=0,
-        remote_rows=np.zeros(0, dtype=np.intp),
-        proximal_rows=np.zeros(0, dtype=np.intp),
+        vector=vectors.__getitem__,
+        candidates=["gold", "far"],
+        gold="gold",
+        remote_pool=[],
+        proximal_pool=[],
         em_sign=np.array([1.0, -1.0]),
     )
     rng = np.random.default_rng(0)
@@ -311,6 +332,53 @@ def test_contrastive_reward_no_negatives_uses_raw_distance():
     assert _contrastive_raw(cache, 1, PPOConfig(), rp, rng) == pytest.approx(
         reward(1.3, rp)
     )
+
+
+def test_reward_caches_embed_pooled_negatives_on_first_draw(
+    monkeypatch, sft_setup, small_compiled, tiny_features
+):
+    import tsqa.reward as reward_mod
+    import tsqa.trainer as trainer_mod
+
+    embedded, drawn = [], []
+    embed, sample = reward_mod.embed_answer, trainer_mod.sample_negatives
+
+    def recording_embed(answer, params):
+        embedded.append(answer)
+        return embed(answer, params)
+
+    def recording_sample(*args):
+        remote, proximal = sample(*args)
+        drawn.extend(remote + proximal)
+        return remote, proximal
+
+    monkeypatch.setattr(reward_mod, "embed_answer", recording_embed)
+    monkeypatch.setattr(trainer_mod, "sample_negatives", recording_sample)
+    rp = RewardParams()
+    data = small_compiled[0][:20]
+    answers = {x.text for c in data for x in c.candidates}
+    answers |= {c.gold_answers[0] if c.gold_answers else "" for c in data}
+    pool_only = {t for c in data for t in c.remote_pool + c.proximal_pool} - answers
+    assert pool_only  # there are strings the build must leave alone
+
+    caches = build_reward_caches(data, rp)
+    assert sorted(embedded) == sorted(answers)  # each candidate and gold once, no pool string
+    ref = reference_probs(sft_setup, data, tiny_features)
+
+    def embedded_by_rollouts(kind):
+        embedded.clear()
+        cfg = PPOConfig(num_rollouts=200, reward_kind=kind, seed=2)
+        collect_rollouts(
+            sft_setup, data, cfg, tiny_features, np.random.default_rng(2), cfg.init_kl_coef,
+            rp, caches, ref,
+        )
+        return list(embedded)
+
+    assert embedded_by_rollouts("exact_match") == []
+    got = embedded_by_rollouts("contrastive")
+    new = [t for t in drawn if t not in answers]
+    assert len(new) > len(set(new))  # some pool-only negative is drawn more than once
+    assert sorted(got) == sorted(set(new))  # each drawn negative once, nothing undrawn
 
 
 def _dense_contrastive(comp, action, config, params, rng):
