@@ -217,7 +217,10 @@ def _cmd_train_ppo(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, vocab, feature_config = load_checkpoint(args.checkpoint)
-    data = compile_dataset(load_dataset(args.data), None, vocab, feature_config)
+    records = load_dataset(args.data)
+    if not records:
+        raise ValueError(f"{args.data}: no records to evaluate")
+    data = compile_dataset(records, None, vocab, feature_config)
     metrics = evaluate_compiled(data, params, feature_config)
     text = report(metrics, args.format)
     if args.out:

@@ -491,7 +491,7 @@ def featurize(
     comp: CompiledRecord, params: PolicyParams, config: FeatureConfig, index: int
 ) -> np.ndarray:
     """Row `index` of `featurize_record`; kept as a name the benchmark's tracer lists."""
-    return featurize_record(comp, params, config).feats[index]
+    return featurize_batch([comp], params, config).feats[index]
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +537,6 @@ def forward(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray) -> Poli
     _, logits, probs = _head(params, feats, _FIRST, feats.shape[0])
     value = float(pooled @ params.Wv[0] + params.bv[0])
     return PolicyOutput(logits=logits, probs=probs, value=value)
-
-
-def batch_probs(params: PolicyParams, features: BatchFeatures) -> np.ndarray:
-    """The (ΣK,) candidate probabilities of a batch, record by record."""
-    batch = features.batch
-    _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
-    return _head(params, features.feats, batch.cand_starts, batch.n_cands)[2]
 
 
 LOSS_KINDS = ("cross_entropy", "ppo_surrogate", "value_mse")
@@ -779,27 +772,29 @@ def token_chunks(records: Sequence[CompiledRecord]) -> list[Sequence[CompiledRec
     return chunks
 
 
+def record_probs(
+    records: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each record's (K,) candidate probabilities and the value of its
+    pooled state, in input order, from one featurize and one head per chunk
+    of `token_chunks`.  A record may appear more than once."""
+    probs, values = [], []
+    for chunk in token_chunks(records):
+        features = featurize_batch(chunk, params, config)
+        batch = features.batch
+        _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
+        chunk_probs = _head(params, features.feats, batch.cand_starts, batch.n_cands)[2]
+        probs += [chunk_probs[s : s + k] for s, k in zip(batch.cand_starts.tolist(), batch.n_cands.tolist())]
+        values.append(features.pooled @ params.Wv[0] + params.bv[0])
+    return probs, np.concatenate(values) if values else np.zeros(0)
+
+
 def greedy_choices(
     compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
 ) -> np.ndarray:
     """Each record's argmax candidate (the first of equal ones), in input order."""
-    out = []
-    for chunk in token_chunks(compiled):
-        features = featurize_batch(chunk, params, config)
-        batch = features.batch
-        probs = batch_probs(params, features)
-        top = probs == np.repeat(np.maximum.reduceat(probs, batch.cand_starts), batch.n_cands)
-        first = np.where(top, np.arange(probs.size), probs.size)
-        out.append(np.minimum.reduceat(first, batch.cand_starts) - batch.cand_starts)
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
-
-
-def greedy_predictions(
-    compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
-) -> list[str]:
-    """Argmax candidate text per record, in input order."""
-    choices = greedy_choices(compiled, params, config)
-    return [comp.candidates[int(c)].text for comp, c in zip(compiled, choices)]
+    probs, _ = record_probs(compiled, params, config)
+    return np.array([p.argmax() for p in probs], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

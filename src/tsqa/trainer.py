@@ -25,13 +25,10 @@ from .metrics import evaluate_compiled, exact_match
 from .policy import (
     CompiledRecord,
     PolicyParams,
-    batch_probs,
     featurize_batch,
-    featurize_record,
-    forward,
     init_params,
     loss_and_grads_batch,
-    token_chunks,
+    record_probs,
 )
 from .reward import RewardParams
 from .tagger import tokenize
@@ -262,18 +259,12 @@ def build_reward_caches(
 
 
 def _contrastive_raw(
-    cache: _RewardCache,
-    action: int,
-    config: PPOConfig,
-    params: RewardParams,
-    rng: np.random.Generator,
+    cache: _RewardCache, action: int, negatives: list[str], params: RewardParams
 ) -> float:
-    remote, proximal = sample_negatives(
-        cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng
-    )
+    """The contrastive reward of candidate `action` against `negatives`, remote then proximal."""
     t = reward_mod.triplet_score(
         cache.vector(cache.gold), cache.vector(cache.candidates[action]),
-        np.array([cache.vector(text) for text in remote + proximal]),
+        np.array([cache.vector(text) for text in negatives]),
         params.margin, params.neg_aggregate,
     )
     return reward_mod.reward(t, params)
@@ -299,6 +290,14 @@ class RolloutBatch:
         return len(self.actions)
 
 
+def _choice_index(probs: np.ndarray, uniform: float) -> int:
+    """The index `rng.choice(len(probs), p=probs)` picks when the one
+    `rng.random()` it reads returns `uniform`: numpy's own rule."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(uniform, side="right"))
+
+
 def collect_rollouts(
     params: PolicyParams,
     dataset: Sequence[CompiledRecord],
@@ -312,35 +311,28 @@ def collect_rollouts(
 ) -> RolloutBatch:
     """Sample one-step episodes with shaped rewards and their advantages;
     `caches` and `ref_probs` hold each record's reward cache and reference
-    policy probabilities."""
-    comps = []
-    actions = np.zeros(config.num_rollouts, dtype=int)
-    logprob_old = np.zeros(config.num_rollouts)
-    raw = np.zeros(config.num_rollouts)
-    shaped = np.zeros(config.num_rollouts)
-    values = np.zeros(config.num_rollouts)
-    kls = np.zeros(config.num_rollouts)
-    for j in range(config.num_rollouts):
-        i = int(rng.integers(len(dataset)))
-        comp = dataset[i]
-        rf = featurize_record(comp, params, feature_config)
-        out = forward(params, rf.feats, rf.pooled[0])
-        a = int(rng.choice(len(out.probs), p=out.probs))
-        logp = float(np.log(max(out.probs[a], 1e-300)))
-        logp_ref = float(np.log(max(ref_probs[i][a], 1e-300)))
-
-        if config.reward_kind == "contrastive":
-            r = _contrastive_raw(caches[i], a, config, reward_params, rng)
-        else:
-            r = float(caches[i].em_sign[a])
-
-        comps.append(comp)
-        actions[j] = a
-        logprob_old[j] = logp
-        raw[j] = r
-        kls[j] = logp - logp_ref
-        shaped[j] = r - kl_coef * kls[j]
-        values[j] = out.value
+    policy probabilities.  Each rollout draws its record, its action's
+    uniform and its negatives as a loop of one `rng.choice` per rollout
+    would; one `record_probs` call then reads every drawn record."""
+    contrastive = config.reward_kind == "contrastive"
+    picks, uniforms, negatives = [], [], []
+    for _ in range(config.num_rollouts):
+        picks.append(int(rng.integers(len(dataset))))
+        uniforms.append(rng.random())
+        if contrastive:
+            cache = caches[picks[-1]]
+            remote, proximal = sample_negatives(cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng)
+            negatives.append(remote + proximal)
+    comps = [dataset[i] for i in picks]
+    probs, values = record_probs(comps, params, feature_config)
+    actions = np.array([_choice_index(p, u) for p, u in zip(probs, uniforms)], dtype=int)
+    logprob_old = np.log(np.maximum([p[a] for p, a in zip(probs, actions)], 1e-300))
+    kls = logprob_old - np.log(np.maximum([ref_probs[i][a] for i, a in zip(picks, actions)], 1e-300))
+    if contrastive:
+        raw = np.array([_contrastive_raw(caches[i], a, n, reward_params) for i, a, n in zip(picks, actions, negatives)])
+    else:
+        raw = np.array([caches[i].em_sign[a] for i, a in zip(picks, actions)])
+    shaped = raw - kl_coef * kls
     adv = shaped - values
     return RolloutBatch(
         compiled=comps,
@@ -360,11 +352,7 @@ def reference_probs(
     dataset: Sequence[CompiledRecord],
     feature_config: FeatureConfig,
 ) -> list[np.ndarray]:
-    out = []
-    for chunk in token_chunks(dataset):
-        features = featurize_batch(chunk, reference_params, feature_config)
-        out += np.split(batch_probs(reference_params, features), features.batch.cand_starts[1:])
-    return out
+    return record_probs(dataset, reference_params, feature_config)[0]
 
 
 def standardize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -496,17 +484,11 @@ def train_ppo_compiled(
     return best, history
 
 
-_PPO_COLUMNS = [
-    "iteration", "mean_reward", "kl", "kl_coef", "clip_frac",
-    "policy_loss", "value_loss", "approx_kl", "dev_em", "dev_f1",
-]
-_SFT_COLUMNS = ["epoch", "loss", "dev_em", "dev_f1", "skipped"]
-
-
 def history_to_csv(history: Sequence[dict]) -> str:
+    """One CSV line per row, columns in the order the trainer built the first row."""
     if not history:
         return ""
-    columns = _PPO_COLUMNS if "iteration" in history[0] else _SFT_COLUMNS
+    columns = list(history[0])
     lines = [",".join(columns)]
     for row in history:
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))

@@ -33,7 +33,7 @@ from tsqa.policy import (
     featurize_batch,
     featurize_record,
     forward,
-    greedy_predictions,
+    greedy_choices,
     init_params,
     loss_and_grads,
     loss_and_grads_batch,
@@ -410,4 +410,5 @@ def test_greedy_predictions_across_chunk_bounds_match_the_per_record_argmax(dige
             rf = record_features(comp, params, config)
             _, probs, _ = reference_head(params, rf, "cross_entropy", {"gold_index": 0}, 1.0, zeros_like_params(params))
             want.append(comp.candidates[int(np.argmax(probs))].text)
-        assert greedy_predictions(comps, params, config) == want, n
+        got = [comp.candidates[i].text for comp, i in zip(comps, greedy_choices(comps, params, config))]
+        assert got == want, n

@@ -311,6 +311,26 @@ def test_empty_split_is_exit_two(capsys, tmp_path):
     assert "train set is empty" in err
 
 
+def test_eval_of_an_empty_dataset_is_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    ckpt = tmp_path / "sft.ckpt"
+    code, _, err = run(
+        capsys, "train-sft", "--train", str(corpus / "train.jsonl"), "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(ckpt), "--config", str(cfg),
+    )
+    assert code == 0, err
+    for name, text in (("empty.jsonl", ""), ("blank.jsonl", "\n  \n\n")):
+        data = tmp_path / name
+        data.write_text(text)
+        code, out, err = run(capsys, "eval", "--data", str(data), "--checkpoint", str(ckpt))
+        assert code == 2, name
+        assert f"{data}: no records to evaluate" in err
+        assert "overall" not in out
+
+
 def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     import tsqa.policy
 

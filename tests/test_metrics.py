@@ -194,7 +194,10 @@ def test_report_formats_and_csv_round_trip():
 def test_cached_candidate_scores_equal_score_predictions(monkeypatch, small_compiled, small_vocab, tiny_features):
     records = [c for split in small_compiled for c in split]
     params = policy.init_params(np.random.default_rng(0), len(small_vocab), tiny_features)
-    greedy = [score_predictions(policy.greedy_predictions(split, params, tiny_features), split) for split in small_compiled]
+    greedy = [
+        score_predictions([c.candidates[i].text for c, i in zip(split, policy.greedy_choices(split, params, tiny_features))], split)
+        for split in small_compiled
+    ]
     assert [evaluate_compiled(split, params, tiny_features) for split in small_compiled] == greedy
     # Every candidate choice, record by record: the j-th candidate, or the last.
     for j in range(max(len(c.candidates) for c in records)):

@@ -19,7 +19,7 @@ from tsqa.policy import (
     featurize_record,
     forward,
     grad_check,
-    greedy_predictions,
+    greedy_choices,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -764,7 +764,7 @@ def test_grad_check_linear_loss_tight():
 def test_greedy_predictions_order_and_texts(small_compiled, small_vocab, tiny_features):
     compiled = small_compiled[2][:8]
     params = params_for(len(small_vocab), tiny_features, seed=41)
-    preds = greedy_predictions(compiled, params, tiny_features)
+    preds = [comp.candidates[i].text for comp, i in zip(compiled, greedy_choices(compiled, params, tiny_features))]
     assert len(preds) == len(compiled)
     for pred, comp in zip(preds, compiled):
         assert pred in [c.text for c in comp.candidates]
@@ -774,7 +774,7 @@ def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
     small_corpus, small_index, small_vocab, tiny_features
 ):
     compiled = compile_dataset(small_corpus[2][:8], small_index, small_vocab, tiny_features)
-    greedy_predictions(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
+    greedy_choices(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
     for comp in compiled:
         assert "grouping" not in vars(comp.layout)
 

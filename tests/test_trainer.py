@@ -8,7 +8,7 @@ import pytest
 
 from tsqa.config import FeatureConfig
 from tsqa.corpus import QARecord, QuestionType
-from tsqa.facts import FactIndex, TimeFact
+from tsqa.facts import FactIndex, TimeFact, sample_negatives
 from tsqa.features import Vocabulary
 from tsqa.intervals import year_span
 from tsqa.metrics import evaluate_compiled
@@ -26,6 +26,8 @@ from tsqa.trainer import (
     AdamW,
     PPOConfig,
     SFTConfig,
+    _choice_index,
+    _contrastive_raw,
     adaptive_kl_update,
     build_reward_caches,
     build_vocabulary,
@@ -134,6 +136,100 @@ def rollouts(params, data, cfg, feature_config, seed):
         params, data, cfg, feature_config, np.random.default_rng(seed), cfg.init_kl_coef,
         rp, build_reward_caches(data, rp), reference_probs(params, data, feature_config),
     )
+
+
+def rollouts_one_at_a_time(params, dataset, config, feature_config, rng, kl_coef, reward_params, caches, ref_probs):
+    """`collect_rollouts` as a loop of whole rollouts, the reference for the
+    batched one: each rollout featurizes and forwards its record alone and
+    samples its action with `rng.choice`."""
+    comps, actions, logprob_old, raw, values, kls = [], [], [], [], [], []
+    for _ in range(config.num_rollouts):
+        i = int(rng.integers(len(dataset)))
+        comp = dataset[i]
+        rf = featurize_record(comp, params, feature_config)
+        out = forward(params, rf.feats, rf.pooled[0])
+        a = int(rng.choice(len(out.probs), p=out.probs))
+        logp = float(np.log(max(out.probs[a], 1e-300)))
+        logp_ref = float(np.log(max(ref_probs[i][a], 1e-300)))
+        if config.reward_kind == "contrastive":
+            remote, proximal = sample_negatives(
+                caches[i].remote_pool, caches[i].proximal_pool, config.negatives_per_side, rng
+            )
+            r = _contrastive_raw(caches[i], a, remote + proximal, reward_params)
+        else:
+            r = float(caches[i].em_sign[a])
+        comps.append(comp)
+        actions.append(a)
+        logprob_old.append(logp)
+        raw.append(r)
+        values.append(out.value)
+        kls.append(logp - logp_ref)
+    values, kls = np.array(values), np.array(kls)
+    shaped = np.array(raw) - kl_coef * kls
+    adv = shaped - values
+    return {
+        "compiled": comps, "actions": np.array(actions), "logprob_old": np.array(logprob_old),
+        "raw_rewards": np.array(raw), "rewards": shaped, "values_old": values,
+        "kl_to_reference": kls, "advantages": standardize_advantages(adv), "returns": adv + values,
+    }
+
+
+@pytest.mark.parametrize("kind", ["contrastive", "exact_match"])
+def test_collect_rollouts_match_the_one_rollout_at_a_time_loop(kind, sft_setup, small_compiled, tiny_features):
+    data = small_compiled[0][:6]  # 40 rollouts over 6 records draw some twice
+    assert any(c.remote_pool and c.proximal_pool for c in data)
+    cfg = PPOConfig(num_rollouts=40, reward_kind=kind, seed=3)
+    rp = RewardParams()
+    caches = build_reward_caches(data, rp)
+    ref = reference_probs(sft_setup, data, tiny_features)
+    # A policy sharper than the reference, so the KL terms are not zero.
+    params = sft_setup.clone()
+    params.W2 *= 1.5
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = collect_rollouts(params, data, cfg, tiny_features, rng, 0.05, rp, caches, ref)
+    want = rollouts_one_at_a_time(params, data, cfg, tiny_features, ref_rng, 0.05, rp, caches, ref)
+    ids = [c.id for c in got.compiled]
+    assert ids == [c.id for c in want["compiled"]]
+    assert len(set(ids)) < len(ids)
+    assert np.array_equal(got.actions, want["actions"])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.abs(want["kl_to_reference"]).max() > 0.01
+    assert len(set(want["raw_rewards"])) > 1
+    for name in ("logprob_old", "raw_rewards", "rewards", "values_old", "kl_to_reference", "advantages", "returns"):
+        assert np.allclose(getattr(got, name), want[name], rtol=0.0, atol=1e-12), name
+
+
+def test_choice_index_replays_rng_choice():
+    # The same index as `rng.choice(K, p=probs)` from the same stream, and the same state after.
+    src = np.random.default_rng(0)
+
+    def one_hot(k):
+        p = np.zeros(k)
+        p[src.integers(k)] = 1.0
+        return p
+
+    def floored(k):  # one certain candidate, the rest at the log floor
+        p = np.full(k, 1e-300)
+        p[src.integers(k)] = 1.0
+        return p / p.sum()
+
+    def softmax(k):  # logits hundreds apart, as a sharp head gives
+        z = src.normal(scale=300.0, size=k)
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    kinds = {"dirichlet": lambda k: src.dirichlet(np.ones(k)), "one_hot": one_hot, "floor": floored, "softmax": softmax}
+    a, b = np.random.default_rng(1), np.random.default_rng(1)
+    for name, make in kinds.items():
+        for k in (1, 2, 3, 7, 13):
+            for _ in range(150):
+                p = make(k)
+                assert _choice_index(p, b.random()) == a.choice(k, p=p), (name, k)
+                assert b.bit_generator.state == a.bit_generator.state
+    # A uniform on a step of the cdf takes the next candidate, so one of
+    # probability zero is never picked.
+    assert _choice_index(np.array([0.0, 0.5, 0.0, 0.5]), 0.0) == 1
+    assert _choice_index(np.array([0.0, 0.5, 0.0, 0.5]), 0.5) == 3
 
 
 def test_collect_rollouts_advantages_are_one_step(
@@ -313,7 +409,7 @@ def test_reward_caches_match_direct_scores(small_compiled):
 
 
 def test_contrastive_reward_no_negatives_uses_raw_distance():
-    from tsqa.trainer import _contrastive_raw, _RewardCache
+    from tsqa.trainer import _RewardCache
 
     rp = RewardParams()
     vectors = {"gold": np.array([0.0, 0.0]), "far": np.array([1.3, 0.0])}
@@ -325,11 +421,10 @@ def test_contrastive_reward_no_negatives_uses_raw_distance():
         proximal_pool=[],
         em_sign=np.array([1.0, -1.0]),
     )
-    rng = np.random.default_rng(0)
-    assert _contrastive_raw(cache, 0, PPOConfig(), rp, rng) == pytest.approx(
+    assert _contrastive_raw(cache, 0, [], rp) == pytest.approx(
         reward(0.0, rp)
     )
-    assert _contrastive_raw(cache, 1, PPOConfig(), rp, rng) == pytest.approx(
+    assert _contrastive_raw(cache, 1, [], rp) == pytest.approx(
         reward(1.3, rp)
     )
 
@@ -408,8 +503,6 @@ def _dense_contrastive(comp, action, config, params, rng):
 
 @pytest.mark.parametrize("aggregate", ["min", "mean"])
 def test_contrastive_reward_equals_dense_tables_bitwise(small_compiled, aggregate):
-    from tsqa.trainer import _contrastive_raw
-
     rp = RewardParams(neg_aggregate=aggregate)
     config = PPOConfig()
     compiled = small_compiled[0][:20]
@@ -418,14 +511,15 @@ def test_contrastive_reward_equals_dense_tables_bitwise(small_compiled, aggregat
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     for comp, cache in zip(compiled, caches):
         for action in range(len(comp.candidates)):
-            got = _contrastive_raw(cache, action, config, rp, rng)
+            remote, proximal = sample_negatives(
+                cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng
+            )
+            got = _contrastive_raw(cache, action, remote + proximal, rp)
             assert got == _dense_contrastive(comp, action, config, rp, ref_rng)
 
 
 def test_contrastive_reward_matches_score_prediction(small_compiled):
-    from tsqa.facts import sample_negatives
     from tsqa.reward import score_prediction
-    from tsqa.trainer import _contrastive_raw
 
     rp = RewardParams()
     config = PPOConfig()
@@ -435,7 +529,8 @@ def test_contrastive_reward_matches_score_prediction(small_compiled):
     for comp, cache in zip(compiled, caches):
         gold = comp.gold_answers[0] if comp.gold_answers else ""
         for action, pred in enumerate([c.text for c in comp.candidates]):
-            got = _contrastive_raw(cache, action, config, rp, rng)
+            drawn = sample_negatives(cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng)
+            got = _contrastive_raw(cache, action, drawn[0] + drawn[1], rp)
             remote, proximal = sample_negatives(
                 comp.remote_pool, comp.proximal_pool, config.negatives_per_side, ref_rng
             )

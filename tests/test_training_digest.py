@@ -33,7 +33,7 @@ from tsqa.metrics import evaluate_compiled
 from tsqa.policy import compile_dataset, save_checkpoint
 from tsqa.trainer import PPOConfig, SFTConfig, build_vocabulary, train_ppo_compiled, train_sft_compiled
 
-DIGEST = "d80faf2a4133a5dc699e9ab6fc17dfe086ddb21b2f5ec49771086f8c5dc775af"
+DIGEST = "a07da60e67df38d0eac1b1d4fac79e73ac91aa871e2dd4199e51740e568107fe"
 
 # Set before numpy is first imported, in the interpreter that trains.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
