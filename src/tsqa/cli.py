@@ -177,11 +177,19 @@ def _cmd_reward(args) -> int:
     return 0
 
 
+def _load_split(path: str, name: str) -> list:
+    """The records of a training or test split, which must hold at least one."""
+    records = load_dataset(path)
+    if not records:
+        raise ValueError(f"{path}: {name} set is empty")
+    return records
+
+
 def _cmd_train_sft(args) -> int:
     cfg = _load_config(args.config)
     feature_config = _block(FeatureConfig, args, cfg, "features", temporal_fusion=args.temporal_fusion)
     sft = _block(SFTConfig, args, cfg, "sft", seed=args.seed)
-    splits = [load_dataset(args.train), load_dataset(args.dev)]
+    splits = [_load_split(args.train, "train"), _load_split(args.dev, "dev")]
     vocab = build_vocabulary(splits)
     train, dev = (compile_dataset(split, None, vocab, feature_config) for split in splits)
     params, history = train_sft_compiled(train, dev, sft, feature_config, len(vocab))
@@ -203,8 +211,8 @@ def _cmd_train_ppo(args) -> int:
     )
     reward_params = _reward_params(args, cfg)
     train, dev = (
-        compile_dataset(load_dataset(path), None, vocab, feature_config)
-        for path in (args.train, args.dev)
+        compile_dataset(_load_split(path, name), None, vocab, feature_config)
+        for path, name in ((args.train, "train"), (args.dev, "dev"))
     )
     params, history = train_ppo_compiled(train, dev, sft_params, ppo, feature_config, reward_params)
     save_checkpoint(args.out, params, vocab, feature_config)
@@ -235,7 +243,7 @@ def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     sft_cfg = _block(SFTConfig, args, cfg, "sft", seed=args.seed)
     reward_params = _reward_params(args, cfg)
-    splits = [load_dataset(path) for path in (args.train, args.dev, args.test)]
+    splits = [_load_split(getattr(args, name), name) for name in ("train", "dev", "test")]
     vocab = build_vocabulary(splits[:2])
     # Compilation reads the window, which every arm shares, and not the
     # fusion switch: the splits are compiled once for the whole grid.

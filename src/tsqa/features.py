@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +70,17 @@ def dilate(mask: TemporalMask, window: int) -> TemporalMask:
     return TemporalMask._built((hit > 0).astype(np.int8))
 
 
+def mark_spans(bits: np.ndarray, spans: Sequence[TemporalSpan], window: int) -> None:
+    """Set the bits of every span widened by `window` tokens on each side
+    and clipped to `bits`, in place.  On zeros this gives
+    `dilate(build_mask(len(bits), spans), window).bits` in one pass, since
+    the dilated mask is the union of the widened spans."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    for s in spans:
+        bits[max(0, s.tok_start - window) : s.tok_end + window] = 1
+
+
 def concat_masks(question_mask: TemporalMask, context_mask: TemporalMask) -> TemporalMask:
     return TemporalMask._built(np.concatenate([question_mask.bits, context_mask.bits]))
 
@@ -117,9 +129,12 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def encode(self, tokens: Sequence[Token | str]) -> np.ndarray:
-        texts = [t.text if isinstance(t, Token) else t for t in tokens]
-        return np.array([self._ids.get(t.lower(), 0) for t in texts], dtype=np.intp)
+    def encode(self, tokens: Sequence[Token | str], lowered: bool = False) -> np.ndarray:
+        """The ids of `tokens` (UNK for unseen ones), looked up lower-cased;
+        with `lowered`, `tokens` are texts that already are."""
+        if not lowered:
+            tokens = [(t.text if isinstance(t, Token) else t).lower() for t in tokens]
+        return np.fromiter(map(self._ids.get, tokens, repeat(0)), dtype=np.intp, count=len(tokens))
 
     def to_json(self) -> str:
         return json.dumps(self._ids, ensure_ascii=False)

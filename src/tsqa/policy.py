@@ -24,11 +24,11 @@ import numpy as np
 
 from .config import REQUIRED, FeatureConfig, config_from_json, json_object
 from .facts import FactIndex, ResolutionError, _subseq_at, infer_question_pair, mine_proximal, mine_remote
-from .features import Vocabulary, build_mask, concat_masks, dilate, fuse
+from .features import Vocabulary, fuse, mark_spans
 from .fileio import write_atomic
 from .intervals import MonthInterval
 from .metrics import exact_match, f1, normalize_answer
-from .tagger import parse_question_time, tag, tokenize
+from .tagger import parse_question_time, tag, tokenize, words
 
 # Interval features saturate at ten years so far-apart periods stop
 # dominating the scale.
@@ -49,11 +49,15 @@ class Candidate:
     fact_interval: Optional[MonthInterval] = None
 
 
-def extract_candidates(ctx_tokens: Sequence, index: FactIndex) -> list[Candidate]:
+def extract_candidates(
+    ctx_tokens: Sequence, index: FactIndex, low: Optional[list[str]] = None
+) -> list[Candidate]:
     """Candidates = distinct objects of facts whose subject is mentioned
     in the context tokens, each with its first mention, ordered by mention
-    position; the one empty candidate comes last."""
-    low = [t.text.lower() for t in ctx_tokens]
+    position; the one empty candidate comes last.  `ctx_tokens` are
+    `Token`s or token texts; `low`, if given, holds their lower-cased texts."""
+    if low is None:
+        low = [(t if isinstance(t, str) else t.text).lower() for t in ctx_tokens]
 
     # Facts of the mentioned subjects, in store order.
     fact_ids = sorted(
@@ -180,28 +184,6 @@ class RecordLayout:
         return keys, np.stack(cells, dtype=np.int32)
 
 
-def _window_positions(
-    tok_start: int, tok_end: int, question_len: int, total: int, window: int
-) -> np.ndarray:
-    lo = max(0, question_len + tok_start - window)
-    hi = min(total - 1, question_len + tok_end - 1 + window)
-    return np.arange(lo, hi + 1)
-
-
-def _interval_row(q_iv: Optional[MonthInterval], c_iv: Optional[MonthInterval]) -> np.ndarray:
-    if q_iv is None or c_iv is None:
-        return np.zeros(3)
-    overlap = q_iv.overlap_months(c_iv) / q_iv.length_months()
-    if c_iv.lo > q_iv.hi:
-        gap = float(c_iv.lo - q_iv.hi)
-    elif c_iv.hi < q_iv.lo:
-        gap = -float(q_iv.lo - c_iv.hi)
-    else:
-        gap = 0.0
-    gap = max(-_GAP_CLAMP_MONTHS, min(gap, _GAP_CLAMP_MONTHS)) / _GAP_CLAMP_MONTHS
-    return np.array([overlap, gap, 1.0])
-
-
 def compile_record(
     record,
     index: Optional[FactIndex],
@@ -210,22 +192,28 @@ def compile_record(
     names: Optional[dict[str, list[str]]] = None,
 ) -> CompiledRecord:
     """The record against `index`, or with `index=None` against its own facts
-    (an index whose name tokens are memoized in `names`)."""
+    (an index whose name tokens are memoized in `names`).
+
+    The question is tokenized with offsets, which its time-scope and pair
+    parsers read; the context only as token texts, lower-cased once for
+    the tagger, the vocabulary and the candidate search."""
     idx = index if index is not None else FactIndex(record.facts, names)
     q_tokens = tokenize(record.question)
-    ctx_tokens = tokenize(record.context)
-    q_spans = tag(q_tokens)
+    q_low = [t.text.lower() for t in q_tokens]
+    ctx = words(record.context)
+    ctx_low = list(map(str.lower, ctx))
+    q_spans = tag(q_tokens, q_low)
     spec = record.time_spec
     if spec is None:
         spec = parse_question_time(q_tokens, q_spans)
 
-    q_mask = dilate(build_mask(len(q_tokens), q_spans), config.window)
-    c_mask = dilate(build_mask(len(ctx_tokens), tag(ctx_tokens)), config.window)
-    bits = concat_masks(q_mask, c_mask).bits
-    token_ids = np.concatenate([vocab.encode(q_tokens), vocab.encode(ctx_tokens)])
-    n_q, total = len(q_tokens), len(token_ids)
+    n_q, total = len(q_tokens), len(q_tokens) + len(ctx)
+    bits = np.zeros(total, dtype=np.int8)
+    mark_spans(bits[:n_q], q_spans, config.window)
+    mark_spans(bits[n_q:], tag(ctx, ctx_low), config.window)
+    token_ids = vocab.encode(q_low + ctx_low, lowered=True)
 
-    candidates = extract_candidates(ctx_tokens, idx)
+    candidates = extract_candidates(ctx, idx, ctx_low)
 
     # The question's own interval, resolving era references through the
     # fact store.  Deliberately never fall back to the gold fact here:
@@ -237,20 +225,36 @@ def compile_record(
         except ResolutionError:
             q_iv = None
 
-    window_pos = []
-    rows = []
-    density = np.zeros(len(candidates))
-    for k, cand in enumerate(candidates):
+    # Per mentioned candidate: its mention widened by the window and
+    # clipped to the record, as a run of token positions; the mask density
+    # over that run, from the running count of set bits; and its interval
+    # features against the question's: overlap (a share of the question's
+    # months), signed gap (clamped), and presence.
+    positions = np.arange(total)
+    set_bits = [0, *np.cumsum(bits).tolist()]
+    window_pos, density, rows = [], [], []
+    for cand in candidates:
         if cand.tok_start is None:
-            window_pos.append(np.arange(0))
-            rows.append(np.zeros(3))
+            window_pos.append(positions[:0])
+            density.append(0.0)
+            rows += (0.0, 0.0, 0.0)
             continue
-        pos = _window_positions(cand.tok_start, cand.tok_end, n_q, total, config.window)
-        window_pos.append(pos)
-        rows.append(_interval_row(q_iv, cand.fact_interval))
-        if pos.size:
-            density[k] = int(bits[pos].sum()) / pos.size
-    interval_feats = np.stack(rows) if rows else np.zeros((0, 3))
+        lo = max(0, n_q + cand.tok_start - config.window)
+        hi = min(total, n_q + cand.tok_end + config.window)
+        window_pos.append(positions[lo:hi])
+        density.append((set_bits[hi] - set_bits[lo]) / (hi - lo))
+        c_iv = cand.fact_interval
+        if q_iv is None or c_iv is None:
+            rows += (0.0, 0.0, 0.0)
+            continue
+        overlap = max(0, min(c_iv.hi, q_iv.hi) - max(c_iv.lo, q_iv.lo) + 1)
+        # Months from the question's end to a later candidate's start, or
+        # minus those from an earlier candidate's end to the question's start.
+        gap = max(c_iv.lo - q_iv.hi, 0) + min(c_iv.hi - q_iv.lo, 0)
+        gap = max(-_GAP_CLAMP_MONTHS, min(gap, _GAP_CLAMP_MONTHS))
+        rows += (overlap / q_iv.length_months(), gap / _GAP_CLAMP_MONTHS, 1.0)
+    density = np.array(density)
+    interval_feats = np.array(rows).reshape(-1, 3)
 
     if q_iv is None:
         pooled_extra = np.array([0.0, 0.0, 1.0 if spec.event_name else 0.0])

@@ -1,10 +1,14 @@
 """Rule-based temporal expression tagging.
 
-A small deterministic grammar over whitespace tokens replaces the usual
-NER dependency: explicit years, month-year points, year ranges, decades,
+A small deterministic grammar over tokens replaces the usual NER
+dependency: explicit years, month-year points, year ranges, decades,
 open-ended since/until phrases, and bare signal words (before, after,
 during, first, last, ...).  Tagged spans drive both the temporal masks
 and the question time-scope parser.
+
+One regex, `_TOKEN`, is the tokenizer: `tokenize` gives its matches as
+`Token`s with character offsets, and `words` gives the same token texts as
+plain strings, which is all that tagging, masking and encoding read.
 """
 
 from __future__ import annotations
@@ -43,11 +47,22 @@ SIGNAL_WORDS = frozenset(
 
 _PUNCT = set(string.punctuation) | {"–", "—", "‘", "’", "“", "”", "…"}
 _DASHES = {"-", "–", "—"}
-_CHUNK = re.compile(r"\S+")
-_RANGE_CORE = re.compile(r"^(\d{4})([-–—])(\d{2}|\d{4})$")
 _FOUR_DIGITS = re.compile(r"\d{4}")
 _TWO_DIGITS = re.compile(r"\d{2}")
 _DECADE = re.compile(r"(\d{3}0)s")
+
+# The tokenizer.  A token is one punctuation character, or a run of other
+# non-space characters from the first to the last that is not punctuation,
+# so edge punctuation splits off one character at a time.  The one split
+# inside a word is a year range ("1984-1991", "1949-66", any dash) that is
+# all of its whitespace chunk but edge punctuation: the first year is a
+# token of its own, and the dash and the second year follow as usual.
+_P = "".join(re.escape(c) for c in sorted(_PUNCT))
+_TOKEN = re.compile(
+    rf"\d{{4}}(?=[-–—](?:\d{{2}}|\d{{4}})[{_P}]*(?:\s|\Z))"  # a range's first year
+    rf"|[{_P}]"  # one punctuation character
+    rf"|[^\s{_P}](?:\S*[^\s{_P}])?"  # a word, inner punctuation kept
+)
 
 _MONTH_NAMES = {
     "january": 1, "february": 2, "march": 3, "april": 4, "may": 5, "june": 6,
@@ -92,54 +107,22 @@ class TemporalSpan:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Whitespace tokenization with leading/trailing punctuation split off.
+    """The tokens of `text` with their character offsets: whitespace
+    chunks with edge punctuation split off one character at a time, and a
+    year range ("1984-1991", any dash) split into year, dash and year so
+    the range grammar sees both years.  Each token satisfies
+    text[char_start:char_end] == token.text.  `words` gives the same
+    texts without offsets."""
+    return [Token(m.group(), *m.span()) for m in _TOKEN.finditer(text)]
 
-    Year-range glyphs are the one internal split: "1984-1991" (any dash)
-    becomes three tokens so the range grammar can see both years.  Each
-    token satisfies text[char_start:char_end] == token.text.
-    """
-    tokens: list[Token] = []
-    for m in _CHUNK.finditer(text):
-        chunk, (base, stop) = m.group(), m.span()
-        # Most chunks are one plain word: no edge punctuation, and too
-        # short, too long or dashless for a year range.
-        if (
-            chunk[0] not in _PUNCT
-            and chunk[-1] not in _PUNCT
-            and not (len(chunk) in (7, 9) and chunk[4] in _DASHES)
-        ):
-            tokens.append(Token(chunk, base, stop))
-            continue
-        i, j = 0, len(chunk)
-        lead: list[tuple[str, int]] = []
-        trail: list[tuple[str, int]] = []
-        while i < j and chunk[i] in _PUNCT:
-            lead.append((chunk[i], base + i))
-            i += 1
-        while j > i and chunk[j - 1] in _PUNCT:
-            trail.append((chunk[j - 1], base + j - 1))
-            j -= 1
-        for piece, pos in lead:
-            tokens.append(Token(piece, pos, pos + 1))
-        core = chunk[i:j]
-        if core:
-            rng = _RANGE_CORE.match(core)
-            if rng:
-                a, dash, b = rng.group(1), rng.group(2), rng.group(3)
-                tokens.append(Token(a, base + i, base + i + len(a)))
-                dpos = base + i + len(a)
-                tokens.append(Token(dash, dpos, dpos + 1))
-                tokens.append(Token(b, dpos + 1, dpos + 1 + len(b)))
-            else:
-                tokens.append(Token(core, base + i, base + j))
-        for piece, pos in reversed(trail):
-            tokens.append(Token(piece, pos, pos + 1))
-    return tokens
+
+# The token texts of `tokenize`, as plain strings.
+words = _TOKEN.findall
 
 
 def _year(text: str) -> Optional[int]:
     """The year a four-digit token names, if it lies in the supported range."""
-    if _FOUR_DIGITS.fullmatch(text):
+    if len(text) == 4 and _FOUR_DIGITS.fullmatch(text):
         y = int(text)
         if MIN_YEAR <= y <= MAX_YEAR:
             return y
@@ -156,81 +139,91 @@ def _range_tail(head: int, text: str) -> Optional[int]:
     return None
 
 
-# Lookahead of the grammar: "from Y to Y" reads three tokens past its first.
-_LOOKAHEAD = 3
+# Lower-cased words that can start a span besides years and decades: month
+# names, the range heads, and the signal words (since and until among them).
+_TRIGGERS = frozenset(_MONTH_NAMES) | {"from", "between"} | SIGNAL_WORDS
 
 
-def tag(tokens: Sequence[Token]) -> list[TemporalSpan]:
-    """Longest-match left-to-right pass producing non-overlapping spans."""
+def tag(tokens: Sequence[Token | str], low: Optional[Sequence[str]] = None) -> list[TemporalSpan]:
+    """Longest-match left-to-right pass producing non-overlapping spans.
+
+    `tokens` are all `Token`s or all token texts; `low`, if given, holds
+    their lower-cased texts.  Only a trigger token can start a span: a
+    year, a decade, a month name, from/between/since/until or a signal
+    word.  So the pass jumps from one trigger to the next, skipping those
+    that an earlier span covers.
+    """
+    texts = [t.text for t in tokens] if tokens and not isinstance(tokens[0], str) else tokens
+    if low is None:
+        low = [t.lower() for t in texts]
+    n = len(texts)
+
+    def year_at(j: int) -> Optional[int]:
+        return _year(texts[j]) if j < n else None
+
     spans: list[TemporalSpan] = []
-    n = len(tokens)
-    texts = [t.text for t in tokens]
-    # Lower-cased text and year of every token, padded past the end with
-    # what an absent token reads as.  Only four-character tokens can be years.
-    low = [t.lower() for t in texts] + [""] * _LOOKAHEAD
-    year = [_year(t) if len(t) == 4 else None for t in texts] + [None] * _LOOKAHEAD
-    i = 0
-    while i < n:
-        word = low[i]
+    end = 0  # tokens before `end` lie inside a span
+    # A year's or decade's first character is a digit, also lower-cased.
+    for i in [i for i, w in enumerate(low) if w in _TRIGGERS or w[:1].isdecimal()]:
+        if i < end:
+            continue
+        word, text = low[i], texts[i]
         # from Y to Y / between Y and Y: span covers the two years and
         # whatever sits between them.
-        if word in ("from", "between"):
+        if word in ("from", "between") and i + 3 < n:
+            y1, y2 = year_at(i + 1), year_at(i + 3)
             joiner = "to" if word == "from" else "and"
-            y1, y2 = year[i + 1], year[i + 3]
             if y1 is not None and y2 is not None and low[i + 2] == joiner and y1 <= y2:
                 spans.append(TemporalSpan(i + 1, i + 4, YEAR_RANGE, year_span(y1, y2)))
-                i += 4
+                end = i + 4
                 continue
         # Y <dash> Y, with two-digit tail support ("1949-66").
-        y1 = year[i]
+        y1 = _year(text)
         if y1 is not None and i + 2 < n and texts[i + 1] in _DASHES:
             y2 = _range_tail(y1, texts[i + 2])
             if y2 is not None and y1 <= y2:
                 spans.append(TemporalSpan(i, i + 3, YEAR_RANGE, year_span(y1, y2)))
-                i += 3
+                end = i + 3
                 continue
         # Month-name points: "Jul 1996", "Jul, 1996", "July. 1996".
         mo = _MONTH_NAMES.get(word)
         if mo is not None:
-            if year[i + 1] is not None:
-                idx = month_index(year[i + 1], mo)
+            y = year_at(i + 1)
+            if y is not None:
+                idx = month_index(y, mo)
                 spans.append(TemporalSpan(i, i + 2, MONTH_POINT, MonthInterval(idx, idx)))
-                i += 2
+                end = i + 2
                 continue
-            if low[i + 1] in (",", ".") and year[i + 2] is not None:
-                idx = month_index(year[i + 2], mo)
+            y = year_at(i + 2)
+            if y is not None and low[i + 1] in (",", "."):
+                idx = month_index(y, mo)
                 spans.append(TemporalSpan(i, i + 3, MONTH_POINT, MonthInterval(idx, idx)))
-                i += 3
+                end = i + 3
                 continue
         # since Y / until Y open ranges; bare since/until fall through to
         # the signal rule.
-        if word == "since" and year[i + 1] is not None:
-            iv = MonthInterval(month_index(year[i + 1], 1), MAX_MONTH)
-            spans.append(TemporalSpan(i, i + 2, OPEN_SINCE, iv))
-            i += 2
-            continue
-        if word == "until" and year[i + 1] is not None:
-            iv = MonthInterval(MIN_MONTH, month_index(year[i + 1], 12))
-            spans.append(TemporalSpan(i, i + 2, OPEN_UNTIL, iv))
-            i += 2
-            continue
+        if word in ("since", "until"):
+            y = year_at(i + 1)
+            if y is not None:
+                if word == "since":
+                    kind, iv = OPEN_SINCE, MonthInterval(month_index(y, 1), MAX_MONTH)
+                else:
+                    kind, iv = OPEN_UNTIL, MonthInterval(MIN_MONTH, month_index(y, 12))
+                spans.append(TemporalSpan(i, i + 2, kind, iv))
+                end = i + 2
+                continue
         # Decades: "1980s".
-        dm = _DECADE.fullmatch(texts[i]) if len(texts[i]) == 5 else None
+        dm = _DECADE.fullmatch(text) if len(text) == 5 else None
         if dm and MIN_YEAR <= int(dm.group(1)) <= MAX_YEAR - 9:
             d0 = int(dm.group(1))
             spans.append(TemporalSpan(i, i + 1, DECADE, year_span(d0, d0 + 9)))
-            i += 1
             continue
         # Bare year.
         if y1 is not None:
             spans.append(TemporalSpan(i, i + 1, YEAR_POINT, year_span(y1, y1)))
-            i += 1
             continue
         if word in SIGNAL_WORDS:
             spans.append(TemporalSpan(i, i + 1, SIGNAL, None))
-            i += 1
-            continue
-        i += 1
     return spans
 
 

@@ -292,6 +292,7 @@ def test_empty_split_is_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert "dev set is empty" in err
+    assert f"{empty}: dev set is empty" in err
     code, _, err = run(
         capsys, "train-sft", "--train", str(corpus / "train.jsonl"),
         "--dev", str(corpus / "dev.jsonl"), *common,
@@ -309,6 +310,18 @@ def test_empty_split_is_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert "train set is empty" in err
+    assert f"{empty}: train set is empty" in err
+
+    splits = {name: str(corpus / f"{name}.jsonl") for name in ("train", "dev", "test")}
+    for name in splits:
+        args = [f"--{split}={empty if split == name else path}" for split, path in splits.items()]
+        code, _, err = run(
+            capsys, "ablate", *args, "--out-dir", str(tmp_path / "grid"), "--config", str(cfg),
+            "--iterations", "0",
+        )
+        assert code == 2
+        assert f"{empty}: {name} set is empty" in err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_eval_of_an_empty_dataset_is_exit_two(capsys, tmp_path):

@@ -16,6 +16,13 @@ CHANGES.md.  FIELDS_DIGEST was last recorded when the reward caches began
 embedding pooled negatives on first draw (the same value is computed from
 the shared embedding table the caches held before); LAYOUT_DIGEST when
 featurize and backward became batched.
+
+DISTRACTOR_DIGEST pins the compiled fields and layouts of a second,
+distractor-shaped corpus (two relations, four undated distractor sentences
+per context, so about 150 tokens and 13 candidates per record), compiled
+the way `tsqa eval` compiles, with `index=None`.  It was recorded before
+contexts were compiled as plain token texts, and that change left it as
+it was.
 """
 
 import hashlib
@@ -32,6 +39,7 @@ from tsqa.trainer import build_reward_caches, build_vocabulary
 
 FIELDS_DIGEST = "1c25a8adb3620373521a12555176503a05cbf025ef704e99430d1673406e39b8"
 LAYOUT_DIGEST = "e0412a718e908290a2324363df9a65af66f96a9c79785e6e88c9849792344eed"
+DISTRACTOR_DIGEST = "010e99c4d722327dc0ded56940baa2a8be9b9df582d1af531ee6ee37f0c5ba43"
 
 
 def _feed(digest, value) -> None:
@@ -71,3 +79,24 @@ def compiled_and_reward_digests() -> tuple[str, str]:
 
 def test_compiled_records_and_reward_table_match_the_recorded_digest():
     assert compiled_and_reward_digests() == (FIELDS_DIGEST, LAYOUT_DIGEST)
+
+
+def distractor_digest() -> str:
+    train, dev, test, _ = generate_synthetic(
+        SyntheticConfig(
+            n_entities=30, n_relations=2, distractor_sentences_per_context=4, distractors_dated=False, seed=5
+        )
+    )
+    vocab = build_vocabulary([train, dev])
+    digest = hashlib.sha256()
+    for comp in compile_dataset(train + dev + test, None, vocab, FeatureConfig()):
+        for f in fields(CompiledRecord):
+            _feed(digest, getattr(comp, f.name))
+        lay = comp.layout
+        _feed(digest, [lay.sizes, lay.rows, lay.counts])
+        _feed(digest, list(lay.grouping))
+    return digest.hexdigest()
+
+
+def test_distractor_shaped_records_match_the_recorded_digest():
+    assert distractor_digest() == DISTRACTOR_DIGEST

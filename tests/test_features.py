@@ -13,6 +13,7 @@ from tsqa.features import (
     dilate,
     embed_temporal,
     fuse,
+    mark_spans,
 )
 from tsqa.tagger import TemporalSpan, tag, tokenize
 
@@ -51,6 +52,24 @@ def test_dilate_matches_brute_force():
         bits = rng.integers(0, 2, size=n)
         got = dilate(TemporalMask(bits), window).bits.tolist()
         assert got == brute_dilate(bits.tolist(), window)
+
+
+def test_mark_spans_is_the_dilated_mask_in_place():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        window = int(rng.integers(0, 12))
+        # Non-overlapping spans, as the tagger makes them.
+        cuts = np.sort(rng.choice(n + 1, size=2 * int(rng.integers(0, n // 2 + 1)), replace=False))
+        spans = [TemporalSpan(int(a), int(b), "signal", None) for a, b in cuts.reshape(-1, 2) if a < b]
+        # A view inside a longer array: nothing outside it may be set.
+        padded = np.zeros(n + 6, dtype=np.int8)
+        mark_spans(padded[3 : 3 + n], spans, window)
+        want = dilate(build_mask(n, spans), window).bits
+        assert padded[3 : 3 + n].tolist() == want.tolist()
+        assert not padded[:3].any() and not padded[3 + n :].any()
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        mark_spans(np.zeros(3, dtype=np.int8), [], -1)
 
 
 def test_dilate_window_wider_than_sequence():
@@ -127,6 +146,11 @@ def test_vocabulary_determinism_and_unk():
     assert v1.encode(["zzz"])[0] == 0
     ids = v1.encode(["A", "unknown", "c"])
     assert ids.tolist() == [1, 0, 3]
+    # Lower-cased texts skip the lowering; the ids are those of any casing.
+    assert v1.encode(["a", "unknown", "c"], lowered=True).tolist() == [1, 0, 3]
+    assert v1.encode(["A"], lowered=True).tolist() == [0]
+    assert v1.encode(tokenize("A c")).tolist() == [1, 3]
+    assert v1.encode([]).dtype == np.intp and v1.encode([]).size == 0
 
 
 def test_vocabulary_json_round_trip():

@@ -228,9 +228,9 @@ def test_compile_record_tokenizes_and_tags_the_question_once(tiny_features, monk
         tokenized.append(text)
         return tokenize(text)
 
-    def counting_tag(tokens):
+    def counting_tag(tokens, *lowered):
         tagged.append(len(tokens))
-        return tag(tokens)
+        return tag(tokens, *lowered)
 
     for module in (tsqa.policy, tsqa.facts):
         monkeypatch.setattr(module, "tokenize", counting_tokenize)
