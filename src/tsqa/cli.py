@@ -78,7 +78,7 @@ def _reward_params(args, cfg: dict) -> RewardParams:
     lookup = json_object(cfg.get("reward", {}), {"lookup_path": ("", None)}, (_where(args, "reward"),))
     if lookup["lookup_path"]:
         table = load_lookup_table(lookup["lookup_path"], params.dim)
-        params = replace(params, embedder="lookup_table", lookup_table=table)
+        params = replace(params, lookup_table=table)
     return params
 
 

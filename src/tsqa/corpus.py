@@ -262,8 +262,7 @@ class SyntheticConfig:
             raise ValidationError("facts_per_pair must be >= 2")
         if self.distractor_sentences_per_context < 0:
             raise ValidationError("distractor_sentences_per_context must be >= 0")
-        lo, hi = self.year_range
-        if not (1000 <= lo < hi <= 2999):
+        if len(self.year_range) != 2 or not 1000 <= self.year_range[0] < self.year_range[1] <= 2999:
             raise ValidationError("year_range must be an increasing pair within [1000, 2999]")
         if not 0.0 <= self.unanswerable_fraction <= 1.0:
             raise ValidationError("unanswerable_fraction must be in [0, 1]")

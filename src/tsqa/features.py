@@ -152,8 +152,8 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts: Iterable[str], tokenizer) -> "Vocabulary":
+        """The lower-cased tokens of `texts`; `tokenizer` gives `Token`s or token texts."""
         seen: set[str] = set()
         for text in texts:
-            for tok in tokenizer(text):
-                seen.add(tok.text.lower())
-        return cls(seen)
+            seen.update(t if isinstance(t, str) else t.text for t in tokenizer(text))
+        return cls({t.lower() for t in seen})

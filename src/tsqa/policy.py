@@ -110,11 +110,6 @@ class CompiledRecord:
     proximal_pool: list[str]
 
     @cached_property
-    def layout(self) -> "RecordLayout":
-        """The static arrays featurize reads, worked out once, on first use."""
-        return RecordLayout.of(self)
-
-    @cached_property
     def _scores(self) -> dict[int, tuple[float, float]]:
         return {}
 
@@ -126,33 +121,20 @@ class CompiledRecord:
             score = self._scores[index] = (exact_match(text, self.gold_answers), f1(text, self.gold_answers))
         return score
 
+    @cached_property
+    def pool_rows(self) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+        """Which tokens each attention pool reads, worked out on first use:
+        the sizes (tokens T, pools P, rows N), the (3, N) rows, and the row
+        count of each pool that has rows, in pool order.
 
-@dataclass(frozen=True)
-class RecordLayout:
-    """Which tokens each attention pool reads, and the other static inputs
-    of featurize: per record, as arrays that a batch concatenates.
-
-    Pool 0 is the question, pool 1 + c the mention window of candidate c.
-    Rows are listed question first, then window by window, so each pool's
-    rows are one consecutive run; windows overlap, so a token may be the
-    row of several pools.  The groupings by token id and mask bit serve
-    only backward, so `grouping` is built on first read.
-    """
-
-    token_ids: np.ndarray  # the record's, over the token axis
-    bits: np.ndarray  # the record's mask, over the token axis
-    sizes: tuple[int, int, int]  # tokens T, pools P, rows N
-    rows: np.ndarray  # (3, N): 2 * token + (1 for a window row), pool * T + token, pool
-    counts: np.ndarray  # rows of each pool that has rows, in pool order
-    interval_feats: np.ndarray  # (K, 3)
-    density: np.ndarray  # (K,)
-    pooled_extra: np.ndarray  # (3,)
-
-    @classmethod
-    def of(cls, comp: "CompiledRecord") -> "RecordLayout":
-        n_q, total = comp.question_len, comp.token_ids.size
-        sizes = np.array([n_q] + [p.size for p in comp.window_pos], dtype=np.intp)
-        pos = np.concatenate([np.arange(n_q)] + comp.window_pos, dtype=np.intp)
+        Pool 0 is the question, pool 1 + c the mention window of candidate c.
+        Rows are listed question first, then window by window, so each pool's
+        rows are one consecutive run; windows overlap, so a token may be the
+        row of several pools.  A row is (2 * token + (1 for a window row),
+        pool * T + token, pool)."""
+        n_q, total = self.question_len, self.token_ids.size
+        sizes = np.array([n_q] + [p.size for p in self.window_pos], dtype=np.intp)
+        pos = np.concatenate([np.arange(n_q)] + self.window_pos, dtype=np.intp)
         # int32 halves what every compiled record keeps; a batch's rows are intp.
         rows = np.empty((3, pos.size), dtype=np.int32)
         rows[2] = np.repeat(np.arange(sizes.size), sizes)
@@ -160,27 +142,19 @@ class RecordLayout:
         rows[0, n_q:] += 1
         np.multiply(rows[2], total, out=rows[1])
         rows[1] += pos
-        return cls(
-            token_ids=comp.token_ids,
-            bits=comp.bits,
-            sizes=(total, sizes.size, pos.size),
-            rows=rows,
-            counts=sizes[sizes > 0],
-            interval_feats=comp.interval_feats,
-            density=comp.density,
-            pooled_extra=comp.pooled_extra,
-        )
+        return (total, sizes.size, pos.size), rows, sizes[sizes > 0]
 
     @cached_property
     def grouping(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct token ids, and (2, N) cells per row for backward's
         (P + 2, ids) matrix that sums the attention weights (rows 0..P-1)
         and the u terms (row P for the question's u, P + 1 for the
-        windows') per token id."""
-        score, _, pool = self.rows
+        windows') per token id.  Only backward reads it, so it is built on
+        first read."""
+        (_, n_pools, _), (score, _, pool), _ = self.pool_rows
         keys, key = np.unique(self.token_ids, return_inverse=True)
         key = key[score >> 1]
-        cells = [pool * keys.size + key, (self.sizes[1] + (score & 1)) * keys.size + key]
+        cells = [pool * keys.size + key, (n_pools + (score & 1)) * keys.size + key]
         return keys, np.stack(cells, dtype=np.int32)
 
 
@@ -382,15 +356,16 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
 
 # ---------------------------------------------------------------------------
 # The batched engine: featurize, forward and backward a list of records at
-# once.  A batch concatenates its records' layouts; only the (pools x
+# once.  A batch concatenates its records' static arrays; only the (pools x
 # tokens) products stay per record, everything else is one numpy call per
 # batch.  The one-record entry points below are batches of one.
 
 
 class Batch:
-    """The layouts of a list of records, concatenated: one token axis, one
-    pool-row axis, one pool axis and one candidate axis, each record's block
-    after the one before.  A record may appear more than once.
+    """The static arrays of a list of compiled records, concatenated: one
+    token axis, one pool-row axis, one pool axis and one candidate axis,
+    each record's block after the one before.  A record may appear more
+    than once.
 
     The pool axis gives each record P + 2 rows: its pools, then two rows
     that backward fills with the question's and the windows' u, so that a
@@ -398,13 +373,13 @@ class Batch:
     combinations of.
     """
 
-    def __init__(self, layouts: Sequence["RecordLayout"]) -> None:
-        self.layouts = layouts
+    def __init__(self, records: Sequence[CompiledRecord]) -> None:
+        self.records = records
+        layouts = [comp.pool_rows for comp in records]
         # Per record: the slice bounds of its tokens, attention cells and
         # pools, then its row count, candidate count and first candidate.
         self.blocks, sizes, t, c, p, k = [], [], 0, 0, 0, 0
-        for lay in layouts:
-            n_tokens, n_pools, n = lay.sizes
+        for (n_tokens, n_pools, n), _, _ in layouts:
             self.blocks.append((t, t + n_tokens, c, c + n_pools * n_tokens, p, p + n_pools))
             sizes.append((n_tokens, n, n_pools - 1, k))
             t, c, p, k = t + n_tokens, c + n_pools * n_tokens, p + n_pools + 2, k + n_pools - 1
@@ -413,20 +388,21 @@ class Batch:
         self.pool_starts = bounds[:, 4]
         self.n_tokens, self.n_rows, self.n_cands, self.cand_starts = np.array(sizes, dtype=np.intp).reshape(-1, 4).T
         offsets = bounds[:, 0::2].T * np.array([[2], [1], [1]])
-        self.rows = np.concatenate([lay.rows for lay in layouts], axis=1) + np.repeat(offsets, self.n_rows, axis=1)
-        self.counts = np.concatenate([lay.counts for lay in layouts])
+        rows = np.concatenate([rows for _, rows, _ in layouts], axis=1)
+        self.rows = rows + np.repeat(offsets, self.n_rows, axis=1)
+        self.counts = np.concatenate([counts for _, _, counts in layouts])
         self.row_starts = np.cumsum(self.counts) - self.counts
-        self.token_ids = np.concatenate([lay.token_ids for lay in layouts])
-        self.bits = np.concatenate([lay.bits for lay in layouts])
+        self.token_ids = np.concatenate([comp.token_ids for comp in records])
+        self.bits = np.concatenate([comp.bits for comp in records])
         # Each candidate's pools: its record's question pool, and its own window pool.
         self.question_pools = np.repeat(self.pool_starts, self.n_cands)
         self.window_pools = np.arange(k) + np.repeat(self.pool_starts + 1 - self.cand_starts, self.n_cands)
-        self.interval_feats = np.concatenate([lay.interval_feats for lay in layouts])
-        self.density = np.concatenate([lay.density for lay in layouts])
-        self.pooled_extra = np.array([lay.pooled_extra for lay in layouts])
+        self.interval_feats = np.concatenate([comp.interval_feats for comp in records])
+        self.density = np.concatenate([comp.density for comp in records])
+        self.pooled_extra = np.array([comp.pooled_extra for comp in records])
 
     def __len__(self) -> int:
-        return len(self.layouts)
+        return len(self.records)
 
 
 @dataclass
@@ -452,7 +428,7 @@ def featurize_batch(
     softmax(u·x_i), one u for the question and one for the windows, and
     lay out each candidate's features: its question pool, its window pool,
     then its interval features and density."""
-    batch = Batch([c.layout for c in records])
+    batch = Batch(records)
     # With temporal fusion off the time table reads as zero, and backward
     # leaves its gradient alone.
     time_table = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
@@ -585,7 +561,6 @@ def loss_and_grads_batch(
     params: PolicyParams,
     features: BatchFeatures,
     losses: dict,
-    into: Optional[PolicyParams] = None,
 ) -> tuple[dict, PolicyParams, Optional[np.ndarray]]:
     """Per-record losses, exact gradients and the candidate probabilities
     of a batch (None when only value_mse is asked for, which computes none).
@@ -594,17 +569,16 @@ def loss_and_grads_batch(
     gold_index (cross_entropy); action, logprob_old, advantage and cliprange
     (ppo_surrogate); return (value_mse); and an optional scale, a number or
     one per record.  Returns each kind's (B,) losses and the sum of the
-    scaled gradients, added to `into` when it is given.  The pooled state is
-    a constant input to the value head, so value_mse touches only Wv and
-    bv; the policy losses are the only path into the perceptron and the
-    shared tables.  The softmax ignores b2, so its gradient is zero.
+    scaled gradients.  The pooled state is a constant input to the value
+    head, so value_mse touches only Wv and bv; the policy losses are the
+    only path into the perceptron and the shared tables.  The softmax ignores b2, so its gradient is zero.
     """
     batch = features.batch
     _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
     for kind in losses:
         if kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {kind!r}")
-    grads = zeros_like_params(params) if into is None else into
+    grads = zeros_like_params(params)
     out: dict[str, np.ndarray] = {}
     h = probs = dlogits = None
     for kind, inputs in losses.items():
@@ -673,8 +647,8 @@ def _table_grads(grads: PolicyParams, features: BatchFeatures, ws: np.ndarray, b
     # Each record's distinct ids, and the slice bounds of its (P + 2, ids)
     # block of the grouped weights and s_i and of its basis rows.
     cells, blocks, g = [], [], 0
-    for lay, (_, _, _, _, p0, p1) in zip(batch.layouts, batch.blocks):
-        ids, index = lay.grouping
+    for comp, (_, _, _, _, p0, p1) in zip(batch.records, batch.blocks):
+        ids, index = comp.grouping
         n_basis = p1 - p0 + 2
         cells.append(index)
         blocks.append((ids, g, g + n_basis * ids.size, p0, p0 + n_basis))
@@ -699,14 +673,11 @@ def loss_and_grads(
     rf: BatchFeatures,
     loss_kind: str,
     loss_inputs: dict,
-    into: Optional[PolicyParams] = None,
-    scale: float = 1.0,
 ) -> tuple[float, PolicyParams, Optional[np.ndarray]]:
-    """`loss_and_grads_batch` of a one-record batch and one loss kind:
-    the scalar loss, the gradients (times `scale`, added to `into` when it
-    is given) and the candidate probabilities (None for value_mse)."""
-    inputs = {**loss_inputs, "scale": scale}
-    losses, grads, probs = loss_and_grads_batch(params, rf, {loss_kind: inputs}, into)
+    """`loss_and_grads_batch` of a one-record batch and one loss kind: the
+    scalar loss, the gradients and the candidate probabilities (None for
+    value_mse)."""
+    losses, grads, probs = loss_and_grads_batch(params, rf, {loss_kind: loss_inputs})
     return float(losses[loss_kind][0]), grads, probs
 
 

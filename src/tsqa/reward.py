@@ -29,7 +29,7 @@ class RewardParams:
     delta: float = 1e-6
     margin: float = 1.0
     dim: int = DEFAULT_DIM
-    embedder: str = "surface_ngram"  # or "lookup_table"
+    # A word-vector table embeds answers when set; else surface trigram hashing.
     lookup_table: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
     neg_aggregate: str = "min"  # "min" = hardest negative, "mean" for ablations
 
@@ -40,8 +40,6 @@ class RewardParams:
             raise ValueError("margin must be non-negative")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.embedder not in ("surface_ngram", "lookup_table"):
-            raise ValueError(f"unknown embedder {self.embedder!r}")
         if self.neg_aggregate not in ("min", "mean"):
             raise ValueError(f"unknown negative aggregate {self.neg_aggregate!r}")
 
@@ -90,9 +88,7 @@ def embed_answer(answer: str, params: RewardParams) -> np.ndarray:
     text = normalize_answer(answer)
     if not text:
         return np.zeros(params.dim)
-    if params.embedder == "lookup_table":
-        if params.lookup_table is None:
-            raise ValueError("lookup_table embedder selected but no table loaded")
+    if params.lookup_table is not None:
         hits = [params.lookup_table[w] for w in text.split() if w in params.lookup_table]
         if not hits:
             return np.zeros(params.dim)

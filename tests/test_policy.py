@@ -776,7 +776,7 @@ def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
     compiled = compile_dataset(small_corpus[2][:8], small_index, small_vocab, tiny_features)
     greedy_choices(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
     for comp in compiled:
-        assert "grouping" not in vars(comp.layout)
+        assert "grouping" not in vars(comp)
 
 
 def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
@@ -790,12 +790,12 @@ def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
     for a, b in zip(early, late):
         if a.gold_index < 0:
             continue
-        a.layout.grouping  # built before featurize and backward
+        a.grouping  # built before featurize and backward
         inputs = {"gold_index": a.gold_index}
         ga = loss_and_grads(params, featurize_record(a, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "grouping" not in vars(b.layout)
+        assert "grouping" not in vars(b)
         gb = loss_and_grads(params, featurize_record(b, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "grouping" in vars(b.layout)
+        assert "grouping" in vars(b)
         assert ga.flat.tolist() == gb.flat.tolist()
         checked += 1
     assert checked >= 5

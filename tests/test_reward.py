@@ -61,8 +61,6 @@ def test_reward_params_validation():
     with pytest.raises(ValueError):
         RewardParams(margin=-1)
     with pytest.raises(ValueError):
-        RewardParams(embedder="word2vec")
-    with pytest.raises(ValueError):
         RewardParams(neg_aggregate="max")
 
 
@@ -221,7 +219,7 @@ def test_lookup_table_embedder(tmp_path):
         encoding="utf-8",
     )
     table = load_lookup_table(vec_file, dim=2)
-    params = RewardParams(dim=2, embedder="lookup_table", lookup_table=table)
+    params = RewardParams(dim=2, lookup_table=table)
     v = embed_answer("Mill Bank", params)
     assert np.allclose(v, np.array([0.5, 0.5]) / np.linalg.norm([0.5, 0.5]))
     # OOV-only answers embed to zero

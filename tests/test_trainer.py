@@ -2,17 +2,19 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tsqa.config import FeatureConfig
-from tsqa.corpus import QARecord, QuestionType
+from tsqa.corpus import QARecord, QuestionType, SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex, TimeFact, sample_negatives
 from tsqa.features import Vocabulary
 from tsqa.intervals import year_span
-from tsqa.metrics import evaluate_compiled
+from tsqa.metrics import evaluate_compiled, exact_match
 from tsqa.policy import (
+    Candidate,
     compile_record,
     featurize_record,
     forward,
@@ -124,6 +126,23 @@ def test_adamw_step_rejects_non_finite_parameters():
         AdamW(params, learning_rate=0.01).step(params, grads)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(n_entities=200, n_relations=1, distractor_sentences_per_context=0, seed=7),
+        dict(n_entities=60, n_relations=2, distractor_sentences_per_context=4, distractors_dated=False, seed=11),
+    ],
+    ids=["bigstore", "distractor"],
+)
+def test_build_vocabulary_equals_the_one_built_from_tokens(shape):
+    # build_vocabulary reads token texts; Vocabulary.build also takes a Token tokenizer.
+    splits = generate_synthetic(SyntheticConfig(**shape))[:2]
+    texts = [text for split in splits for r in split for text in (r.question, r.context)]
+    got = build_vocabulary(splits)
+    assert got.to_json() == Vocabulary.build(texts, tokenize).to_json()
+    assert len(got) > 100
+
+
 # ---------------------------------------------------------------------------
 # Advantage estimation.
 
@@ -138,7 +157,7 @@ def rollouts(params, data, cfg, feature_config, seed):
     )
 
 
-def rollouts_one_at_a_time(params, dataset, config, feature_config, rng, kl_coef, reward_params, caches, ref_probs):
+def rollouts_one_at_a_time(params, dataset, config, feature_config, rng, kl_coef, reward_params, vectors, ref_probs):
     """`collect_rollouts` as a loop of whole rollouts, the reference for the
     batched one: each rollout featurizes and forwards its record alone and
     samples its action with `rng.choice`."""
@@ -152,12 +171,10 @@ def rollouts_one_at_a_time(params, dataset, config, feature_config, rng, kl_coef
         logp = float(np.log(max(out.probs[a], 1e-300)))
         logp_ref = float(np.log(max(ref_probs[i][a], 1e-300)))
         if config.reward_kind == "contrastive":
-            remote, proximal = sample_negatives(
-                caches[i].remote_pool, caches[i].proximal_pool, config.negatives_per_side, rng
-            )
-            r = _contrastive_raw(caches[i], a, remote + proximal, reward_params)
+            remote, proximal = sample_negatives(comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng)
+            r = _contrastive_raw(comp, a, remote + proximal, vectors, reward_params)
         else:
-            r = float(caches[i].em_sign[a])
+            r = 1.0 if exact_match(comp.candidates[a].text, comp.gold_answers) else -1.0
         comps.append(comp)
         actions.append(a)
         logprob_old.append(logp)
@@ -180,14 +197,14 @@ def test_collect_rollouts_match_the_one_rollout_at_a_time_loop(kind, sft_setup, 
     assert any(c.remote_pool and c.proximal_pool for c in data)
     cfg = PPOConfig(num_rollouts=40, reward_kind=kind, seed=3)
     rp = RewardParams()
-    caches = build_reward_caches(data, rp)
+    vectors = build_reward_caches(data, rp)
     ref = reference_probs(sft_setup, data, tiny_features)
     # A policy sharper than the reference, so the KL terms are not zero.
     params = sft_setup.clone()
     params.W2 *= 1.5
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = collect_rollouts(params, data, cfg, tiny_features, rng, 0.05, rp, caches, ref)
-    want = rollouts_one_at_a_time(params, data, cfg, tiny_features, ref_rng, 0.05, rp, caches, ref)
+    got = collect_rollouts(params, data, cfg, tiny_features, rng, 0.05, rp, vectors, ref)
+    want = rollouts_one_at_a_time(params, data, cfg, tiny_features, ref_rng, 0.05, rp, vectors, ref)
     ids = [c.id for c in got.compiled]
     assert ids == [c.id for c in want["compiled"]]
     assert len(set(ids)) < len(ids)
@@ -389,42 +406,28 @@ def sft_setup(small_compiled, small_vocab, tiny_features):
 def test_reward_caches_match_direct_scores(small_compiled):
     rp = RewardParams()
     compiled = small_compiled[0][:20]
-    caches = build_reward_caches(compiled, rp)
-    from tsqa.metrics import exact_match
+    vectors = build_reward_caches(compiled, rp)
     from tsqa.reward import embed_answer
 
-    for comp, cache in zip(compiled, caches):
+    for comp in compiled:
         gold = comp.gold_answers[0] if comp.gold_answers else ""
         gvec = embed_answer(gold, rp)
         for k, text in enumerate([c.text for c in comp.candidates]):
             d = float(np.linalg.norm(embed_answer(text, rp) - gvec))
-            got = np.linalg.norm(cache.vector(cache.candidates[k]) - cache.vector(cache.gold))
+            got = np.linalg.norm(vectors[text] - vectors[gold])
             assert got == pytest.approx(d, abs=1e-12)
             want = 1.0 if exact_match(text, comp.gold_answers) else -1.0
-            assert cache.em_sign[k] == want
-        assert cache.candidates == [c.text for c in comp.candidates]
-        assert cache.gold == gold
-        assert cache.remote_pool is comp.remote_pool
-        assert cache.proximal_pool is comp.proximal_pool
+            assert 2.0 * comp.candidate_score(k)[0] - 1.0 == want  # the exact-match reward
 
 
 def test_contrastive_reward_no_negatives_uses_raw_distance():
-    from tsqa.trainer import _RewardCache
-
     rp = RewardParams()
     vectors = {"gold": np.array([0.0, 0.0]), "far": np.array([1.3, 0.0])}
-    cache = _RewardCache(
-        vector=vectors.__getitem__,
-        candidates=["gold", "far"],
-        gold="gold",
-        remote_pool=[],
-        proximal_pool=[],
-        em_sign=np.array([1.0, -1.0]),
-    )
-    assert _contrastive_raw(cache, 0, [], rp) == pytest.approx(
+    comp = SimpleNamespace(candidates=[Candidate("gold"), Candidate("far")], gold_answers=["gold"])
+    assert _contrastive_raw(comp, 0, [], vectors, rp) == pytest.approx(
         reward(0.0, rp)
     )
-    assert _contrastive_raw(cache, 1, [], rp) == pytest.approx(
+    assert _contrastive_raw(comp, 1, [], vectors, rp) == pytest.approx(
         reward(1.3, rp)
     )
 
@@ -456,7 +459,7 @@ def test_reward_caches_embed_pooled_negatives_on_first_draw(
     pool_only = {t for c in data for t in c.remote_pool + c.proximal_pool} - answers
     assert pool_only  # there are strings the build must leave alone
 
-    caches = build_reward_caches(data, rp)
+    vectors = build_reward_caches(data, rp)
     assert sorted(embedded) == sorted(answers)  # each candidate and gold once, no pool string
     ref = reference_probs(sft_setup, data, tiny_features)
 
@@ -465,7 +468,7 @@ def test_reward_caches_embed_pooled_negatives_on_first_draw(
         cfg = PPOConfig(num_rollouts=200, reward_kind=kind, seed=2)
         collect_rollouts(
             sft_setup, data, cfg, tiny_features, np.random.default_rng(2), cfg.init_kl_coef,
-            rp, caches, ref,
+            rp, vectors, ref,
         )
         return list(embedded)
 
@@ -474,6 +477,37 @@ def test_reward_caches_embed_pooled_negatives_on_first_draw(
     new = [t for t in drawn if t not in answers]
     assert len(new) > len(set(new))  # some pool-only negative is drawn more than once
     assert sorted(got) == sorted(set(new))  # each drawn negative once, nothing undrawn
+
+
+def test_exact_match_rewards_score_only_the_drawn_actions(monkeypatch, sft_setup, small_compiled, tiny_features):
+    import tsqa.policy as policy_mod
+
+    scored = []
+    em = policy_mod.exact_match
+
+    def recording_em(prediction, golds):
+        scored.append(prediction)
+        return em(prediction, golds)
+
+    monkeypatch.setattr(policy_mod, "exact_match", recording_em)
+    data = [replace(c) for c in small_compiled[0][:20]]  # fresh copies: a record keeps its scores
+    rp = RewardParams()
+    vectors = build_reward_caches(data, rp)
+    ref = reference_probs(sft_setup, data, tiny_features)
+
+    def run(kind):
+        cfg = PPOConfig(num_rollouts=64, reward_kind=kind, seed=6)
+        rng = np.random.default_rng(6)
+        return collect_rollouts(sft_setup, data, cfg, tiny_features, rng, cfg.init_kl_coef, rp, vectors, ref)
+
+    run("contrastive")
+    assert scored == []  # neither the build nor a contrastive run scores a candidate
+    batch = run("exact_match")
+    drawn = list(zip(batch.compiled, batch.actions.tolist()))
+    want = [1.0 if em(c.candidates[a].text, c.gold_answers) else -1.0 for c, a in drawn]
+    assert batch.raw_rewards.tolist() == want
+    assert set(want) == {-1.0, 1.0}
+    assert len(scored) == len({(c.id, a) for c, a in drawn})  # each drawn action once, nothing undrawn
 
 
 def _dense_contrastive(comp, action, config, params, rng):
@@ -507,14 +541,14 @@ def test_contrastive_reward_equals_dense_tables_bitwise(small_compiled, aggregat
     config = PPOConfig()
     compiled = small_compiled[0][:20]
     assert any(c.remote_pool and c.proximal_pool for c in compiled)
-    caches = build_reward_caches(compiled, rp)
+    vectors = build_reward_caches(compiled, rp)
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    for comp, cache in zip(compiled, caches):
+    for comp in compiled:
         for action in range(len(comp.candidates)):
             remote, proximal = sample_negatives(
-                cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng
+                comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng
             )
-            got = _contrastive_raw(cache, action, remote + proximal, rp)
+            got = _contrastive_raw(comp, action, remote + proximal, vectors, rp)
             assert got == _dense_contrastive(comp, action, config, rp, ref_rng)
 
 
@@ -524,13 +558,13 @@ def test_contrastive_reward_matches_score_prediction(small_compiled):
     rp = RewardParams()
     config = PPOConfig()
     compiled = small_compiled[0][:20]
-    caches = build_reward_caches(compiled, rp)
+    vectors = build_reward_caches(compiled, rp)
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    for comp, cache in zip(compiled, caches):
+    for comp in compiled:
         gold = comp.gold_answers[0] if comp.gold_answers else ""
         for action, pred in enumerate([c.text for c in comp.candidates]):
-            drawn = sample_negatives(cache.remote_pool, cache.proximal_pool, config.negatives_per_side, rng)
-            got = _contrastive_raw(cache, action, drawn[0] + drawn[1], rp)
+            drawn = sample_negatives(comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng)
+            got = _contrastive_raw(comp, action, drawn[0] + drawn[1], vectors, rp)
             remote, proximal = sample_negatives(
                 comp.remote_pool, comp.proximal_pool, config.negatives_per_side, ref_rng
             )
