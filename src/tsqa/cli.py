@@ -95,7 +95,10 @@ def _interval_from_args(args) -> MonthInterval:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     syn = _block(SyntheticConfig, args, cfg, "synthetic", seed=args.seed)
-    train, dev, test, facts = generate_synthetic(syn)
+    try:
+        train, dev, test, facts = generate_synthetic(syn)
+    except ValueError as exc:  # a config the generator cannot lay out, e.g. a narrow year_range
+        raise ValueError(f"{_where(args, 'synthetic')}: {exc}") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(train, out / "train.jsonl")

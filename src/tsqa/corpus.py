@@ -5,6 +5,11 @@ dated facts as templated sentences.  The generator builds a closed world
 of entities with non-overlapping career facts per (entity, relation)
 pair, then asks point, range, before/after, first/last, and era-scoped
 questions whose gold answers follow from the facts alone.
+
+Each subject's facts and dated sentences are rendered once, as one
+contiguous run that every record about the subject slices.  A sentence is
+a (text, phrase) tuple: phrase is the (start, end, interval) of the
+sentence's one "Y1 to Y2" span, or None for an undated sentence.
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ _REL_DEFS = [
         ["Director of {c}", "Warden of {c}", "Chair of {c}", "Curator of {c}"],
     ),
 ]
-_REL_INDEX = {rel[0]: i for i, rel in enumerate(_REL_DEFS)}
+_UNDATED = {rel: undated for rel, _, _, undated, _ in _REL_DEFS}
 
 
 @dataclass
@@ -312,46 +317,18 @@ class _NameFactory:
                 return name
 
 
-@dataclass
-class _Sentence:
-    text: str
-    phrase_start: Optional[int]  # char offsets of the temporal phrase
-    phrase_end: Optional[int]
-    kind: Optional[str]
-    interval: Optional[MonthInterval]
-
-
-def _range_sentence(template: str, s: str, o: str, y1: int, y2: int) -> _Sentence:
-    text = template.format(y1=y1, y2=y2, s=s, o=o)
-    prefix = template.split("{y1}")[0].format(s=s, o=o)
-    start = len(prefix)
+def _dated(text: str, y1: int, y2: int, iv: MonthInterval) -> tuple:
+    """The (text, phrase) sentence of a text that prints "{y1} to {y2}" once."""
     phrase = f"{y1} to {y2}"
-    return _Sentence(text, start, start + len(phrase), "year_range", year_span(y1, y2))
-
-
-def _undated_sentence(template: str, s: str, o: str) -> _Sentence:
-    return _Sentence(template.format(s=s, o=o), None, None, None, None)
-
-
-def _event_sentence(core: str, y1: int, y2: int) -> _Sentence:
-    text = f"The period from {y1} to {y2} is known as the {core} era."
-    start = len("The period from ")
-    phrase = f"{y1} to {y2}"
-    return _Sentence(text, start, start + len(phrase), "year_range", year_span(y1, y2))
+    start = text.index(phrase)  # no template's text before {y1} holds a digit
+    return text, (start, start + len(phrase), iv)
 
 
 @dataclass
 class _Pair:
-    subject: str
-    relation: str
-    stem: str
+    stem: str  # the question stem, subject filled in
     objects: list[str]
     years: list[tuple[int, int]]  # inclusive year spans, chronological
-
-    def fact(self, i: int) -> TimeFact:
-        y1, y2 = self.years[i]
-        iv = year_span(y1, y2)
-        return TimeFact(self.subject, self.relation, self.objects[i], iv.lo, iv.hi)
 
 
 @dataclass
@@ -376,170 +353,122 @@ def generate_synthetic_annotated(config: SyntheticConfig):
     names = _NameFactory(rng)
     y_lo, y_hi = config.year_range
     n_facts = config.facts_per_pair
+    per_subject = config.n_relations * n_facts
 
     # Career structure: per (entity, relation), non-overlapping chronological
     # spans of 3-6 years separated by 2-3 year gaps, so implicit questions
     # always have anchor years that never appear verbatim in any sentence.
+    # Pairs are listed subject by subject, so each subject's facts and their
+    # dated sentences are one contiguous run of per_subject entries, rendered
+    # once here and sliced by every record about that subject.
     entities = [
         f"{_FIRST_NAMES[int(rng.integers(len(_FIRST_NAMES)))]} {names.core()}"
         for _ in range(config.n_entities)
     ]
-    entity_idx = {name: i for i, name in enumerate(entities)}
     pairs: list[_Pair] = []
+    career_facts: list[TimeFact] = []
+    career_sentences: list[tuple] = []
     for subject in entities:
-        for rel_idx in range(config.n_relations):
-            rel, stem, _, _, shapes = _REL_DEFS[rel_idx]
+        for rel, stem, template, _, shapes in _REL_DEFS[: config.n_relations]:
             durations = rng.integers(3, 7, size=n_facts)
             gaps = rng.integers(2, 4, size=n_facts - 1)
-            total = int(durations.sum() + gaps.sum())
-            latest = y_hi - total + 1
+            latest = y_hi - int(durations.sum() + gaps.sum()) + 1
             if latest < y_lo:
-                raise ValidationError(
-                    f"year_range too narrow for {n_facts} facts per pair"
-                )
+                raise ValidationError(f"year_range too narrow for {n_facts} facts per pair")
             cursor = int(rng.integers(y_lo, latest + 1))
             years = []
             for i in range(n_facts):
-                y1 = cursor
-                y2 = y1 + int(durations[i]) - 1
+                y1, y2 = cursor, cursor + int(durations[i]) - 1
                 years.append((y1, y2))
                 cursor = y2 + 1 + (int(gaps[i]) if i < n_facts - 1 else 0)
-            objects = [
-                shapes[int(rng.integers(len(shapes)))].format(c=names.core())
-                for _ in range(n_facts)
-            ]
-            pairs.append(_Pair(subject, rel, stem, objects, years))
+            objects = [shapes[int(rng.integers(len(shapes)))].format(c=names.core()) for _ in range(n_facts)]
+            pairs.append(_Pair(stem.format(s=subject), objects, years))
+            for o, (y1, y2) in zip(objects, years):
+                iv = year_span(y1, y2)
+                career_facts.append(TimeFact(subject, rel, o, iv.lo, iv.hi))
+                career_sentences.append(_dated(template.format(y1=y1, y2=y2, s=subject, o=o), y1, y2, iv))
 
-    career_facts = [p.fact(i) for p in pairs for i in range(n_facts)]
     fact_lo = np.array([f.interval.lo for f in career_facts], dtype=np.int64)
     fact_hi = np.array([f.interval.hi for f in career_facts], dtype=np.int64)
     fact_y1, fact_y2 = fact_lo // 12, fact_hi // 12
-    fact_subject = np.array(
-        [entity_idx[f.subject] for f in career_facts], dtype=np.int64
-    )
-    subject_pairs: dict[str, list[_Pair]] = {}
-    for p in pairs:
-        subject_pairs.setdefault(p.subject, []).append(p)
+    fact_subject = np.arange(len(career_facts)) // per_subject
     # Every endpoint year a subject's own sentences will print, across all
     # relations; implicit anchors must avoid these to stay non-verbatim.
-    printed_years = {
-        subject: frozenset(
-            y for p in ps for span in p.years for y in span
-        )
-        for subject, ps in subject_pairs.items()
-    }
+    printed_years = [
+        frozenset(ys.tolist()) for ys in np.stack([fact_y1, fact_y2], axis=1).reshape(config.n_entities, -1)
+    ]
 
     mix_keys = ["L2", "L3", "EASY", "HARD"]
-    weights = np.array(
-        [config.question_type_mix.get(k, 0.0) for k in mix_keys], dtype=np.float64
-    )
+    weights = np.array([config.question_type_mix.get(k, 0.0) for k in mix_keys], dtype=np.float64)
     weights = weights / weights.sum()
+    k = config.distractor_sentences_per_context
 
     records: list[QARecord] = []
     annotations: dict[str, list[SpanAnnotation]] = {}
     event_facts: list[TimeFact] = []
-    counter = 0
 
-    for pair in pairs:
+    for pair_idx, pair in enumerate(pairs):
+        subject = pair_idx // config.n_relations
+        own = slice(subject * per_subject, (subject + 1) * per_subject)
         for slot in range(n_facts):
             qtype = QuestionType(mix_keys[int(rng.choice(4, p=weights))])
             unanswerable = bool(rng.random() < config.unanswerable_fraction)
-            built = _build_question(
-                pair, slot, qtype, unanswerable, rng, names,
-                printed_years[pair.subject],
-            )
+            built = _build_question(pair, slot, qtype, unanswerable, rng, names, printed_years[subject])
 
+            # Sentences: every fact of the record's subject, the era
+            # definition if one exists, then distractor facts of other
+            # subjects active in the question's period.
+            sentences = career_sentences[own]
+            rec_facts = career_facts[own]
             event_fact = None
             if built.event is not None:
                 ev_name, ev_y1, ev_y2 = built.event
                 iv = year_span(ev_y1, ev_y2)
                 event_fact = TimeFact(ev_name, EVENT_RELATION, ev_name, iv.lo, iv.hi)
                 event_facts.append(event_fact)
+                text = f"The period from {ev_y1} to {ev_y2} is known as the {ev_name}."
+                sentences.append(_dated(text, ev_y1, ev_y2, iv))
 
-            # Sentences: every fact of the record's subject, the era
-            # definition if one exists, then distractor facts of other
-            # subjects active in the question's period.
-            sentences: list[_Sentence] = []
-            own_fact_list: list[TimeFact] = []
-            for p in subject_pairs[pair.subject]:
-                tmpl = _REL_DEFS[_REL_INDEX[p.relation]][2]
-                for i in range(n_facts):
-                    y1, y2 = p.years[i]
-                    sentences.append(_range_sentence(tmpl, p.subject, p.objects[i], y1, y2))
-                    own_fact_list.append(p.fact(i))
-            if built.event is not None:
-                sentences.append(
-                    _event_sentence(built.event[0].removesuffix(" era"),
-                                    built.event[1], built.event[2])
-                )
+            if k:
+                other = fact_subject != subject
+                if built.anchor_year is not None:
+                    # Implicit questions promise that their anchor year is not
+                    # verbatim in the context; drop distractors that would leak it.
+                    other &= (fact_y1 != built.anchor_year) & (fact_y2 != built.anchor_year)
+                cand = other & (fact_lo <= built.focus.hi) & (fact_hi >= built.focus.lo)
+                pool = np.flatnonzero(cand)
+                if len(pool) >= k:
+                    chosen = rng.choice(pool, size=k, replace=False)
+                else:  # fill up from other subjects' facts outside the period
+                    rest = np.flatnonzero(other & ~cand)
+                    extra = min(k - len(pool), len(rest))
+                    chosen = np.concatenate([pool, rng.choice(rest, size=extra, replace=False) if extra else rest[:0]])
+                for i in chosen.tolist():
+                    f = career_facts[i]
+                    if config.distractors_dated:
+                        sentences.append(career_sentences[i])
+                    else:
+                        sentences.append((_UNDATED[f.relation].format(s=f.subject, o=f.object), None))
+                    rec_facts.append(f)
 
-            eff = built.focus
-            cand = (
-                (fact_lo <= eff.hi)
-                & (fact_hi >= eff.lo)
-                & (fact_subject != entity_idx[pair.subject])
-            )
-            other = fact_subject != entity_idx[pair.subject]
-            if built.anchor_year is not None:
-                # Implicit questions promise that their anchor year is not
-                # verbatim in the context; drop distractors that would leak it.
-                no_leak = (fact_y1 != built.anchor_year) & (fact_y2 != built.anchor_year)
-                cand &= no_leak
-                other &= no_leak
-            pool = np.nonzero(cand)[0]
-            k = config.distractor_sentences_per_context
-            if k and len(pool) >= k:
-                chosen = rng.choice(pool, size=k, replace=False)
-            elif k:
-                rest = np.nonzero(other & ~cand)[0]
-                extra = min(k - len(pool), len(rest))
-                fill = rng.choice(rest, size=extra, replace=False) if extra else np.array([], int)
-                chosen = np.concatenate([pool, fill]).astype(int)
-            else:
-                chosen = np.array([], int)
-            distractor_facts = []
-            for i in chosen:
-                f = career_facts[int(i)]
-                defs = _REL_DEFS[_REL_INDEX[f.relation]]
-                if config.distractors_dated:
-                    y1, y2 = f.interval.lo // 12, f.interval.hi // 12
-                    sentences.append(_range_sentence(defs[2], f.subject, f.object, y1, y2))
-                else:
-                    sentences.append(_undated_sentence(defs[3], f.subject, f.object))
-                distractor_facts.append(f)
-
-            order = rng.permutation(len(sentences))
-            context_parts: list[str] = []
+            order = rng.permutation(len(sentences)).tolist()
             spans: list[SpanAnnotation] = []
             offset = 0
             for j in order:
-                s = sentences[int(j)]
-                if context_parts:
-                    offset += 1  # joining space
-                context_parts.append(s.text)
-                if s.interval is not None:
-                    spans.append(
-                        SpanAnnotation(
-                            offset + s.phrase_start,
-                            offset + s.phrase_end,
-                            s.kind,
-                            s.interval.lo,
-                            s.interval.hi,
-                        )
-                    )
-                offset += len(s.text)
-            context = " ".join(context_parts)
+                text, phrase = sentences[j]
+                if phrase is not None:
+                    start, end, iv = phrase
+                    spans.append(SpanAnnotation(offset + start, offset + end, "year_range", iv.lo, iv.hi))
+                offset += len(text) + 1  # the joining space
 
-            rec_id = f"q{counter:06d}"
-            counter += 1
-            rec_facts = own_fact_list + distractor_facts
+            rec_id = f"q{len(records):06d}"
             if event_fact is not None:
-                rec_facts = rec_facts + [event_fact]
+                rec_facts.append(event_fact)
             records.append(
                 QARecord(
                     id=rec_id,
                     question=built.question,
-                    context=context,
+                    context=" ".join(sentences[j][0] for j in order),
                     gold_answers=[built.gold],
                     question_type=qtype,
                     facts=rec_facts,
@@ -568,8 +497,7 @@ def _build_question(
 ) -> _Built:
     """Compose one question plus its gold answer and focus period."""
     n = len(pair.years)
-    years = pair.years
-    stem = pair.stem.format(s=pair.subject)
+    years, objects, stem = pair.years, pair.objects, pair.stem
 
     def gap_year(i: int) -> int:
         # A year strictly between fact i and fact i+1; gaps are >= 2 years.
@@ -593,57 +521,39 @@ def _build_question(
             return _Built(f"{stem} in {y}?", "", year_span(y, y), None, None)
         y1, y2 = years[slot]
         if qtype is QuestionType.EASY_EXPLICIT and rng.random() < 0.5:
-            return _Built(
-                f"{stem} from {y1} to {y2}?", pair.objects[slot], span_of(slot), None, None
-            )
+            return _Built(f"{stem} from {y1} to {y2}?", objects[slot], span_of(slot), None, None)
         if qtype is QuestionType.EASY_EXPLICIT:
             y = y1 if rng.random() < 0.5 else y2  # boundary year, verbatim in context
         else:
             y = int(rng.integers(y1, y2 + 1))
-        return _Built(f"{stem} in {y}?", pair.objects[slot], year_span(y, y), None, None)
+        return _Built(f"{stem} in {y}?", objects[slot], year_span(y, y), None, None)
 
     if qtype is QuestionType.HARD_IMPLICIT:
-        variant = (
-            ["before", "after"][int(rng.integers(2))]
-            if unanswerable
-            else ["before", "after", "first", "last"][int(rng.integers(4))]
-        )
-        if variant == "first":
-            return _Built(f"{stem} first?", pair.objects[0], span_of(0), None, None)
-        if variant == "last":
-            return _Built(f"{stem} last?", pair.objects[-1], span_of(n - 1), None, None)
-        if variant == "before":
-            if unanswerable:
-                # interior year of the earliest fact: nothing ends before it
-                y = pick_anchor(years[0][0] + 1, years[0][1] - 1)
-                if y is not None:
-                    return _Built(f"{stem} before {y}?", "", year_span(y, y), y, None)
-                y = pick_anchor(years[n - 1][0] + 1, years[n - 1][1] - 1)
-                if y is not None:
-                    return _Built(f"{stem} after {y}?", "", year_span(y, y), y, None)
-                return _Built(f"{stem} first?", pair.objects[0], span_of(0), None, None)
-            for g in [min(slot, n - 2), *range(n - 1)]:
-                y = pick_anchor(years[g][1] + 1, years[g + 1][0] - 1)
-                if y is not None:
-                    return _Built(
-                        f"{stem} before {y}?", pair.objects[g], year_span(y, y), y, None
-                    )
-            return _Built(f"{stem} first?", pair.objects[0], span_of(0), None, None)
+        variants = ["before", "after"] if unanswerable else ["before", "after", "first", "last"]
+        word = variants[int(rng.integers(len(variants)))]
+        # "before" leans on the earliest fact and "after" on the latest; that
+        # fact's first/last question is their fallback when no anchor is free.
+        edge = {"before": "first", "after": "last"}.get(word, word)
+        i = 0 if edge == "first" else n - 1
+        first_last = _Built(f"{stem} {edge}?", objects[i], span_of(i), None, None)
+        if word == edge:
+            return first_last
         if unanswerable:
-            y = pick_anchor(years[n - 1][0] + 1, years[n - 1][1] - 1)
-            if y is not None:
-                return _Built(f"{stem} after {y}?", "", year_span(y, y), y, None)
-            y = pick_anchor(years[0][0] + 1, years[0][1] - 1)
-            if y is not None:
-                return _Built(f"{stem} before {y}?", "", year_span(y, y), y, None)
-            return _Built(f"{stem} last?", pair.objects[-1], span_of(n - 1), None, None)
-        for g in [max(0, min(slot - 1, n - 2)), *range(n - 1)]:
+            # An interior year of the earliest fact has nothing before it, one
+            # of the latest fact nothing after it; the drawn side is tried first.
+            sides = [("before", 0), ("after", n - 1)]
+            for side, i in sides if word == "before" else sides[::-1]:
+                y = pick_anchor(years[i][0] + 1, years[i][1] - 1)
+                if y is not None:
+                    return _Built(f"{stem} {side} {y}?", "", year_span(y, y), y, None)
+            return first_last
+        # A year in the gap after fact g: fact g answers "before" it, fact g+1 "after" it.
+        before = word == "before"
+        for g in [min(slot, n - 2) if before else max(0, min(slot - 1, n - 2)), *range(n - 1)]:
             y = pick_anchor(years[g][1] + 1, years[g + 1][0] - 1)
             if y is not None:
-                return _Built(
-                    f"{stem} after {y}?", pair.objects[g + 1], year_span(y, y), y, None
-                )
-        return _Built(f"{stem} last?", pair.objects[-1], span_of(n - 1), None, None)
+                return _Built(f"{stem} {word} {y}?", objects[g if before else g + 1], year_span(y, y), y, None)
+        return first_last
 
     # L3: era-scoped questions; the era is defined in the context and the
     # question itself carries no year at all.
@@ -652,14 +562,13 @@ def _build_question(
     else:
         variant = ["during", "before_event", "after_event"][int(rng.integers(3))]
     if variant == "during":
-        i, gold = slot, pair.objects[slot]
+        i, gold = slot, objects[slot]
     elif variant == "before_event":
         i = 0 if unanswerable else max(slot, 1)
-        gold = "" if unanswerable else pair.objects[i - 1]
+        gold = "" if unanswerable else objects[i - 1]
     else:
         i = n - 1 if unanswerable else min(slot, n - 2)
-        gold = "" if unanswerable else pair.objects[i + 1]
+        gold = "" if unanswerable else objects[i + 1]
     ev_name = f"{names.core()} era"
     word = {"during": "during", "before_event": "before", "after_event": "after"}[variant]
-    question = f"{stem} {word} the {ev_name}?"
-    return _Built(question, gold, span_of(i), None, (ev_name, *pair.years[i]))
+    return _Built(f"{stem} {word} the {ev_name}?", gold, span_of(i), None, (ev_name, *years[i]))

@@ -271,10 +271,13 @@ def sample_negatives(
     The two sides stay balanced: a short side truncates the other, so the
     result always holds equally many remote and proximal items (possibly
     zero of each).  Only the sides' lengths decide which indices are drawn,
-    so any two sequences of those lengths consume the RNG alike.
+    so any two sequences of those lengths consume the RNG alike.  A
+    negative k_per_side raises ValueError.
     """
+    if k_per_side < 0:
+        raise ValueError(f"k_per_side must be >= 0, got {k_per_side}")
     n = min(int(k_per_side), len(remote), len(proximal))
-    if n <= 0:
+    if n == 0:
         return [], []
     r_idx = rng.choice(len(remote), size=n, replace=False)
     p_idx = rng.choice(len(proximal), size=n, replace=False)

@@ -156,6 +156,18 @@ def test_mine_subcommand(capsys, tmp_path):
     assert set(payload["sampled"]["remote"]) <= {"Mill A", "Mill C"}
 
 
+def test_mine_rejects_a_negative_sample_count(capsys, tmp_path):
+    path = tmp_path / "facts.jsonl"
+    iv = year_span(1950, 1955)
+    save_facts([TimeFact("Ada", "employer", "Mill A", iv.start, iv.end)], path)
+    code, out, err = run(
+        capsys, "mine", "--facts", str(path), "--subject", "Ada", "--relation", "employer", "--k", "-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "k_per_side must be >= 0, got -2" in err
+
+
 CONFIG = {
     "features": {"embed_dim": 4, "window": 2, "hidden": 8},
     "sft": {"epochs": 2, "batch_size": 8},
@@ -581,9 +593,15 @@ YEAR_RANGE = "synthetic: year_range must be an increasing pair within [1000, 299
             {"synthetic": {"question_type_mix": {"L2": float("-inf")}}},
             "synthetic.question_type_mix.L2: expected a finite number, got -Infinity",
         ),
+        (
+            ["gen", "--out-dir", "{tmp}/d"],
+            {"synthetic": {"n_entities": 3, "facts_per_pair": 40}},
+            "synthetic: year_range too narrow for 40 facts per pair",
+        ),
     ],
     ids=["reward_dim_0", "reward_dim_negative", "reward_null", "year_range_string", "year_range_short", "year_range_long",
-         "lookup_path_not_string", "type_mix_weight_string", "alpha_nan", "margin_infinity", "type_mix_weight_infinity"],
+         "lookup_path_not_string", "type_mix_weight_string", "alpha_nan", "margin_infinity", "type_mix_weight_infinity",
+         "year_range_too_narrow"],
 )
 def test_config_errors_name_the_file_and_field(capsys, tmp_path, command, config, message):
     cfg = tmp_path / "bad.json"

@@ -236,6 +236,13 @@ def test_sample_negatives_balanced_truncation():
     assert sample_negatives(remote, [], 3, rng) == ([], [])
 
 
+def test_sample_negatives_rejects_a_negative_count():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="k_per_side must be >= 0, got -2"):
+        sample_negatives(["r0", "r1"], ["p0", "p1"], -2, rng)
+    assert sample_negatives(["r0"], ["p0"], 0, rng) == ([], [])
+
+
 def test_sample_negatives_no_replacement():
     rng = np.random.default_rng(1)
     for _ in range(50):

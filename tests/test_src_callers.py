@@ -1,11 +1,12 @@
-"""Guard against dead source: every public module-level function in
-`src/tsqa` is referenced somewhere in the package outside its own
-definition, or is on the recorded list below.
+"""Guard against dead source: every module-level function and class in
+`src/tsqa`, public or private, is referenced somewhere in the package
+outside its own definition, or is on the recorded list below.
 
 A reference is a name or an attribute with the function's name, anywhere
 in any module of the package, or an entry of a module's `__all__`.  Names
 are matched without their module, so a name shared by two modules counts
-for both; the guard catches a function that nothing in src names at all.
+for both; the guard catches a function or class that nothing in src
+names at all.
 """
 
 import ast
@@ -41,26 +42,37 @@ def _references(stmt: ast.stmt, own: str | None) -> set[str]:
     return names - {own}
 
 
-def public_functions_and_references() -> tuple[list[str], set[str]]:
-    """`module.function` of each public module-level function, and every
-    name the package references outside the definition of that name."""
-    defined, referenced = [], set()
+def definitions_and_references() -> tuple[list[str], list[str], set[str]]:
+    """`module.name` of each public module-level function, of each other
+    module-level function or class, and every name the package references
+    outside the definition of that name."""
+    public, other, referenced = [], [], set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own is not None and not own.startswith("_"):
-                defined.append(f"{path.stem}.{own}")
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own is not None:
+                is_public_function = not isinstance(stmt, ast.ClassDef) and not own.startswith("_")
+                (public if is_public_function else other).append(f"{path.stem}.{own}")
             referenced |= _references(stmt, own)
-    return defined, referenced
+    return public, other, referenced
+
+
+def _unreferenced(defined: list[str], referenced: set[str]) -> list[str]:
+    return [name for name in defined if name.split(".")[1] not in referenced and name not in KEPT]
 
 
 def test_every_public_function_has_a_caller_in_src():
-    defined, referenced = public_functions_and_references()
-    assert len(defined) > 50
-    unreferenced = [name for name in defined if name.split(".")[1] not in referenced]
-    assert [name for name in unreferenced if name not in KEPT] == []
+    public, _, referenced = definitions_and_references()
+    assert len(public) > 50
+    assert _unreferenced(public, referenced) == []
+
+
+def test_every_private_function_and_class_has_a_caller_in_src():
+    _, other, referenced = definitions_and_references()
+    assert len(other) > 50
+    assert _unreferenced(other, referenced) == []
 
 
 def test_the_kept_list_names_only_functions_that_exist():
-    defined, _ = public_functions_and_references()
-    assert sorted(set(KEPT) - set(defined)) == []
+    public, other, _ = definitions_and_references()
+    assert sorted(set(KEPT) - set(public + other)) == []
