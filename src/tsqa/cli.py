@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -393,7 +394,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not getattr(args, "func", None):
         parser.error("a subcommand is required")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`tsqa mine ... | head -1`): exit
+        # quietly with the status of a process killed by SIGPIPE.  Whatever
+        # is still buffered, and the interpreter's last flush, go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except SystemExit:
         raise
     except KeyboardInterrupt:

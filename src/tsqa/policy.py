@@ -123,39 +123,48 @@ class CompiledRecord:
 
     @cached_property
     def pool_rows(self) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
-        """Which tokens each attention pool reads, worked out on first use:
-        the sizes (tokens T, pools P, rows N), the (3, N) rows, and the row
-        count of each pool that has rows, in pool order.
-
-        Pool 0 is the question, pool 1 + c the mention window of candidate c.
-        Rows are listed question first, then window by window, so each pool's
-        rows are one consecutive run; windows overlap, so a token may be the
-        row of several pools.  A row is (2 * token + (1 for a window row),
-        pool * T + token, pool)."""
-        n_q, total = self.question_len, self.token_ids.size
-        sizes = np.array([n_q] + [p.size for p in self.window_pos], dtype=np.intp)
-        pos = np.concatenate([np.arange(n_q)] + self.window_pos, dtype=np.intp)
-        # int32 halves what every compiled record keeps; a batch's rows are intp.
-        rows = np.empty((3, pos.size), dtype=np.int32)
-        rows[2] = np.repeat(np.arange(sizes.size), sizes)
-        np.multiply(pos, 2, out=rows[0])
-        rows[0, n_q:] += 1
-        np.multiply(rows[2], total, out=rows[1])
-        rows[1] += pos
-        return (total, sizes.size, pos.size), rows, sizes[sizes > 0]
+        """`_pool_rows` of the record, kept: inference chunks lay the same
+        records out again at every evaluation."""
+        return _pool_rows(self)
 
     @cached_property
     def grouping(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct token ids, and (2, N) cells per row for backward's
-        (P + 2, ids) matrix that sums the attention weights (rows 0..P-1)
-        and the u terms (row P for the question's u, P + 1 for the
-        windows') per token id.  Only backward reads it, so it is built on
-        first read."""
-        (_, n_pools, _), (score, _, pool), _ = self.pool_rows
-        keys, key = np.unique(self.token_ids, return_inverse=True)
-        key = key[score >> 1]
-        cells = [pool * keys.size + key, (n_pools + (score & 1)) * keys.size + key]
-        return keys, np.stack(cells, dtype=np.int32)
+        """`_grouping` of the record, kept; built on first read, as only backward reads it."""
+        return _grouping(self, self.pool_rows)
+
+
+def _pool_rows(comp: CompiledRecord) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+    """Which tokens each attention pool reads: the sizes (tokens T, pools
+    P, rows N), the (3, N) rows, and the row count of each pool that has
+    rows, in pool order.
+
+    Pool 0 is the question, pool 1 + c the mention window of candidate c.
+    Rows are listed question first, then window by window, so each pool's
+    rows are one consecutive run; windows overlap, so a token may be the
+    row of several pools.  A row is (2 * token + (1 for a window row),
+    pool * T + token, pool)."""
+    n_q, total = comp.question_len, comp.token_ids.size
+    sizes = np.array([n_q] + [p.size for p in comp.window_pos], dtype=np.intp)
+    pos = np.concatenate([np.arange(n_q)] + comp.window_pos, dtype=np.intp)
+    rows = np.empty((3, pos.size), dtype=np.int32)
+    rows[2] = np.repeat(np.arange(sizes.size), sizes)
+    np.multiply(pos, 2, out=rows[0])
+    rows[0, n_q:] += 1
+    np.multiply(rows[2], total, out=rows[1])
+    rows[1] += pos
+    return (total, sizes.size, pos.size), rows, sizes[sizes > 0]
+
+
+def _grouping(comp: CompiledRecord, pool_rows: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct token ids, and (2, N) cells per row for backward's
+    (P + 2, ids) matrix that sums the attention weights (rows 0..P-1) and
+    the u terms (row P for the question's u, P + 1 for the windows') per
+    token id."""
+    (_, n_pools, _), (score, _, pool), _ = pool_rows
+    keys, key = np.unique(comp.token_ids, return_inverse=True)
+    key = key[score >> 1]
+    cells = [pool * keys.size + key, (n_pools + (score & 1)) * keys.size + key]
+    return keys, np.stack(cells, dtype=np.int32)
 
 
 def compile_record(
@@ -290,7 +299,7 @@ def compile_dataset(
     records: Sequence, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig
 ) -> list[CompiledRecord]:
     names: dict[str, list[str]] = {}  # shared by the per-record indexes of `index=None`
-    return [compile_record(r, index, vocab, config, names) for r in records]
+    return CompiledSplit(compile_record(r, index, vocab, config, names) for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,7 @@ class PolicyParams:
 
 
 def zeros_like_params(params: PolicyParams) -> PolicyParams:
-    return PolicyParams(np.zeros_like(params.flat), params.shapes)
+    return PolicyParams(np.zeros(params.flat.shape), params.shapes)
 
 
 def param_shapes(vocab_size: int, config: FeatureConfig) -> list[tuple[int, ...]]:
@@ -356,122 +365,211 @@ def init_params(rng: np.random.Generator, vocab_size: int, config: FeatureConfig
 
 # ---------------------------------------------------------------------------
 # The batched engine: featurize, forward and backward a list of records at
-# once.  A batch concatenates its records' static arrays; only the (pools x
-# tokens) products stay per record, everything else is one numpy call per
-# batch.  The one-record entry points below are batches of one.
+# once, laid out so that a minibatch is one fancy index per array and each
+# (pools x tokens) product is one stacked matmul.  The one-record entry
+# points below are batches of one.
 
 
-class Batch:
-    """The static arrays of a list of compiled records, concatenated: one
-    token axis, one pool-row axis, one pool axis and one candidate axis,
-    each record's block after the one before.  A record may appear more
-    than once.
+def _starts(counts: np.ndarray) -> np.ndarray:
+    return np.cumsum(counts, dtype=np.intp) - counts
 
-    The pool axis gives each record P + 2 rows: its pools, then two rows
-    that backward fills with the question's and the windows' u, so that a
-    record's (P + 2, fw) block is the basis its token gradients are
-    combinations of.
-    """
 
-    def __init__(self, records: Sequence[CompiledRecord]) -> None:
-        self.records = records
-        layouts = [comp.pool_rows for comp in records]
-        # Per record: the slice bounds of its tokens, attention cells and
-        # pools, then its row count, candidate count and first candidate.
-        self.blocks, sizes, t, c, p, k = [], [], 0, 0, 0, 0
-        for (n_tokens, n_pools, n), _, _ in layouts:
-            self.blocks.append((t, t + n_tokens, c, c + n_pools * n_tokens, p, p + n_pools))
-            sizes.append((n_tokens, n, n_pools - 1, k))
-            t, c, p, k = t + n_tokens, c + n_pools * n_tokens, p + n_pools + 2, k + n_pools - 1
-        self.n_cells, self.n_pools = c, p
-        bounds = np.array(self.blocks, dtype=np.intp).reshape(-1, 6)
-        self.pool_starts = bounds[:, 4]
-        self.n_tokens, self.n_rows, self.n_cands, self.cand_starts = np.array(sizes, dtype=np.intp).reshape(-1, 4).T
-        offsets = bounds[:, 0::2].T * np.array([[2], [1], [1]])
-        rows = np.concatenate([rows for _, rows, _ in layouts], axis=1)
-        self.rows = rows + np.repeat(offsets, self.n_rows, axis=1)
-        self.counts = np.concatenate([counts for _, _, counts in layouts])
-        self.row_starts = np.cumsum(self.counts) - self.counts
-        self.token_ids = np.concatenate([comp.token_ids for comp in records])
-        self.bits = np.concatenate([comp.bits for comp in records])
-        # Each candidate's pools: its record's question pool, and its own window pool.
-        self.question_pools = np.repeat(self.pool_starts, self.n_cands)
-        self.window_pools = np.arange(k) + np.repeat(self.pool_starts + 1 - self.cand_starts, self.n_cands)
-        self.interval_feats = np.concatenate([comp.interval_feats for comp in records])
-        self.density = np.concatenate([comp.density for comp in records])
-        self.pooled_extra = np.array([comp.pooled_extra for comp in records])
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices of the runs [starts[b], starts[b] + counts[b]), one after another."""
+    return np.arange(counts.sum()) + (starts - _starts(counts)).repeat(counts)
+
+
+def _padded(flat: np.ndarray, counts: np.ndarray, dtype=None) -> np.ndarray:
+    """The runs of `flat`, `counts[b]` items for record b, as (B, longest, ...) padded with zeros."""
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    out = np.zeros(mask.shape + flat.shape[1:], dtype=dtype or flat.dtype)
+    out[mask] = flat
+    return out
+
+
+def _index_type(largest: int) -> type:
+    # A training split keeps its indices for the whole run: int16 where they fit.
+    return np.int16 if largest <= np.iinfo(np.int16).max else np.int32
+
+
+class Layout:
+    """The static arrays of a list of compiled records; a record may appear
+    more than once.  Token ids and mask bits are padded to the longest
+    record, T, and the candidate rows (interval features, density) to the
+    most candidates, P - 1, the question's pool making P.  A padded token
+    has id 0, and featurize zeroes its vector, so it gets no attention and
+    no gradient; a padded pool has no rows.  The pool rows run one record
+    after another; a row is (2 * token + (1 for a window row), pool * T +
+    token, pool, 1 if it starts its pool), counted from its own record.
+
+    `take(positions)` lays out the records at `positions` on the same T and
+    P with one fancy index per array.  A layout reads the pool rows and
+    groupings its records keep; with `keep=False`, as a training split's,
+    it works them out without keeping them, being their one copy."""
+
+    def __init__(self, records: Sequence[CompiledRecord], keep: bool = True) -> None:
+        self.records, self.keep, self.source = list(records), keep, None
+        layouts = [comp.pool_rows if keep else _pool_rows(comp) for comp in self.records]
+        # Per record: tokens, pool rows, candidates.
+        self.sizes = np.array([(t, n, p - 1) for (t, p, n), _, _ in layouts], dtype=np.int32).reshape(-1, 3)
+        self.n_pools = int(self.sizes[:, 2].max(initial=0)) + 1
+        tokens = np.arange(self.sizes[:, 0].max(initial=0)) < self.sizes[:, :1]
+        self.token_ids, self.bits = np.zeros(tokens.shape, dtype=np.int32), np.zeros(tokens.shape, dtype=np.int8)
+        self.token_ids[tokens] = np.concatenate([c.token_ids for c in self.records])
+        self.bits[tokens] = np.concatenate([c.bits for c in self.records])
+        score, _, pool = np.concatenate([rows for _, rows, _ in layouts], axis=1)
+        del layouts
+        T = self.token_ids.shape[1]
+        self.rows = np.empty((4, score.size), dtype=_index_type(self.n_pools * T))
+        self.rows[0], self.rows[1], self.rows[2] = score, pool * T + (score >> 1), pool
+        np.not_equal(pool[1:], pool[:-1], out=self.rows[3, 1:])
+        self.rows[3, _starts(self.sizes[:, 1])[self.sizes[:, 1] > 0]] = 1
+        intervals = np.concatenate([c.interval_feats for c in self.records])
+        density = np.concatenate([c.density for c in self.records])
+        self.cand_feats = _padded(np.concatenate([intervals, density[:, None]], axis=1), self.sizes[:, 2])
+        self.pooled_extra = np.array([c.pooled_extra for c in self.records])
+
+    def take(self, positions: np.ndarray) -> "Layout":
+        taken = object.__new__(Layout)
+        taken.source, taken.positions, taken.n_pools = self, positions, self.n_pools
+        for name in ("sizes", "token_ids", "bits", "cand_feats", "pooled_extra"):
+            setattr(taken, name, getattr(self, name)[positions])
+        taken.row_index = _runs(self.row_starts[positions], taken.sizes[:, 1])
+        taken.rows = self.rows.take(taken.row_index, axis=1)
+        return taken
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.sizes.shape[0]
+
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        return _starts(self.sizes[:, 1])
+
+    @cached_property
+    def cand_starts(self) -> np.ndarray:
+        return _starts(self.sizes[:, 2])
+
+    @cached_property
+    def cand_mask(self) -> np.ndarray:
+        """(B, P - 1): which candidate slots hold a candidate."""
+        return np.arange(self.n_pools - 1) < self.sizes[:, 2:]
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Backward's cells, laid out on first read: each record's count of
+        distinct token ids and the ids (B, I), padded with zeros; and per
+        pool row, counted from its record, its cells of the (P + 2, I)
+        grouping of the weights and s_i by token id (its pool, then its u
+        row, P or P + 1) and of the (P + 2, 2) grouping by mask bit."""
+        if self.source is not None:
+            n_ids, ids, cells = self.source.groups
+            return n_ids[self.positions], ids[self.positions], cells.take(self.row_index, axis=1)
+        groupings = [comp.grouping if self.keep else _grouping(comp, _pool_rows(comp)) for comp in self.records]
+        n_ids = np.array([keys.size for keys, _ in groupings], dtype=np.int32)
+        ids = _padded(np.concatenate([keys for keys, _ in groupings]), n_ids, np.int32)
+        # A row's first grouping cell is pool * (its record's id count) + its id's index.
+        key = np.concatenate([cells[0] for _, cells in groupings])
+        del groupings
+        score, pool = self.rows[0].astype(np.int32), self.rows[2].astype(np.int32)
+        key -= pool * n_ids.repeat(self.sizes[:, 1])
+        u_row = self.n_pools + (score & 1)
+        bit = self.bits[np.arange(len(self)).repeat(self.sizes[:, 1]), score >> 1]
+        I = ids.shape[1]
+        cells = np.empty((4, key.size), dtype=_index_type((self.n_pools + 2) * I))
+        cells[0], cells[1], cells[2], cells[3] = pool * I + key, u_row * I + key, 2 * pool + bit, 2 * u_row + bit
+        return n_ids, ids, cells
+
+
+class CompiledSplit(list):
+    """A split's compiled records; its layout is built on first read and kept."""
+
+    @cached_property
+    def layout(self) -> Layout:
+        return Layout(self, keep=False)
+
+
+def split_layout(records: Sequence[CompiledRecord]) -> Layout:
+    """The kept layout of a `compile_dataset` split, or a new one of any other list."""
+    return records.layout if isinstance(records, CompiledSplit) else Layout(records)
 
 
 @dataclass
 class BatchFeatures:
-    """Candidate feature rows and pooled states of a batch, plus what
-    backward needs of the pools: the fused vectors, the row weights and the
-    pools themselves.  `config` tells backward the fusion mode and whether
-    the time table took part."""
+    """Candidate feature rows of a batch, plus what backward needs of the
+    pools.  `config` tells backward the fusion mode and whether the time
+    table took part."""
 
     feats: np.ndarray  # (ΣK, F), record by record
-    pooled: np.ndarray  # (B, F̄)
-    vectors: np.ndarray  # (ΣT, fw) fused rows, one per token
+    vectors: np.ndarray  # (B * T, fw) fused rows, zero for padded tokens
+    rows: np.ndarray  # (3, ΣN) the pool rows on the batch's score, cell and pool axes
     weights: np.ndarray  # (ΣN,) each pool row's attention weight
-    pools: np.ndarray  # (ΣP + 2B, fw) on the batch's pool axis; the basis rows are zero
-    batch: Batch
+    pools: np.ndarray  # (B, P, fw)
+    layout: Layout
     config: FeatureConfig
 
+    @cached_property
+    def pooled(self) -> np.ndarray:
+        """(B, F̄) pooled states, summed on first read: each record's mean
+        fused vector (padded tokens add exact zeros) and its question-interval
+        summary."""
+        B, fw = len(self.layout), self.vectors.shape[1]
+        pooled = np.empty((B, fw + 3))
+        np.add.reduce(self.vectors.reshape(B, -1, fw), axis=1, out=pooled[:, :fw])
+        pooled[:, :fw] /= self.layout.sizes[:, :1]
+        pooled[:, fw:] = self.layout.pooled_extra
+        return pooled
 
-def featurize_batch(
-    records: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
-) -> BatchFeatures:
+
+def _record_offsets(layout: Layout, strides: list) -> np.ndarray:
+    """(len(strides), ΣN): each pool row's record position in the batch times each stride."""
+    return (np.array(strides)[:, None] * np.arange(len(layout))).repeat(layout.sizes[:, 1], axis=1)
+
+
+def featurize_batch(layout: Layout, params: PolicyParams, config: FeatureConfig) -> BatchFeatures:
     """Pool the question tokens and each mention window with weights
     softmax(u·x_i), one u for the question and one for the windows, and
     lay out each candidate's features: its question pool, its window pool,
     then its interval features and density."""
-    batch = Batch(records)
+    (B, T), P = layout.token_ids.shape, layout.n_pools
     # With temporal fusion off the time table reads as zero, and backward
     # leaves its gradient alone.
     time_table = params.time_table if config.temporal_fusion else np.zeros_like(params.time_table)
-    vectors = fuse(batch.token_ids, batch.bits, params.text_table, time_table, config.fusion_mode)
+    vectors = fuse(layout.token_ids.ravel(), layout.bits.ravel(), params.text_table, time_table, config.fusion_mode)
+    vectors[(np.arange(T) >= layout.sizes[:, :1]).ravel()] = 0.0
     fw = vectors.shape[1]
-    score, flat, _ = batch.rows
 
+    rows = layout.rows[:3] + _record_offsets(layout, [2 * T, P * T, P])
+    score, cell, _ = rows
     weights = np.zeros(0)
-    attention = np.zeros(batch.n_cells)
+    attention = np.zeros(B * P * T)
     if score.size:
         # Each token is scored once per attention vector, not once per row.
         scores = (vectors @ params.u.T).ravel()[score]
-        starts, counts = batch.row_starts, batch.counts
-        e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), counts))
-        weights = e / np.repeat(np.add.reduceat(e, starts), counts)
-        attention[flat] = weights
-    pools = np.zeros((batch.n_pools, fw))
-    pooled = np.empty((len(batch), fw + 3))
-    for b, (t0, t1, c0, c1, p0, p1) in enumerate(batch.blocks):
-        np.matmul(attention[c0:c1].reshape(p1 - p0, t1 - t0), vectors[t0:t1], out=pools[p0:p1])
-        # Summed per record as `mean` sums, so a record's pooled state is the same bits in any batch.
-        np.add.reduce(vectors[t0:t1], axis=0, out=pooled[b, :fw])
+        # A softmax within each pool's run of rows.
+        bounds = np.append(np.flatnonzero(layout.rows[3]), score.size)
+        starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+        e = np.exp(scores - np.maximum.reduceat(scores, starts).repeat(counts))
+        weights = e / np.add.reduceat(e, starts).repeat(counts)
+        attention[cell] = weights
+    pools = np.matmul(attention.reshape(B, P, T), vectors.reshape(B, T, fw))
 
-    feats = np.empty((batch.window_pools.size, 2 * fw + 4))
-    feats[:, :fw] = pools[batch.question_pools]
-    feats[:, fw : 2 * fw] = pools[batch.window_pools]
-    feats[:, 2 * fw : 2 * fw + 3] = batch.interval_feats
-    feats[:, -1] = batch.density
-    pooled[:, :fw] /= batch.n_tokens[:, None]
-    pooled[:, fw:] = batch.pooled_extra
-    return BatchFeatures(feats, pooled, vectors, weights, pools, batch, config)
+    feats = np.empty((int(layout.sizes[:, 2].sum()), 2 * fw + 4))
+    feats[:, :fw] = pools[:, 0].repeat(layout.sizes[:, 2], axis=0)
+    feats[:, fw : 2 * fw] = pools[:, 1:][layout.cand_mask]
+    feats[:, 2 * fw :] = layout.cand_feats[layout.cand_mask]
+    return BatchFeatures(feats, vectors, rows, weights, pools, layout, config)
 
 
 def featurize_record(comp: CompiledRecord, params: PolicyParams, config: FeatureConfig) -> BatchFeatures:
     """`featurize_batch` of one record: feats is (K, F), pooled (1, F̄)."""
-    return featurize_batch([comp], params, config)
+    return featurize_batch(Layout([comp]), params, config)
 
 
 def featurize(
     comp: CompiledRecord, params: PolicyParams, config: FeatureConfig, index: int
 ) -> np.ndarray:
     """Row `index` of `featurize_record`; kept as a name the benchmark's tracer lists."""
-    return featurize_batch([comp], params, config).feats[index]
+    return featurize_record(comp, params, config).feats[index]
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +583,18 @@ class PolicyOutput:
     value: float
 
 
-def _check_widths(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray, pooled_shape: tuple) -> None:
+def _check_widths(params: PolicyParams, feats: np.ndarray) -> None:
     if feats.ndim != 2 or feats.shape[1] != params.W1.shape[1]:
         raise ValueError(
             f"feature width {feats.shape} does not match W1 {params.W1.shape}"
         )
-    if pooled.shape != pooled_shape:
+
+
+def _values(params: PolicyParams, pooled: np.ndarray) -> np.ndarray:
+    """The value head over (..., F̄) pooled states."""
+    if pooled.shape[-1:] != params.Wv.shape[1:]:
         raise ValueError(f"pooled state width {pooled.shape} does not match Wv")
+    return pooled @ params.Wv[0] + params.bv[0]
 
 
 _FIRST = np.zeros(1, dtype=np.intp)  # the one record's start in a one-record call
@@ -502,6 +605,7 @@ def _head(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (ΣK, H) tanh activations, the candidate logits, and their softmax
     within each record's run of `counts` candidates from `starts`."""
+    _check_widths(params, feats)
     h = np.tanh(feats @ params.W1.T + params.b1)
     logits = (h @ params.W2.T).ravel() + params.b2[0]
     e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), counts))
@@ -512,37 +616,36 @@ def forward(params: PolicyParams, feats: np.ndarray, pooled: np.ndarray) -> Poli
     """One record's logits and probabilities over its (K, F) candidate rows,
     and the value of its (F̄,) pooled state."""
     feats = np.asarray(feats, dtype=float)
-    pooled = np.asarray(pooled, dtype=float)
-    _check_widths(params, feats, pooled, (params.Wv.shape[1],))
     _, logits, probs = _head(params, feats, _FIRST, feats.shape[0])
-    value = float(pooled @ params.Wv[0] + params.bv[0])
+    value = float(_values(params, np.asarray(pooled, dtype=float)))
     return PolicyOutput(logits=logits, probs=probs, value=value)
 
 
 LOSS_KINDS = ("cross_entropy", "ppo_surrogate", "value_mse")
 
 
-def _picked(batch: Batch, inputs: dict, key: str) -> np.ndarray:
+def _picked(layout: Layout, inputs: dict, key: str) -> np.ndarray:
     """Each record's candidate `inputs[key]`, as a position on the candidate axis."""
-    index = np.asarray(inputs[key], dtype=np.intp).reshape(len(batch))
-    outside = (index < 0) | (index >= batch.n_cands)
+    index = np.asarray(inputs[key], dtype=np.intp).reshape(len(layout))
+    n_cands = layout.sizes[:, 2]
+    outside = (index < 0) | (index >= n_cands)
     if outside.any():
         b = int(np.argmax(outside))
         name = "gold index" if key == "gold_index" else key
-        raise ValueError(f"{name} {index[b]} outside {batch.n_cands[b]} candidates")
-    return batch.cand_starts + index
+        raise ValueError(f"{name} {index[b]} outside {n_cands[b]} candidates")
+    return layout.cand_starts + index
 
 
 def _policy_loss(
-    kind: str, probs: np.ndarray, batch: Batch, inputs: dict
+    kind: str, probs: np.ndarray, layout: Layout, inputs: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-record losses of a policy loss kind, and d(loss)/d(logits)."""
     if kind == "cross_entropy":
-        gold = _picked(batch, inputs, "gold_index")
+        gold = _picked(layout, inputs, "gold_index")
         dlogits = probs.copy()
         dlogits[gold] -= 1.0
         return -np.log(np.maximum(probs[gold], 1e-300)), dlogits
-    action = _picked(batch, inputs, "action")
+    action = _picked(layout, inputs, "action")
     logp_old = np.asarray(inputs["logprob_old"], dtype=float)
     adv = np.asarray(inputs["advantage"], dtype=float)
     clip = np.asarray(inputs["cliprange"], dtype=float)
@@ -552,7 +655,7 @@ def _policy_loss(
     clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
     # Only the unclipped branch has a gradient.
     coef = np.where(ratio * adv <= clipped * adv, -ratio * adv, 0.0)
-    dlogits = np.repeat(coef, batch.n_cands) * -probs
+    dlogits = np.repeat(coef, layout.sizes[:, 2]) * -probs
     dlogits[action] += coef
     return -np.minimum(ratio * adv, clipped * adv), dlogits
 
@@ -573,8 +676,7 @@ def loss_and_grads_batch(
     head, so value_mse touches only Wv and bv; the policy losses are the
     only path into the perceptron and the shared tables.  The softmax ignores b2, so its gradient is zero.
     """
-    batch = features.batch
-    _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
+    layout = features.layout
     for kind in losses:
         if kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {kind!r}")
@@ -582,20 +684,19 @@ def loss_and_grads_batch(
     out: dict[str, np.ndarray] = {}
     h = probs = dlogits = None
     for kind, inputs in losses.items():
-        scale = np.broadcast_to(np.asarray(inputs.get("scale", 1.0), dtype=float), (len(batch),))
+        scale = np.broadcast_to(np.asarray(inputs.get("scale", 1.0), dtype=float), (len(layout),))
         if kind == "value_mse":
-            values = features.pooled @ params.Wv[0] + params.bv[0]
-            diff = values - np.asarray(inputs["return"], dtype=float)
+            diff = _values(params, features.pooled) - np.asarray(inputs["return"], dtype=float)
             dvalues = scale * (2.0 * diff)
             grads.Wv[0] += dvalues @ features.pooled
             grads.bv[0] += dvalues.sum()
             out[kind] = diff * diff
             continue
         if probs is None:
-            h, _, probs = _head(params, features.feats, batch.cand_starts, batch.n_cands)
+            h, _, probs = _head(params, features.feats, layout.cand_starts, layout.sizes[:, 2])
             dlogits = np.zeros_like(probs)
-        out[kind], d = _policy_loss(kind, probs, batch, inputs)
-        dlogits += np.repeat(scale, batch.n_cands) * d
+        out[kind], d = _policy_loss(kind, probs, layout, inputs)
+        dlogits += np.repeat(scale, layout.sizes[:, 2]) * d
     if dlogits is not None:
         dz = dlogits[:, None] * params.W2 * (1.0 - h * h)  # (ΣK, H)
         grads.W2[0] += dlogits @ h
@@ -614,58 +715,47 @@ def _pool_grads(grads: PolicyParams, params: PolicyParams, features: BatchFeatur
     reads one token, so a token's gradient sums its rows' dx_i: the
     weights times their pools' g, then the s_i times their u.
     """
-    batch = features.batch
-    score, flat, pool = batch.rows
+    score, cell, pool = features.rows
     if not score.size:
         return
-    vectors, weights, fw = features.vectors, features.weights, features.config.fused_width
-    # The pool axis as the basis: each record's pool gradients, then its u.
-    # The question pool feeds each of its record's candidate rows.
-    basis = np.empty_like(features.pools)
-    basis[batch.pool_starts] = np.add.reduceat(dfeats[:, :fw], batch.cand_starts, axis=0)
-    basis[batch.window_pools] = dfeats[:, fw : 2 * fw]
-    u_rows = batch.pool_starts + batch.n_cands + 1
-    basis[u_rows], basis[u_rows + 1] = params.u
+    layout, vectors, pools = features.layout, features.vectors, features.pools
+    (B, P, fw), T = pools.shape, layout.token_ids.shape[1]
+    # Each record's basis: its pool gradients, then its two u.  The
+    # question pool feeds each of its record's candidate rows.
+    basis = np.zeros((B, P + 2, fw))
+    basis[:, 0] = np.add.reduceat(dfeats[:, :fw], layout.cand_starts, axis=0)
+    basis[:, 1:P][layout.cand_mask] = dfeats[:, fw : 2 * fw]
+    basis[:, P:] = params.u
     # g_p·x_t for each record's pools and tokens; row i reads (pool_i, token_i).
-    products = np.empty(batch.n_cells)
-    for t0, t1, c0, c1, p0, p1 in batch.blocks:
-        np.matmul(basis[p0:p1], vectors[t0:t1].T, out=products[c0:c1].reshape(p1 - p0, t1 - t0))
-    s = weights * (products[flat] - np.einsum("ij,ij->i", features.pools, basis)[pool])
+    products = np.matmul(basis[:, :P], vectors.reshape(B, T, fw).transpose(0, 2, 1))
+    s = features.weights * (products.ravel()[cell] - np.einsum("bpf,bpf->bp", pools, basis[:, :P]).ravel()[pool])
     # (token, u) sums of s; `score` is 2 * token + (1 for a window row).
     du = np.bincount(score, s, minlength=2 * vectors.shape[0]).reshape(-1, 2).T @ vectors
     grads.u += du
-    _table_grads(grads, features, np.concatenate([weights, s]), basis)
+    _table_grads(grads, features, np.concatenate([features.weights, s]), basis)
 
 
 def _table_grads(grads: PolicyParams, features: BatchFeatures, ws: np.ndarray, basis: np.ndarray) -> None:
     """The tables' gradients from the row weights and s_i, `ws`, and the
-    basis: grouped by token id within each record, times the record's
-    basis block, then added into the text table; grouped by mask bit,
+    (B, P + 2, fw) basis: grouped by token id within each record, times the
+    record's basis, then added into the text table; grouped by mask bit,
     times the whole basis, for the time table."""
-    batch, config = features.batch, features.config
-    d = config.embed_dim
-    # Each record's distinct ids, and the slice bounds of its (P + 2, ids)
-    # block of the grouped weights and s_i and of its basis rows.
-    cells, blocks, g = [], [], 0
-    for comp, (_, _, _, _, p0, p1) in zip(batch.records, batch.blocks):
-        ids, index = comp.grouping
-        n_basis = p1 - p0 + 2
-        cells.append(index)
-        blocks.append((ids, g, g + n_basis * ids.size, p0, p0 + n_basis))
-        g += n_basis * ids.size
-    cells = np.concatenate(cells, axis=1) + np.repeat(np.array([b[1] for b in blocks], dtype=np.intp), batch.n_rows)
-    text_basis, time_basis = (basis, basis) if config.fusion_mode == "add" else (basis[:, :d], basis[:, d:])
-    grouped = np.bincount(cells.ravel(), ws, minlength=g)
-    for ids, g0, g1, b0, b1 in blocks:
-        # A record's ids are distinct, so a fancy add scatters its rows.
-        grads.text_table[ids] += grouped[g0:g1].reshape(b1 - b0, ids.size).T @ text_basis[b0:b1]
+    layout, config = features.layout, features.config
+    B, Q, d = basis.shape[0], basis.shape[1], config.embed_dim
+    n_ids, ids, cells = layout.groups
+    I = ids.shape[1]
+    cells = cells + _record_offsets(layout, [Q * I, Q * I, 2 * Q, 2 * Q])
+    grouped = np.bincount(cells[:2].ravel(), ws, minlength=B * Q * I)
+    text_basis, time_basis = (basis, basis) if config.fusion_mode == "add" else (basis[..., :d], basis[..., d:])
+    per_id = np.matmul(grouped.reshape(B, Q, I).transpose(0, 2, 1), text_basis)
+    # A record's ids are distinct, so a fancy add scatters its rows; one
+    # np.add.at over the batch measured slower than one add per record.
+    ids = ids.astype(np.intp)
+    for b, n in enumerate(n_ids.tolist()):
+        grads.text_table[ids[b, :n]] += per_id[b, :n]
     if config.temporal_fusion:  # off, featurize read a constant zero table
-        # The (basis row, mask bit) sums: row i's pool and its u row, each with the bit of its token.
-        score, _, pool = batch.rows
-        u_row = np.repeat(batch.pool_starts + batch.n_cands + 1, batch.n_rows) + (score & 1)
-        bit = batch.bits[score >> 1]
-        per_bit = np.bincount(np.concatenate([2 * pool + bit, 2 * u_row + bit]), ws, minlength=2 * batch.n_pools)
-        grads.time_table += per_bit.reshape(-1, 2).T @ time_basis
+        per_bit = np.bincount(cells[2:].ravel(), ws, minlength=2 * B * Q)
+        grads.time_table += per_bit.reshape(-1, 2).T @ time_basis.reshape(B * Q, -1)
 
 
 def loss_and_grads(
@@ -727,49 +817,53 @@ def grad_check(
 # ---------------------------------------------------------------------------
 # Inference.
 
-# Records per inference batch are cut at this many tokens, which bounds
-# the batch's temporaries while keeping the per-call cost shared.
+# Inference batches are cut at this many padded tokens, which bounds a
+# batch's temporaries while keeping the per-call cost shared.
 _CHUNK_TOKENS = 1024
 
 
-def token_chunks(records: Sequence[CompiledRecord]) -> list[Sequence[CompiledRecord]]:
-    """`records` cut into consecutive runs of at most `_CHUNK_TOKENS`
-    tokens, or of one record that is longer."""
-    chunks, start, used = [], 0, 0
-    for i, comp in enumerate(records):
-        n = comp.token_ids.size
-        if used and used + n > _CHUNK_TOKENS:
-            chunks.append(records[start:i])
-            start, used = i, 0
-        used += n
-    if start < len(records):
-        chunks.append(records[start:])
-    return chunks
+def token_chunks(records: Sequence[CompiledRecord]) -> list[np.ndarray]:
+    """The positions of `records` in order of token count (a stable sort),
+    cut into runs whose padded size, count times longest, is at most
+    `_CHUNK_TOKENS`, or of one record that is longer."""
+    n_tokens = np.array([comp.token_ids.size for comp in records], dtype=np.intp)
+    order = np.argsort(n_tokens, kind="stable")
+    chunks, start = [], 0
+    for i, longest in enumerate(n_tokens[order].tolist()):
+        if i > start and (i - start + 1) * longest > _CHUNK_TOKENS:
+            chunks.append(order[start:i])
+            start = i
+    return chunks + [order[start:]] if order.size else chunks
 
 
-def record_probs(
-    records: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each record's (K,) candidate probabilities and the value of its
-    pooled state, in input order, from one featurize and one head per chunk
-    of `token_chunks`.  A record may appear more than once."""
-    probs, values = [], []
-    for chunk in token_chunks(records):
-        features = featurize_batch(chunk, params, config)
-        batch = features.batch
-        _check_widths(params, features.feats, features.pooled, (len(batch), params.Wv.shape[1]))
-        chunk_probs = _head(params, features.feats, batch.cand_starts, batch.n_cands)[2]
-        probs += [chunk_probs[s : s + k] for s, k in zip(batch.cand_starts.tolist(), batch.n_cands.tolist())]
-        values.append(features.pooled @ params.Wv[0] + params.bv[0])
-    return probs, np.concatenate(values) if values else np.zeros(0)
+def _batch_probs(layout: Layout, params: PolicyParams, config: FeatureConfig) -> tuple[BatchFeatures, np.ndarray]:
+    features = featurize_batch(layout, params, config)
+    return features, _head(params, features.feats, layout.cand_starts, layout.sizes[:, 2])[2]
 
 
 def greedy_choices(
     compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
 ) -> np.ndarray:
-    """Each record's argmax candidate (the first of equal ones), in input order."""
-    probs, _ = record_probs(compiled, params, config)
-    return np.array([p.argmax() for p in probs], dtype=np.intp)
+    """Each record's argmax candidate (the first of equal ones), in input
+    order, from one layout, featurize and head per chunk of `token_chunks`."""
+    choices = np.zeros(len(compiled), dtype=np.intp)
+    for positions in token_chunks(compiled):
+        layout = Layout([compiled[i] for i in positions.tolist()])
+        padded = np.full(layout.cand_mask.shape, -1.0)
+        padded[layout.cand_mask] = _batch_probs(layout, params, config)[1]
+        choices[positions] = padded.argmax(axis=1)
+    return choices
+
+
+def layout_chunks(layout: Layout, positions: np.ndarray, params: PolicyParams, config: FeatureConfig):
+    """The records at `positions` of `layout`, in runs within
+    `_CHUNK_TOKENS` padded tokens: per run, its features and each record's
+    (K,) candidate probabilities."""
+    step = max(1, _CHUNK_TOKENS // max(layout.token_ids.shape[1], 1))
+    for start in range(0, len(positions), step):
+        taken = layout.take(positions[start : start + step])
+        features, probs = _batch_probs(taken, params, config)
+        yield features, np.split(probs, taken.cand_starts[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ from .features import Vocabulary
 from .metrics import evaluate_compiled
 from .policy import (
     CompiledRecord,
+    Layout,
     PolicyParams,
     featurize_batch,
     init_params,
+    layout_chunks,
     loss_and_grads_batch,
-    record_probs,
+    split_layout,
 )
 from .reward import RewardParams
 # `tokenize` stays bound here: the benchmark checks that its tracer wraps it in every module that holds it.
@@ -166,7 +168,8 @@ def train_sft_compiled(
     vocab_size: int,
 ) -> tuple[PolicyParams, list[dict]]:
     _require_records(compiled_train, compiled_dev)
-    usable = [c for c in compiled_train if c.gold_index >= 0]
+    gold = np.array([c.gold_index for c in compiled_train])
+    usable = np.flatnonzero(gold >= 0)
     skipped = len(compiled_train) - len(usable)
     if skipped:
         logger.warning(
@@ -186,6 +189,7 @@ def train_sft_compiled(
         return params, []
 
     optimizer = AdamW(params, config.learning_rate, config.weight_decay)
+    layout = split_layout(compiled_train)
     history: list[dict] = []
     best_em = -1.0
     best = params.clone()
@@ -193,9 +197,9 @@ def train_sft_compiled(
         order = rng.permutation(len(usable))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            chunk = [usable[int(j)] for j in order[start : start + config.batch_size]]
-            features = featurize_batch(chunk, params, feature_config)
-            inputs = {"gold_index": [comp.gold_index for comp in chunk], "scale": 1.0 / len(chunk)}
+            chunk = usable[order[start : start + config.batch_size]]
+            features = featurize_batch(layout.take(chunk), params, feature_config)
+            inputs = {"gold_index": gold[chunk], "scale": 1.0 / len(chunk)}
             losses, grads, _ = loss_and_grads_batch(params, features, {"cross_entropy": inputs})
             epoch_loss += float(losses["cross_entropy"].sum())
             optimizer.step(params, grads)
@@ -268,6 +272,8 @@ def _contrastive_raw(
 @dataclass
 class RolloutBatch:
     compiled: list[CompiledRecord]
+    layout: Layout  # of the dataset the rollouts were drawn from
+    positions: np.ndarray  # each rollout's record in that dataset
     actions: np.ndarray
     logprob_old: np.ndarray
     raw_rewards: np.ndarray
@@ -304,8 +310,8 @@ def collect_rollouts(
     `vectors` is the reward embedding memo of `build_reward_caches`, and
     `ref_probs` holds each record's reference policy probabilities.  Each
     rollout draws its record, its action's uniform and its negatives as a
-    loop of one `rng.choice` per rollout would; one `record_probs` call
-    then reads every drawn record."""
+    loop of one `rng.choice` per rollout would; then the drawn records are
+    read from the dataset's layout, one `layout_chunks` run at a time."""
     contrastive = config.reward_kind == "contrastive"
     picks, uniforms, negatives = [], [], []
     for _ in range(config.num_rollouts):
@@ -316,7 +322,12 @@ def collect_rollouts(
             remote, proximal = sample_negatives(comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng)
             negatives.append(remote + proximal)
     comps = [dataset[i] for i in picks]
-    probs, values = record_probs(comps, params, feature_config)
+    layout, positions = split_layout(dataset), np.array(picks, dtype=np.intp)
+    probs, values = [], []
+    for features, chunk_probs in layout_chunks(layout, positions, params, feature_config):
+        probs += chunk_probs
+        values.append(features.pooled @ params.Wv[0] + params.bv[0])
+    values = np.concatenate(values)
     actions = np.array([_choice_index(p, u) for p, u in zip(probs, uniforms)], dtype=int)
     logprob_old = np.log(np.maximum([p[a] for p, a in zip(probs, actions)], 1e-300))
     kls = logprob_old - np.log(np.maximum([ref_probs[i][a] for i, a in zip(picks, actions)], 1e-300))
@@ -329,6 +340,8 @@ def collect_rollouts(
     adv = shaped - values
     return RolloutBatch(
         compiled=comps,
+        layout=layout,
+        positions=positions,
         actions=actions,
         logprob_old=logprob_old,
         raw_rewards=raw,
@@ -345,7 +358,11 @@ def reference_probs(
     dataset: Sequence[CompiledRecord],
     feature_config: FeatureConfig,
 ) -> list[np.ndarray]:
-    return record_probs(dataset, reference_params, feature_config)[0]
+    """Each record's candidate probabilities under the reference parameters,
+    read from the dataset's layout, as the rollouts read it."""
+    layout = split_layout(dataset)
+    chunks = layout_chunks(layout, np.arange(len(dataset)), reference_params, feature_config)
+    return [p for _, probs in chunks for p in probs]
 
 
 def standardize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -371,8 +388,8 @@ def ppo_update(
         order = rng.permutation(n)
         for start in range(0, n, config.chunk_size):
             chunk = order[start : start + config.chunk_size]
-            records = [batch.compiled[int(j)] for j in chunk]
-            features = featurize_batch(records, params, feature_config)
+            layout = batch.layout.take(batch.positions[chunk])
+            features = featurize_batch(layout, params, feature_config)
             actions, logprob_old = batch.actions[chunk], batch.logprob_old[chunk]
             losses, grads, probs = loss_and_grads_batch(
                 params,
@@ -393,7 +410,7 @@ def ppo_update(
             if not finite.all():
                 j = int(np.argmin(finite))
                 raise RuntimeError(
-                    f"non-finite PPO loss on record {records[j].id}: "
+                    f"non-finite PPO loss on record {batch.compiled[chunk[j]].id}: "
                     f"policy={p_loss[j]}, value={v_loss[j]}"
                 )
             policy_losses += p_loss.tolist()
@@ -401,7 +418,7 @@ def ppo_update(
 
             # The policy loss's own probabilities: the parameters only
             # change at the end of the chunk.
-            logp_new = np.log(np.maximum(probs[features.batch.cand_starts + actions], 1e-300))
+            logp_new = np.log(np.maximum(probs[layout.cand_starts + actions], 1e-300))
             kl_terms += (logprob_old - logp_new).tolist()
             clip_hits += int((np.abs(np.exp(logp_new - logprob_old) - 1.0) > config.cliprange).sum())
             optimizer.step(params, grads)
@@ -443,7 +460,8 @@ def train_ppo_compiled(
     ref_probs = reference_probs(sft_params, compiled_train, feature_config)
 
     baseline = evaluate_compiled(compiled_dev, sft_params, feature_config)
-    best_em, best = baseline.em, sft_params.clone()
+    # -1 stands for the SFT checkpoint, which PPO returns unless an iteration beats it.
+    best_em, best, best_iteration = baseline.em, sft_params.clone(), -1
     kl_coef = config.init_kl_coef
     history: list[dict] = []
     for iteration in range(config.iterations):
@@ -457,6 +475,8 @@ def train_ppo_compiled(
         observed_kl = float(batch.kl_to_reference.mean())
         kl_coef = adaptive_kl_update(kl_coef, observed_kl, config, len(batch))
         metrics = evaluate_compiled(compiled_dev, params, feature_config)
+        if metrics.em > best_em:
+            best_em, best, best_iteration = metrics.em, params.clone(), iteration
         history.append(
             {
                 "iteration": iteration,
@@ -469,11 +489,9 @@ def train_ppo_compiled(
                 "approx_kl": stats["approx_kl"],
                 "dev_em": metrics.em,
                 "dev_f1": metrics.f1,
+                "best_iteration": best_iteration,
             }
         )
-        if metrics.em > best_em:
-            best_em = metrics.em
-            best = params.clone()
     return best, history
 
 

@@ -533,13 +533,14 @@ def test_criterion_7a_temporal_fusion_ablation(ablation_corpus):
 def test_criterion_7b_contrastive_vs_exact_match_reward(ablation_corpus):
     compiled, fc, vocab_size = ablation_corpus
     by_kind = {"contrastive": [], "exact_match": []}
+    best_iteration = {"contrastive": [], "exact_match": []}
     for seed in (1, 2, 3):
         sft, _ = train_sft_compiled(
             compiled["train"], compiled["dev"], SFTConfig(epochs=6, seed=seed),
             fc, vocab_size,
         )
         for kind in by_kind:
-            ppo, _ = train_ppo_compiled(
+            ppo, history = train_ppo_compiled(
                 compiled["train"],
                 compiled["dev"],
                 sft,
@@ -547,6 +548,7 @@ def test_criterion_7b_contrastive_vs_exact_match_reward(ablation_corpus):
                 fc,
             )
             by_kind[kind].append(evaluate_compiled(compiled["test"], ppo, fc).em)
+            best_iteration[kind].append(history[-1]["best_iteration"])
     med_c = statistics.median(by_kind["contrastive"])
     med_e = statistics.median(by_kind["exact_match"])
     verdict(
@@ -554,7 +556,8 @@ def test_criterion_7b_contrastive_vs_exact_match_reward(ablation_corpus):
         med_c >= med_e,
         f"test EM median contrastive {med_c:.4f} vs exact-match {med_e:.4f}, "
         f"per seed {[round(s, 4) for s in by_kind['contrastive']]} vs "
-        f"{[round(s, 4) for s in by_kind['exact_match']]}",
+        f"{[round(s, 4) for s in by_kind['exact_match']]}; PPO returned iteration per seed "
+        f"{best_iteration['contrastive']} vs {best_iteration['exact_match']} (-1: the SFT checkpoint)",
     )
 
 

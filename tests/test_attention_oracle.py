@@ -13,7 +13,10 @@ once.  Two earlier one-record formulations check it:
 Both share one per-record candidate head, `reference_head`.  Losses,
 probabilities, pooled states and all ten gradient tensors must agree with
 the engine within 1e-12, and the gradient of b2, which the softmax ignores,
-must be exactly zero.
+must be exactly zero.  The engine is checked on layouts of the batch's own
+records, on minibatches taken from a split's layout (padded to the split's
+longest record and most candidates), and through greedy decoding over
+`token_chunks`' buckets, one record among them longer than a chunk.
 """
 
 from dataclasses import replace
@@ -29,6 +32,7 @@ from tsqa.facts import FactIndex
 from tsqa.features import fuse
 from tsqa.policy import (
     Candidate,
+    Layout,
     compile_dataset,
     featurize_batch,
     featurize_record,
@@ -316,11 +320,16 @@ def assert_grads_match(grads, ref_grads, what):
 
 
 @pytest.fixture(scope="module")
-def digest_corpus():
-    """The compile digest's seeded corpus, compiled once: the fusion arms share its window."""
+def digest_inputs():
     train, dev, _, facts = generate_synthetic(SyntheticConfig(n_entities=40, seed=3))
-    vocab = build_vocabulary([train, dev])
-    return compile_dataset(train, FactIndex(facts), vocab, FeatureConfig()), len(vocab)
+    return train, FactIndex(facts), build_vocabulary([train, dev])
+
+
+@pytest.fixture(scope="module")
+def digest_corpus(digest_inputs):
+    """The compile digest's seeded corpus, compiled once: the fusion arms share its window."""
+    train, index, vocab = digest_inputs
+    return compile_dataset(train, index, vocab, FeatureConfig()), len(vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +388,7 @@ def test_batches_match_the_per_record_reference(digest_corpus, fusion):
     batches = [compiled[:1], edges, compiled[:3] + compiled[:3]]
     batches += [[compiled[i] for i in rng.integers(len(compiled), size=12)] + edges[:3] for _ in range(8)]
     for comps in batches:
-        features = featurize_batch(comps, params, config)
+        features = featurize_batch(Layout(comps), params, config)
         _, _, ref_probs, ref_pooled = reference(params, comps, config, {"cross_entropy": {"gold_index": 0}})
         assert np.array_equal(features.pooled, ref_pooled)
         inputs = loss_inputs(comps, ref_probs, rng)
@@ -412,3 +421,78 @@ def test_greedy_predictions_across_chunk_bounds_match_the_per_record_argmax(dige
             want.append(comp.candidates[int(np.argmax(probs))].text)
         got = [comp.candidates[i].text for comp, i in zip(comps, greedy_choices(comps, params, config))]
         assert got == want, n
+
+
+# ---------------------------------------------------------------------------
+# Minibatches taken from a split's layout, against both references.
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_batches_taken_from_a_split_layout_match_both_references(digest_corpus, fusion):
+    compiled, vocab_size = digest_corpus
+    config = FUSIONS[fusion]
+    params = random_params(vocab_size, config, seed=15)
+    rng = np.random.default_rng(9)
+    # A split of records of many lengths and candidate counts, the edge
+    # records among them, laid out once the way training lays out its split.
+    split = list(compiled[:40]) + edge_records(compiled[:3])
+    # A record whose last pool is its one window, pool 1, so that a record
+    # without question rows after it starts with the same pool number.
+    first = compiled[0]
+    split.append(replace(
+        first, candidates=[first.candidates[0], Candidate("")], gold_index=0,
+        window_pos=first.window_pos[:1] + [np.arange(0)],
+        interval_feats=first.interval_feats[[0, -1]], density=first.density[[0, -1]],
+    ))
+    assert split[-1].pool_rows[1][2, -1] == 1 and split[40].pool_rows[1][2, 0] == 1
+    layout = Layout(split, keep=False)
+    (_, T), P = layout.token_ids.shape, layout.n_pools
+    edges = np.arange(40, len(split) - 1)
+    draws = [np.array([5, 5]), edges, np.concatenate([edges, edges[:2]]), np.array([len(split) - 1, 40])]
+    draws += [np.concatenate([rng.integers(len(split), size=10), rng.choice(edges, 2)]) for _ in range(6)]
+    padded_tokens = padded_pools = 0
+    for positions in draws:
+        comps = [split[i] for i in positions]
+        padded_tokens += sum(c.token_ids.size < T for c in comps)
+        padded_pools += sum(len(c.candidates) < P - 1 for c in comps)
+        features = featurize_batch(layout.take(positions), params, config)
+        for path in PATHS:
+            _, _, ref_probs, ref_pooled = reference(params, comps, config, {"cross_entropy": {"gold_index": 0}}, path)
+            assert np.array_equal(features.pooled, ref_pooled), path
+            inputs = loss_inputs(comps, ref_probs, rng)
+            # SFT's call, PPO's call with its two losses together, and value_mse alone.
+            for kinds in (("cross_entropy",), ("ppo_surrogate", "value_mse"), ("value_mse",)):
+                losses = {kind: inputs[kind] for kind in kinds}
+                got, grads, probs = loss_and_grads_batch(params, features, losses)
+                want, ref_grads, ref_probs, _ = reference(params, comps, config, losses, path)
+                for kind in kinds:
+                    assert_close(got[kind], want[kind], (path, kind))
+                assert (probs is None) == (ref_probs is None)
+                if probs is not None:
+                    assert_close(probs, ref_probs, (path, kinds))
+                assert_grads_match(grads, ref_grads, (path, kinds))
+    # The draws exercised the padding of both axes.
+    assert padded_tokens and padded_pools
+
+
+def test_greedy_choices_over_buckets_with_a_record_longer_than_a_chunk(digest_inputs, digest_corpus):
+    train, index, vocab = digest_inputs
+    compiled, vocab_size = digest_corpus
+    long_record = replace(train[7], context=" ".join([train[7].context] * 12))
+    (long,) = compile_dataset([long_record], index, vocab, FeatureConfig())
+    assert long.token_ids.size > policy._CHUNK_TOKENS
+    records = list(compiled[:20]) + [long] + list(compiled[20:45])
+    chunks = policy.token_chunks(records)
+    assert sorted(np.concatenate(chunks).tolist()) == list(range(len(records)))
+    for chunk in chunks:
+        longest = max(records[i].token_ids.size for i in chunk)
+        assert len(chunk) == 1 or len(chunk) * longest <= policy._CHUNK_TOKENS
+    assert [20] in [chunk.tolist() for chunk in chunks]  # the long record has a chunk of its own
+    config = FUSIONS["add"]
+    params = random_params(vocab_size, config, seed=16)
+    want = []
+    for comp in records:
+        rf = record_features(comp, params, config)
+        _, probs, _ = reference_head(params, rf, "cross_entropy", {"gold_index": 0}, 1.0, zeros_like_params(params))
+        want.append(int(np.argmax(probs)))
+    assert greedy_choices(records, params, config).tolist() == want

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsqa
 from tsqa.cli import main
 from tsqa.corpus import load_dataset, load_facts, save_facts, serialize_record
 from tsqa.facts import TimeFact
@@ -154,6 +159,30 @@ def test_mine_subcommand(capsys, tmp_path):
     assert payload["remote"] == ["Mill A", "Mill C"]
     assert payload["proximal"] == ["Yard D"]
     assert set(payload["sampled"]["remote"]) <= {"Mill A", "Mill C"}
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(tmp_path):
+    # `tsqa mine ... | head -1`: about 190 KB of negatives, far more than a
+    # pipe holds, so the writer is still writing when the reader goes.
+    path = tmp_path / "facts.jsonl"
+    facts = []
+    for i in range(6000):
+        iv = year_span(1000 + i % 900, 1001 + i % 900)
+        facts.append(TimeFact("Ada", "employer", f"Mill number {i}", iv.start, iv.end))
+    save_facts(facts, path)
+    argv = ["mine", "--facts", str(path), "--subject", "Ada", "--relation", "employer",
+            "--gold", "x", "--start", "1500-01", "--end", "1500-12", "--k", "50"]
+    src = str(Path(tsqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from tsqa.cli import entrypoint; entrypoint()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141  # 128 + SIGPIPE
+    assert err == b""
 
 
 def test_mine_rejects_a_negative_sample_count(capsys, tmp_path):

@@ -9,7 +9,7 @@ embedding of every candidate, the gold answer and every pooled negative,
 read through the memo, and of the exact-match signs (+1 or -1) that the
 exact-match reward reads; and LAYOUT_DIGEST of the static per-record pool
 rows and backward groupings (`CompiledRecord.pool_rows` and `.grouping`)
-that the batched featurize and backward concatenate.
+that the layouts of featurize and backward read.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tsqa import trainer
 from tsqa.config import FeatureConfig
 from tsqa.corpus import QARecord, QuestionType, SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex, TimeFact, sample_negatives
@@ -741,12 +742,40 @@ def test_train_ppo_history_and_best_dev_floor(
     for row in history:
         assert {
             "mean_reward", "kl", "kl_coef", "clip_frac", "policy_loss", "value_loss",
-            "approx_kl", "dev_em", "dev_f1",
+            "approx_kl", "dev_em", "dev_f1", "best_iteration",
         } <= set(row)
         assert row["kl_coef"] > 0
     base = evaluate_compiled(small_compiled[1], sft_setup, tiny_features).em
     after = evaluate_compiled(small_compiled[1], params, tiny_features).em
     assert after >= base
+
+
+@pytest.mark.parametrize("seed, returned", [(0, -1), (2, 1)])
+def test_ppo_returns_the_parameters_of_its_best_iteration(
+    monkeypatch, seed, returned, sft_setup, small_compiled, tiny_features
+):
+    # Each dev evaluation sees the live parameters: the SFT checkpoint's
+    # first, then each iteration's.
+    seen = []
+    evaluate = trainer.evaluate_compiled
+
+    def recording(compiled, params, config):
+        seen.append(params.clone())
+        return evaluate(compiled, params, config)
+
+    monkeypatch.setattr(trainer, "evaluate_compiled", recording)
+    cfg = PPOConfig(iterations=6, num_rollouts=32, learning_rate=1e-2, seed=seed)
+    params, history = train_ppo_compiled(small_compiled[0], small_compiled[1], sft_setup, cfg, tiny_features)
+    assert len(seen) == 1 + len(history)
+    # Each row names the first iteration of the best dev EM so far that beat
+    # the SFT checkpoint's, or -1 for the checkpoint itself.
+    top, want = evaluate(small_compiled[1], sft_setup, tiny_features).em, -1
+    for row in history:
+        if row["dev_em"] > top:
+            top, want = row["dev_em"], row["iteration"]
+        assert row["best_iteration"] == want
+    assert want == returned
+    assert np.array_equal(params.flat, seen[returned + 1].flat)
 
 
 def test_b2_stays_zero_through_sft_and_ppo(sft_setup, small_compiled, tiny_features):

@@ -33,7 +33,7 @@ from tsqa.metrics import evaluate_compiled
 from tsqa.policy import compile_dataset, save_checkpoint
 from tsqa.trainer import PPOConfig, SFTConfig, build_vocabulary, train_ppo_compiled, train_sft_compiled
 
-DIGEST = "a07da60e67df38d0eac1b1d4fac79e73ac91aa871e2dd4199e51740e568107fe"
+DIGEST = "beaab30f957aee62a51835561dd5d06a78f68743c8ec7af34fdd65bffb63d284"
 
 # Set before numpy is first imported, in the interpreter that trains.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
