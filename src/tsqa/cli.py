@@ -195,7 +195,7 @@ def _cmd_train_sft(args) -> int:
     sft = _block(SFTConfig, args, cfg, "sft", seed=args.seed)
     splits = [_load_split(args.train, "train"), _load_split(args.dev, "dev")]
     vocab = build_vocabulary(splits)
-    train, dev = (compile_dataset(split, None, vocab, feature_config) for split in splits)
+    train, dev = (compile_dataset(split, None, vocab, feature_config, pools=False) for split in splits)
     params, history = train_sft_compiled(train, dev, sft, feature_config, len(vocab))
     save_checkpoint(args.out, params, vocab, feature_config)
     history_path = args.history or str(args.out) + ".history.csv"
@@ -215,8 +215,8 @@ def _cmd_train_ppo(args) -> int:
     )
     reward_params = _reward_params(args, cfg)
     train, dev = (
-        compile_dataset(_load_split(path, name), None, vocab, feature_config)
-        for path, name in ((args.train, "train"), (args.dev, "dev"))
+        compile_dataset(_load_split(path, name), None, vocab, feature_config, pools)
+        for path, name, pools in ((args.train, "train", True), (args.dev, "dev", False))
     )
     params, history = train_ppo_compiled(train, dev, sft_params, ppo, feature_config, reward_params)
     save_checkpoint(args.out, params, vocab, feature_config)
@@ -232,7 +232,7 @@ def _cmd_eval(args) -> int:
     records = load_dataset(args.data)
     if not records:
         raise ValueError(f"{args.data}: no records to evaluate")
-    data = compile_dataset(records, None, vocab, feature_config)
+    data = compile_dataset(records, None, vocab, feature_config, pools=False)
     metrics = evaluate_compiled(data, params, feature_config)
     text = report(metrics, args.format)
     if args.out:
@@ -250,9 +250,10 @@ def _cmd_ablate(args) -> int:
     splits = [_load_split(getattr(args, name), name) for name in ("train", "dev", "test")]
     vocab = build_vocabulary(splits[:2])
     # Compilation reads the window, which every arm shares, and not the
-    # fusion switch: the splits are compiled once for the whole grid.
+    # fusion switch: the splits are compiled once for the whole grid, and
+    # only train with the negative pools that the PPO reward reads.
     compile_config = _block(FeatureConfig, args, cfg, "features")
-    train, dev, test = (compile_dataset(split, None, vocab, compile_config) for split in splits)
+    train, dev, test = (compile_dataset(split, None, vocab, compile_config, k == 0) for k, split in enumerate(splits))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,11 +1,12 @@
 """Interval-keyed fact storage, question resolution, and negative mining.
 
 Facts are (subject, relation, object) triples with a month interval.  The
-index answers two query shapes: all facts of a (subject, relation) pair,
-and all facts whose interval intersects a query interval.  Negative
-answers for the contrastive reward come in two granularities: remote
-(same pair, disjoint period) and proximal (different pair, overlapping
-period).
+index answers the facts of a (subject, relation) pair, of a subject and of
+an object, and which subjects a token text mentions.  Negative answers for
+the contrastive reward come in two granularities: remote (same pair,
+disjoint period) and proximal (different pair, overlapping period).  Both
+miners read the facts sorted by interval, which the index builds on first
+read; only the PPO stage's train records need them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,13 @@ class TimeFact:
 
 
 class FactIndex:
-    """Deduplicated fact store with a pair map and vectorized interval scan."""
+    """Deduplicated fact store with pair, subject and object maps.
+
+    What only pair inference and the miners read is built on first read:
+    the subject names of each case mode, the relation list, and the facts
+    in the miners' order.  An index that only finds candidates and event
+    periods, as the one per record of an `index=None` compile does, never
+    builds them."""
 
     def __init__(self, facts: Sequence[TimeFact], names: Optional[dict[str, list[str]]] = None) -> None:
         """`names` memoizes the token texts of subject and object names; indexes
@@ -82,60 +89,36 @@ class FactIndex:
             self.by_pair.setdefault((f.subject, f.relation), []).append(i)
             self.by_subject.setdefault(f.subject, []).append(i)
             self.by_object.setdefault(f.object, []).append(i)
-        self._lo = np.array([f.interval.lo for f in kept], dtype=np.int64)
-        self._hi = np.array([f.interval.hi for f in kept], dtype=np.int64)
-        pair_ids: dict[tuple[str, str], int] = {}
-        self._pair_code = np.array(
-            [pair_ids.setdefault((f.subject, f.relation), len(pair_ids)) for f in kept],
-            dtype=np.int64,
-        )
-        self._pair_ids = pair_ids
-        self._event = np.array([f.relation == EVENT_RELATION for f in kept], dtype=bool)
-        self.subjects: list[str] = sorted({f.subject for f in kept})
-        self.relations: list[str] = sorted(
-            {f.relation for f in kept if f.relation != EVENT_RELATION}
-        )
-
-        # Subjects tokenized once.  A text mentions a subject only if it
-        # holds the subject's first token, so candidates are looked up by
-        # that token: cased for questions, lower-cased for contexts.
-        self._subject_tokens: dict[str, list[str]] = {}
-        self._subject_tokens_lower: dict[str, list[str]] = {}
-        self._by_first: dict[str, list[str]] = {}
-        self._by_first_lower: dict[str, list[str]] = {}
-        for s in self.subjects:
-            toks = self._name_tokens(s)
-            low = [t.lower() for t in toks]
-            self._subject_tokens[s] = toks
-            self._subject_tokens_lower[s] = low
-            if toks:
-                self._by_first.setdefault(toks[0], []).append(s)
-                self._by_first_lower.setdefault(low[0], []).append(s)
         self._object_tokens: dict[str, list[str]] = {}
-        # Rank of each fact in the proximal miner's order.
-        order = sorted(
-            range(len(kept)),
-            key=lambda i: (
-                kept[i].interval.lo,
-                kept[i].interval.hi,
-                kept[i].subject,
-                kept[i].relation,
-                kept[i].object,
-            ),
-        )
-        self._proximal_rank = np.empty(len(kept), dtype=np.int64)
-        self._proximal_rank[order] = np.arange(len(kept))
 
     def __len__(self) -> int:
         return len(self.facts)
 
+    @cached_property
+    def subjects(self) -> list[str]:
+        return sorted(self.by_subject)
+
+    @cached_property
+    def relations(self) -> list[str]:
+        return sorted({f.relation for f in self.facts if f.relation != EVENT_RELATION})
+
+    @cached_property
+    def _miner_order(self) -> tuple[list[TimeFact], np.ndarray, np.ndarray, dict[tuple[str, str], list[int]]]:
+        """The facts sorted by (lo, hi, subject, relation, object), ties in
+        store order; their lo and hi as arrays, with an event fact's hi at -1
+        so that no query overlaps it; and each pair's positions in that order."""
+        ordered = sorted(
+            self.facts, key=lambda f: (f.interval.lo, f.interval.hi, f.subject, f.relation, f.object)
+        )
+        lo = np.array([f.interval.lo for f in ordered], dtype=np.int64)
+        hi = np.array([-1 if f.relation == EVENT_RELATION else f.interval.hi for f in ordered], dtype=np.int64)
+        positions: dict[tuple[str, str], list[int]] = {}
+        for p, f in enumerate(ordered):
+            positions.setdefault((f.subject, f.relation), []).append(p)
+        return ordered, lo, hi, positions
+
     def pair(self, subject: str, relation: str) -> list[TimeFact]:
         return [self.facts[i] for i in self.by_pair.get((subject, relation), [])]
-
-    def overlapping(self, interval: MonthInterval) -> np.ndarray:
-        """Indices of facts whose interval intersects `interval`."""
-        hit = (self._lo <= interval.hi) & (self._hi >= interval.lo)
-        return np.nonzero(hit)[0]
 
     def _name_tokens(self, name: str) -> list[str]:
         toks = self._names.get(name)
@@ -150,20 +133,38 @@ class FactIndex:
             toks = self._object_tokens[obj] = [t.lower() for t in self._name_tokens(obj)]
         return toks
 
+    def _subject_names(self, lower: bool) -> tuple[dict[tuple[str, ...], list[str]], dict[str, set[int]]]:
+        """The subjects by their token tuple, and the name lengths under
+        each first token; a subject with no tokens is never mentioned."""
+        by_name: dict[tuple[str, ...], list[str]] = {}
+        lengths: dict[str, set[int]] = {}
+        for s in self.subjects:
+            toks = tuple(t.lower() for t in self._name_tokens(s)) if lower else tuple(self._name_tokens(s))
+            if toks:
+                by_name.setdefault(toks, []).append(s)
+                lengths.setdefault(toks[0], set()).add(len(toks))
+        return by_name, lengths
+
+    @cached_property
+    def _cased_names(self) -> tuple[dict[tuple[str, ...], list[str]], dict[str, set[int]]]:
+        return self._subject_names(lower=False)
+
+    @cached_property
+    def _lower_names(self) -> tuple[dict[tuple[str, ...], list[str]], dict[str, set[int]]]:
+        return self._subject_names(lower=True)
+
     def mentioned_subjects(self, tokens: Sequence[str], lower: bool) -> list[str]:
         """Sorted subjects whose tokens occur as a consecutive run in
         `tokens`; with `lower`, both sides are compared lower-cased and
-        `tokens` must already be."""
-        if lower:
-            by_first, subject_tokens = self._by_first_lower, self._subject_tokens_lower
-        else:
-            by_first, subject_tokens = self._by_first, self._subject_tokens
-        return sorted(
-            s
-            for first in set(tokens)
-            for s in by_first.get(first, ())
-            if _subseq_at(tokens, subject_tokens[s]) is not None
-        )
+        `tokens` must already be.  Each position is looked up by name, for
+        the name lengths its token starts."""
+        by_name, lengths = self._lower_names if lower else self._cased_names
+        found: set[str] = set()
+        for i, tok in enumerate(tokens):
+            if tok in lengths:
+                for m in lengths[tok]:
+                    found.update(by_name.get(tuple(tokens[i : i + m]), ()))
+        return sorted(found)
 
     def event_interval(self, event_name: str) -> MonthInterval:
         for f in self.pair(event_name, EVENT_RELATION):
@@ -224,39 +225,32 @@ def resolve_question(spec, subject: str, relation: str, index: FactIndex) -> str
 
 
 def _dedupe_ordered(objects: Sequence[str], gold: str) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for o in objects:
-        if o != gold and o not in seen:
-            seen.add(o)
-            out.append(o)
-    return out
+    out = dict.fromkeys(objects)
+    out.pop(gold, None)
+    return list(out)
 
 
 def mine_remote(
     subject: str, relation: str, gold: str, q_interval: MonthInterval, index: FactIndex
 ) -> list[str]:
-    """Same-pair answers from periods disjoint with the question interval."""
-    pool = [
-        f
-        for f in index.pair(subject, relation)
-        if not f.interval.intersects(q_interval)
-    ]
-    pool.sort(key=lambda f: (f.interval.lo, f.interval.hi, f.object))
-    return _dedupe_ordered([f.object for f in pool], gold)
+    """Same-pair answers from periods disjoint with the question interval,
+    in the index's miner order."""
+    ordered, _, _, positions = index._miner_order
+    pool = (ordered[p] for p in positions.get((subject, relation), ()))
+    return _dedupe_ordered([f.object for f in pool if not f.interval.intersects(q_interval)], gold)
 
 
 def mine_proximal(
     subject: str, relation: str, gold: str, q_interval: MonthInterval, index: FactIndex
 ) -> list[str]:
-    """Other-pair answers whose periods overlap the question interval."""
-    idxs = index.overlapping(q_interval)
-    pair = index._pair_ids.get((subject, relation), -1)
-    idxs = idxs[(index._pair_code[idxs] != pair) & ~index._event[idxs]]
-    # Ranks are distinct and follow the (lo, hi, subject, relation, object)
-    # order, ties broken by store position, as a stable sort would.
-    idxs = idxs[np.argsort(index._proximal_rank[idxs])]
-    return _dedupe_ordered([index.facts[i].object for i in idxs], gold)
+    """Other-pair answers whose periods overlap the question interval, in
+    the index's miner order.  Only the prefix of facts that start by the
+    question's end is scanned."""
+    ordered, lo, hi, positions = index._miner_order
+    n = int(np.searchsorted(lo, q_interval.hi, side="right"))
+    hit = hi[:n] >= q_interval.lo
+    hit[[p for p in positions.get((subject, relation), ()) if p < n]] = False
+    return _dedupe_ordered([ordered[p].object for p in np.flatnonzero(hit).tolist()], gold)
 
 
 def sample_negatives(

@@ -173,9 +173,12 @@ def compile_record(
     vocab: Vocabulary,
     config: FeatureConfig,
     names: Optional[dict[str, list[str]]] = None,
+    pools: bool = True,
 ) -> CompiledRecord:
     """The record against `index`, or with `index=None` against its own facts
-    (an index whose name tokens are memoized in `names`).
+    (an index whose name tokens are memoized in `names`).  With `pools`
+    False the (subject, relation) pair and both negative pools, which only
+    the PPO stage's train records read, are left empty.
 
     The question is tokenized with offsets, which its time-scope and pair
     parsers read; the context only as token texts, lower-cased once for
@@ -256,22 +259,24 @@ def compile_record(
             gold_index = norm_texts.index(g)
             break
 
-    subject, relation = infer_question_pair(q_tokens, idx)
-    gold = record.gold_answers[0] if record.gold_answers else ""
-    mine_iv = q_iv
-    if mine_iv is None and gold:
-        # Mining may anchor on the gold fact's own period (the reward side
-        # already knows the gold answer).
-        own = [idx.facts[i] for i in idx.by_object.get(gold, ())]
-        if subject is not None:
-            own = [f for f in own if f.subject == subject] or own
-        if own:
-            mine_iv = min(own, key=lambda f: f.interval.lo).interval
+    subject = relation = None
     remote_pool: list[str] = []
     proximal_pool: list[str] = []
-    if subject is not None and relation is not None and mine_iv is not None:
-        remote_pool = mine_remote(subject, relation, gold, mine_iv, idx)
-        proximal_pool = mine_proximal(subject, relation, gold, mine_iv, idx)
+    if pools:
+        subject, relation = infer_question_pair(q_tokens, idx)
+        gold = record.gold_answers[0] if record.gold_answers else ""
+        mine_iv = q_iv
+        if mine_iv is None and gold:
+            # Mining may anchor on the gold fact's own period (the reward side
+            # already knows the gold answer).
+            own = [idx.facts[i] for i in idx.by_object.get(gold, ())]
+            if subject is not None:
+                own = [f for f in own if f.subject == subject] or own
+            if own:
+                mine_iv = min(own, key=lambda f: f.interval.lo).interval
+        if subject is not None and relation is not None and mine_iv is not None:
+            remote_pool = mine_remote(subject, relation, gold, mine_iv, idx)
+            proximal_pool = mine_proximal(subject, relation, gold, mine_iv, idx)
 
     return CompiledRecord(
         id=record.id,
@@ -296,10 +301,10 @@ def compile_record(
 
 
 def compile_dataset(
-    records: Sequence, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig
+    records: Sequence, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig, pools: bool = True
 ) -> list[CompiledRecord]:
     names: dict[str, list[str]] = {}  # shared by the per-record indexes of `index=None`
-    return CompiledSplit(compile_record(r, index, vocab, config, names) for r in records)
+    return CompiledSplit(compile_record(r, index, vocab, config, names, pools) for r in records)
 
 
 # ---------------------------------------------------------------------------

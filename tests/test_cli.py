@@ -1,5 +1,6 @@
 """End-to-end command-line flows on a miniature corpus."""
 
+import inspect
 import json
 import math
 import os
@@ -396,7 +397,8 @@ def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     compile_record = tsqa.policy.compile_record
 
     def counting(record, *args):
-        calls.append(record.id)
+        pools = inspect.signature(compile_record).bind(record, *args).arguments.get("pools", True)
+        calls.append((record.id, pools))
         return compile_record(record, *args)
 
     monkeypatch.setattr(tsqa.policy, "compile_record", counting)
@@ -415,6 +417,39 @@ def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     assert code == 0, err
     n_records = sum(len(load_dataset(p)) for p in splits)
     assert len(calls) == n_records
+    # Only the train split, which the PPO stage's reward reads, is mined.
+    n_train = len(load_dataset(splits[0]))
+    assert [pools for _, pools in calls] == [i < n_train for i in range(n_records)]
+
+
+def test_only_the_ppo_train_split_infers_pairs_and_mines(capsys, tmp_path, monkeypatch):
+    import tsqa.policy
+
+    calls = dict.fromkeys(("infer_question_pair", "mine_remote", "mine_proximal"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(tsqa.policy, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tsqa.policy, name, counting)
+    corpus, ckpt = _trained_checkpoint(capsys, tmp_path)
+    code, _, err = run(capsys, "eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt))
+    assert code == 0, err
+    assert calls == dict.fromkeys(calls, 0)  # train-sft and eval mine nothing
+
+    code, _, err = run(
+        capsys,
+        "train-ppo",
+        "--train", str(corpus / "train.jsonl"),
+        "--dev", str(corpus / "dev.jsonl"),
+        "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "ppo.ckpt"),
+        "--iterations", "1",
+    )
+    assert code == 0, err
+    assert calls["infer_question_pair"] == len(load_dataset(corpus / "train.jsonl"))
+    assert calls["mine_remote"] == calls["mine_proximal"] > 0
 
 
 def _trained_checkpoint(capsys, tmp_path):

@@ -32,6 +32,7 @@ import hashlib
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from tsqa.config import FeatureConfig
 from tsqa.corpus import SyntheticConfig, generate_synthetic
@@ -103,3 +104,34 @@ def distractor_digest() -> str:
 
 def test_distractor_shaped_records_match_the_recorded_digest():
     assert distractor_digest() == DISTRACTOR_DIGEST
+
+
+# Small corpora of the benchmark's two generator shapes.
+SHAPES = {
+    "bigstore": dict(
+        n_entities=80, n_relations=1, facts_per_pair=4, distractor_sentences_per_context=0,
+        question_type_mix={"L2": 1.0, "EASY": 1.0, "L3": 0.0, "HARD": 0.0}, unanswerable_fraction=0.1, seed=7,
+    ),
+    "distractor": dict(
+        n_entities=30, n_relations=2, distractor_sentences_per_context=4, distractors_dated=False, seed=5
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_compile_without_pools_leaves_only_the_pair_and_pools_empty(shape):
+    train, dev, test, facts = generate_synthetic(SyntheticConfig(**SHAPES[shape]))
+    vocab = build_vocabulary([train, dev])
+    pooled = {"subject", "relation", "remote_pool", "proximal_pool"}
+    for index in (FactIndex(facts), None):
+        full = compile_dataset(train + dev + test, index, vocab, FeatureConfig())
+        bare = compile_dataset(train + dev + test, index, vocab, FeatureConfig(), pools=False)
+        assert any(comp.remote_pool or comp.proximal_pool for comp in full)
+        for comp, lean in zip(full, bare, strict=True):
+            assert (lean.subject, lean.relation, lean.remote_pool, lean.proximal_pool) == (None, None, [], [])
+            for f in fields(CompiledRecord):
+                if f.name not in pooled:
+                    want, got = hashlib.sha256(), hashlib.sha256()
+                    _feed(want, getattr(comp, f.name))
+                    _feed(got, getattr(lean, f.name))
+                    assert got.digest() == want.digest(), (comp.id, f.name)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsqa.corpus import QuestionTimeSpec
+from tsqa.corpus import QuestionTimeSpec, SyntheticConfig, generate_synthetic
 from tsqa.facts import (
     EVENT_RELATION,
     FactIndex,
@@ -15,7 +15,8 @@ from tsqa.facts import (
     resolve_question,
     sample_negatives,
 )
-from tsqa.intervals import MonthInterval, year_span
+from tsqa.intervals import MAX_MONTH, MIN_MONTH, MonthInterval, year_span
+from tsqa.tagger import words
 
 
 def fact(s, r, o, y1, y2):
@@ -42,7 +43,28 @@ def test_index_dedup_and_pair():
     assert idx.pair("Ada", "position") == []
 
 
-def test_overlapping_matches_brute_force():
+def brute_proximal(subject, relation, gold, q, idx):
+    """Reference proximal miner: every other pair's non-event fact that
+    overlaps `q`, stably sorted by (lo, hi, subject, relation, object),
+    objects deduplicated in that order, the gold left out."""
+    hits = [
+        f
+        for f in idx.facts
+        if f.interval.intersects(q) and (f.subject, f.relation) != (subject, relation) and f.relation != EVENT_RELATION
+    ]
+    hits.sort(key=lambda f: (f.interval.lo, f.interval.hi, f.subject, f.relation, f.object))
+    return list(dict.fromkeys(f.object for f in hits if f.object != gold))
+
+
+def brute_remote(subject, relation, gold, q, idx):
+    """Reference remote miner: the pair's facts disjoint with `q`, stably
+    sorted by (lo, hi, object) from store order."""
+    pool = [f for f in idx.pair(subject, relation) if not f.interval.intersects(q)]
+    pool.sort(key=lambda f: (f.interval.lo, f.interval.hi, f.object))
+    return list(dict.fromkeys(f.object for f in pool if f.object != gold))
+
+
+def test_mine_proximal_matches_brute_force():
     rng = np.random.default_rng(3)
     facts = []
     for i in range(200):
@@ -50,13 +72,68 @@ def test_overlapping_matches_brute_force():
         y2 = y1 + int(rng.integers(0, 10))
         facts.append(fact(f"s{i % 17}", f"r{i % 3}", f"o{i}", y1, y2))
     idx = FactIndex(facts)
-    for _ in range(100):
+    for k in range(100):
         y1 = int(rng.integers(1900, 2000))
         y2 = y1 + int(rng.integers(0, 6))
         probe = year_span(y1, y2)
-        got = set(idx.overlapping(probe).tolist())
-        want = {i for i, f in enumerate(idx.facts) if f.interval.intersects(probe)}
-        assert got == want
+        subject, relation, gold = f"s{k % 17}", f"r{k % 3}", f"o{2 * k}"
+        want = brute_proximal(subject, relation, gold, probe, idx)
+        assert mine_proximal(subject, relation, gold, probe, idx) == want, probe
+
+
+def edge_store(rng):
+    """Facts with open ends, shared (lo, hi) intervals, duplicates, an
+    object carried by several pairs, and event facts."""
+    bounds = [MIN_MONTH, MIN_MONTH + 1, 23400, 23411, 23412, 23423, 23430, MAX_MONTH - 1, MAX_MONTH]
+    facts = []
+    for i in range(120):
+        a, b = sorted(int(x) for x in rng.choice(bounds, size=2))
+        start = None if a == MIN_MONTH and rng.random() < 0.5 else a
+        end = None if b == MAX_MONTH and rng.random() < 0.5 else b
+        relation = EVENT_RELATION if i % 11 == 0 else f"r{i % 2}"
+        facts.append(TimeFact(f"s{int(rng.integers(5))}", relation, f"o{int(rng.integers(15))}", start, end))
+    return facts + facts[::7]  # duplicates, dropped by the index
+
+
+def test_sorted_miners_match_the_reference_on_edge_stores():
+    rng = np.random.default_rng(5)
+    edges = [MIN_MONTH, MIN_MONTH + 1, 23399, 23400, 23411, 23412, 23413, 23423, 23424, MAX_MONTH - 1, MAX_MONTH]
+    for _ in range(20):
+        idx = FactIndex(edge_store(rng))
+        for _ in range(40):
+            # Question bounds sit on, just inside and just outside the facts' bounds.
+            lo, hi = sorted(int(x) for x in rng.choice(edges, size=2))
+            q = MonthInterval(None if lo == MIN_MONTH else lo, None if hi == MAX_MONTH else hi)
+            subject, relation = f"s{int(rng.integers(5))}", str(rng.choice(["r0", "r1", EVENT_RELATION, "r9"]))
+            gold = f"o{int(rng.integers(16))}"
+            assert mine_proximal(subject, relation, gold, q, idx) == brute_proximal(subject, relation, gold, q, idx)
+            assert mine_remote(subject, relation, gold, q, idx) == brute_remote(subject, relation, gold, q, idx)
+
+
+def test_sorted_miners_on_ties_bounds_and_gold():
+    tied = [
+        TimeFact("Cy", "employer", "Zed Works", 23400, 23411),
+        TimeFact("Bo", "team", "Alder", 23400, 23411),
+        TimeFact("Bo", "employer", "Yew Mill", 23400, 23411),
+        TimeFact("Bo", "employer", "Ash Mill", 23400, 23411),
+        TimeFact("Al", "employer", "Gold Co", 23412, 23423),  # starts the month after the question ends
+        TimeFact("Al", "employer", "Gold Co", None, 23399),  # ends the month before it starts
+        TimeFact("Di", "employer", "Gold Co", 23411, None),  # starts on its last month
+        TimeFact("Di", "employer", "Elm Yard", None, 23400),  # ends on its first month
+        TimeFact("Di", "employer", "Elm Yard", None, 23400),
+        TimeFact("Fair", EVENT_RELATION, "Fair", 23400, 23411),
+    ]
+    idx = FactIndex(tied)
+    q = MonthInterval(23400, 23411)
+    # Open starts sort first; equal (lo, hi) go by subject, relation, object.
+    assert mine_proximal("Al", "employer", "", q, idx) == ["Elm Yard", "Ash Mill", "Yew Mill", "Alder", "Zed Works", "Gold Co"]
+    assert mine_proximal("Al", "employer", "Gold Co", q, idx) == ["Elm Yard", "Ash Mill", "Yew Mill", "Alder", "Zed Works"]
+    assert mine_proximal("Bo", "employer", "Alder", q, idx) == ["Elm Yard", "Zed Works", "Gold Co"]
+    assert mine_remote("Al", "employer", "", q, idx) == ["Gold Co"]
+    assert mine_remote("Al", "employer", "Gold Co", q, idx) == []
+    assert mine_remote("Di", "employer", "", MonthInterval(23401, 23410), idx) == ["Elm Yard", "Gold Co"]
+    assert mine_remote("Fair", EVENT_RELATION, "", MonthInterval(23412, 23412), idx) == ["Fair"]
+    assert mine_remote("Nobody", "employer", "", q, idx) == []
 
 
 def test_event_interval_lookup():
@@ -273,6 +350,8 @@ def test_indexes_sharing_a_name_memo_tokenize_each_name_once(monkeypatch):
     shared = [FactIndex(CAREER, names) for _ in range(3)]
     for idx in shared:
         assert [idx.object_tokens(f.object) for f in CAREER] == [idx.object_tokens(f.object) for f in CAREER]
+        # Subject names are tokenized when the first lookup builds the name map.
+        assert idx.mentioned_subjects(["ada", "met", "ben"], lower=True) == ["Ada", "Ben"]
     distinct = {f.subject for f in CAREER} | {f.object for f in CAREER}
     assert sorted(calls) == sorted(distinct)
     # The memo changes no answer: a fresh index reads the same tokens and subjects.
@@ -282,3 +361,48 @@ def test_indexes_sharing_a_name_memo_tokenize_each_name_once(monkeypatch):
             ["ada", "met", "ben"], lower=True
         )
         assert [idx.object_tokens(f.object) for f in CAREER] == [fresh.object_tokens(f.object) for f in CAREER]
+
+
+def first_token_scan(idx, lower):
+    """The subject lookup that `mentioned_subjects` replaced, kept as its
+    oracle: subjects bucketed by their first token, and each subject of a
+    bucket whose first token the text holds checked with `_subseq_at`."""
+    by_first = {}
+    for s in idx.subjects:
+        toks = [t.lower() if lower else t for t in words(s)]
+        if toks:
+            by_first.setdefault(toks[0], []).append((s, toks))
+    return lambda tokens: sorted(
+        s for first in set(tokens) for s, toks in by_first.get(first, ()) if _subseq_at(tokens, toks) is not None
+    )
+
+
+# Names that share a first token, nest ("Vera Zel" inside "Vera Zel Orley")
+# and differ only in case.
+NESTED = ["Vera", "Vera Zel", "Vera Zel Orley", "Vera Orley", "vera zel", "VERA ZEL", "Zel Orley", "Orley"]
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_subject_lookup_by_name_matches_the_first_token_scan(seed):
+    train, dev, test, facts = generate_synthetic(SyntheticConfig(n_entities=60, seed=seed))
+    facts += [fact(name, "employer", f"Works {k}", 1950, 1951) for k, name in enumerate(NESTED)]
+    idx = FactIndex(facts)
+    texts = [t for r in train + dev + test for t in (r.question, r.context)]
+    vocab = sorted({w for name in idx.subjects for w in words(name)}) + ["worked", "for", ",", "."]
+    rng = np.random.default_rng(seed)
+    texts += [" ".join(rng.choice(vocab, size=int(rng.integers(0, 30)))) for _ in range(300)]
+    found = 0
+    for lower in (False, True):
+        scan = first_token_scan(idx, lower)
+        for text in texts:
+            tokens = [w.lower() for w in words(text)] if lower else words(text)
+            want = scan(tokens)
+            assert idx.mentioned_subjects(tokens, lower=lower) == want, (text, lower)
+            found += len(want) > 1
+    assert found > 100  # many texts mention several subjects, nested ones among them
+    assert idx.mentioned_subjects(["vera", "zel", "orley"], lower=True) == [
+        "Orley", "VERA ZEL", "Vera", "Vera Zel", "Vera Zel Orley", "Zel Orley", "vera zel"
+    ]
+    assert idx.mentioned_subjects(["Vera", "Zel", "Orley"], lower=False) == [
+        "Orley", "Vera", "Vera Zel", "Vera Zel Orley", "Zel Orley"
+    ]
