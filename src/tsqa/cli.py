@@ -22,6 +22,7 @@ from .corpus import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
+    load_facts,
     save_dataset,
     save_facts,
 )
@@ -151,8 +152,6 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    from .corpus import load_facts
-
     index = FactIndex(load_facts(args.facts))
     interval = _interval_from_args(args)
     remote = mine_remote(args.subject, args.relation, args.gold, interval, index)

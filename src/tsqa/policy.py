@@ -121,17 +121,6 @@ class CompiledRecord:
             score = self._scores[index] = (exact_match(text, self.gold_answers), f1(text, self.gold_answers))
         return score
 
-    @cached_property
-    def pool_rows(self) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
-        """`_pool_rows` of the record, kept: inference chunks lay the same
-        records out again at every evaluation."""
-        return _pool_rows(self)
-
-    @cached_property
-    def grouping(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_grouping` of the record, kept; built on first read, as only backward reads it."""
-        return _grouping(self, self.pool_rows)
-
 
 def _pool_rows(comp: CompiledRecord) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
     """Which tokens each attention pool reads: the sizes (tokens T, pools
@@ -302,7 +291,7 @@ def compile_record(
 
 def compile_dataset(
     records: Sequence, index: Optional[FactIndex], vocab: Vocabulary, config: FeatureConfig, pools: bool = True
-) -> list[CompiledRecord]:
+) -> CompiledSplit:
     names: dict[str, list[str]] = {}  # shared by the per-record indexes of `index=None`
     return CompiledSplit(compile_record(r, index, vocab, config, names, pools) for r in records)
 
@@ -408,13 +397,12 @@ class Layout:
     token, pool, 1 if it starts its pool), counted from its own record.
 
     `take(positions)` lays out the records at `positions` on the same T and
-    P with one fancy index per array.  A layout reads the pool rows and
-    groupings its records keep; with `keep=False`, as a training split's,
-    it works them out without keeping them, being their one copy."""
+    P with one fancy index per array.  A layout works out its records' pool
+    rows and groupings without keeping them per record: it is their one copy."""
 
-    def __init__(self, records: Sequence[CompiledRecord], keep: bool = True) -> None:
-        self.records, self.keep, self.source = list(records), keep, None
-        layouts = [comp.pool_rows if keep else _pool_rows(comp) for comp in self.records]
+    def __init__(self, records: Sequence[CompiledRecord]) -> None:
+        self.records, self.source = list(records), None
+        layouts = [_pool_rows(comp) for comp in self.records]
         # Per record: tokens, pool rows, candidates.
         self.sizes = np.array([(t, n, p - 1) for (t, p, n), _, _ in layouts], dtype=np.int32).reshape(-1, 3)
         self.n_pools = int(self.sizes[:, 2].max(initial=0)) + 1
@@ -469,7 +457,7 @@ class Layout:
         if self.source is not None:
             n_ids, ids, cells = self.source.groups
             return n_ids[self.positions], ids[self.positions], cells.take(self.row_index, axis=1)
-        groupings = [comp.grouping if self.keep else _grouping(comp, _pool_rows(comp)) for comp in self.records]
+        groupings = [_grouping(comp, _pool_rows(comp)) for comp in self.records]
         n_ids = np.array([keys.size for keys, _ in groupings], dtype=np.int32)
         ids = _padded(np.concatenate([keys for keys, _ in groupings]), n_ids, np.int32)
         # A row's first grouping cell is pool * (its record's id count) + its id's index.
@@ -485,17 +473,25 @@ class Layout:
         return n_ids, ids, cells
 
 
-class CompiledSplit(list):
-    """A split's compiled records; its layout is built on first read and kept."""
+class CompiledSplit(tuple):
+    """A split's compiled records, which never change, and the layouts
+    built from them on first read and kept: `layout`, of the whole split,
+    which training and rollouts take minibatches from, and `buckets`,
+    which greedy decoding reads."""
 
     @cached_property
     def layout(self) -> Layout:
-        return Layout(self, keep=False)
+        return Layout(self)
+
+    @cached_property
+    def buckets(self) -> list[tuple[np.ndarray, Layout]]:
+        """Per `token_chunks` chunk, its records' positions and their layout."""
+        return [(positions, Layout([self[i] for i in positions.tolist()])) for positions in token_chunks(self)]
 
 
-def split_layout(records: Sequence[CompiledRecord]) -> Layout:
-    """The kept layout of a `compile_dataset` split, or a new one of any other list."""
-    return records.layout if isinstance(records, CompiledSplit) else Layout(records)
+def as_split(records: Sequence[CompiledRecord]) -> CompiledSplit:
+    """`records` if it is a `CompiledSplit`, else a new split of them."""
+    return records if isinstance(records, CompiledSplit) else CompiledSplit(records)
 
 
 @dataclass
@@ -753,8 +749,8 @@ def _table_grads(grads: PolicyParams, features: BatchFeatures, ws: np.ndarray, b
     grouped = np.bincount(cells[:2].ravel(), ws, minlength=B * Q * I)
     text_basis, time_basis = (basis, basis) if config.fusion_mode == "add" else (basis[..., :d], basis[..., d:])
     per_id = np.matmul(grouped.reshape(B, Q, I).transpose(0, 2, 1), text_basis)
-    # A record's ids are distinct, so a fancy add scatters its rows; one
-    # np.add.at over the batch measured slower than one add per record.
+    # A record's ids are distinct, so a fancy add scatters its rows; one bincount
+    # over the batch's cells id * d + j measured slower, as it writes every cell.
     ids = ids.astype(np.intp)
     for b, n in enumerate(n_ids.tolist()):
         grads.text_table[ids[b, :n]] += per_id[b, :n]
@@ -850,10 +846,9 @@ def greedy_choices(
     compiled: Sequence[CompiledRecord], params: PolicyParams, config: FeatureConfig
 ) -> np.ndarray:
     """Each record's argmax candidate (the first of equal ones), in input
-    order, from one layout, featurize and head per chunk of `token_chunks`."""
+    order, from one featurize and head per bucket of the split."""
     choices = np.zeros(len(compiled), dtype=np.intp)
-    for positions in token_chunks(compiled):
-        layout = Layout([compiled[i] for i in positions.tolist()])
+    for positions, layout in as_split(compiled).buckets:
         padded = np.full(layout.cand_mask.shape, -1.0)
         padded[layout.cand_mask] = _batch_probs(layout, params, config)[1]
         choices[positions] = padded.argmax(axis=1)

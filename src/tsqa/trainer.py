@@ -26,11 +26,11 @@ from .policy import (
     CompiledRecord,
     Layout,
     PolicyParams,
+    as_split,
     featurize_batch,
     init_params,
     layout_chunks,
     loss_and_grads_batch,
-    split_layout,
 )
 from .reward import RewardParams
 # `tokenize` stays bound here: the benchmark checks that its tracer wraps it in every module that holds it.
@@ -168,6 +168,7 @@ def train_sft_compiled(
     vocab_size: int,
 ) -> tuple[PolicyParams, list[dict]]:
     _require_records(compiled_train, compiled_dev)
+    compiled_train, compiled_dev = as_split(compiled_train), as_split(compiled_dev)
     gold = np.array([c.gold_index for c in compiled_train])
     usable = np.flatnonzero(gold >= 0)
     skipped = len(compiled_train) - len(usable)
@@ -189,7 +190,7 @@ def train_sft_compiled(
         return params, []
 
     optimizer = AdamW(params, config.learning_rate, config.weight_decay)
-    layout = split_layout(compiled_train)
+    layout = compiled_train.layout
     history: list[dict] = []
     best_em = -1.0
     best = params.clone()
@@ -322,7 +323,7 @@ def collect_rollouts(
             remote, proximal = sample_negatives(comp.remote_pool, comp.proximal_pool, config.negatives_per_side, rng)
             negatives.append(remote + proximal)
     comps = [dataset[i] for i in picks]
-    layout, positions = split_layout(dataset), np.array(picks, dtype=np.intp)
+    layout, positions = as_split(dataset).layout, np.array(picks, dtype=np.intp)
     probs, values = [], []
     for features, chunk_probs in layout_chunks(layout, positions, params, feature_config):
         probs += chunk_probs
@@ -360,8 +361,7 @@ def reference_probs(
 ) -> list[np.ndarray]:
     """Each record's candidate probabilities under the reference parameters,
     read from the dataset's layout, as the rollouts read it."""
-    layout = split_layout(dataset)
-    chunks = layout_chunks(layout, np.arange(len(dataset)), reference_params, feature_config)
+    chunks = layout_chunks(as_split(dataset).layout, np.arange(len(dataset)), reference_params, feature_config)
     return [p for _, probs in chunks for p in probs]
 
 
@@ -452,6 +452,7 @@ def train_ppo_compiled(
     _require_records(compiled_train, compiled_dev)
     if config.iterations == 0:
         return sft_params.clone(), []
+    compiled_train, compiled_dev = as_split(compiled_train), as_split(compiled_dev)
     reward_params = reward_params or RewardParams()
     params = sft_params.clone()
     rng = np.random.default_rng(config.seed)

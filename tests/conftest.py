@@ -2,6 +2,7 @@
 
 import pytest
 
+from tsqa import policy
 from tsqa.config import FeatureConfig
 from tsqa.corpus import SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex
@@ -47,3 +48,17 @@ def small_compiled(small_corpus, small_index, small_vocab, tiny_features):
         compile_dataset(dev, small_index, small_vocab, tiny_features),
         compile_dataset(test, small_index, small_vocab, tiny_features),
     )
+
+
+@pytest.fixture
+def layout_builds(monkeypatch) -> list[int]:
+    """The record count of every `Layout` built while the test runs."""
+    built: list[int] = []
+    init = policy.Layout.__init__
+
+    def counting(self, records):
+        built.append(len(records))
+        init(self, records)
+
+    monkeypatch.setattr(policy.Layout, "__init__", counting)
+    return built

@@ -303,7 +303,7 @@ def edge_records(compiled):
             interval_feats=np.zeros((1, 3)), density=np.zeros(1),
         )
         # Each edit must reach the case it is named for.
-        assert no_question.pool_rows[1].size and not no_rows.pool_rows[1].size
+        assert policy._pool_rows(no_question)[1].size and not policy._pool_rows(no_rows)[1].size
         assert len(abstain_only.candidates) == 1
         out += [no_question, no_rows, abstain_only]
     return out
@@ -444,8 +444,8 @@ def test_batches_taken_from_a_split_layout_match_both_references(digest_corpus, 
         window_pos=first.window_pos[:1] + [np.arange(0)],
         interval_feats=first.interval_feats[[0, -1]], density=first.density[[0, -1]],
     ))
-    assert split[-1].pool_rows[1][2, -1] == 1 and split[40].pool_rows[1][2, 0] == 1
-    layout = Layout(split, keep=False)
+    assert policy._pool_rows(split[-1])[1][2, -1] == 1 and policy._pool_rows(split[40])[1][2, 0] == 1
+    layout = Layout(split)
     (_, T), P = layout.token_ids.shape, layout.n_pools
     edges = np.arange(40, len(split) - 1)
     draws = [np.array([5, 5]), edges, np.concatenate([edges, edges[:2]]), np.array([len(split) - 1, 40])]

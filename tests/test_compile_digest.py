@@ -8,8 +8,8 @@ values: FIELDS_DIGEST of every compiled field and, per record, of the
 embedding of every candidate, the gold answer and every pooled negative,
 read through the memo, and of the exact-match signs (+1 or -1) that the
 exact-match reward reads; and LAYOUT_DIGEST of the static per-record pool
-rows and backward groupings (`CompiledRecord.pool_rows` and `.grouping`)
-that the layouts of featurize and backward read.
+rows and backward groupings (`policy._pool_rows` and `policy._grouping`)
+that the layouts of featurize and backward are built from.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in
@@ -37,7 +37,7 @@ import pytest
 from tsqa.config import FeatureConfig
 from tsqa.corpus import SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex
-from tsqa.policy import CompiledRecord, compile_dataset
+from tsqa.policy import CompiledRecord, _grouping, _pool_rows, compile_dataset
 from tsqa.reward import RewardParams
 from tsqa.trainer import build_reward_caches, build_vocabulary
 
@@ -71,8 +71,8 @@ def compiled_and_reward_digests() -> tuple[str, str]:
         for comp in compiled:
             for f in fields(CompiledRecord):
                 _feed(digest, getattr(comp, f.name))
-            _feed(layout, comp.pool_rows)
-            _feed(layout, list(comp.grouping))
+            _feed(layout, _pool_rows(comp))
+            _feed(layout, list(_grouping(comp, _pool_rows(comp))))
         vectors = build_reward_caches(compiled, RewardParams())
         for comp in compiled:
             candidates = [c.text for c in comp.candidates]
@@ -97,8 +97,8 @@ def distractor_digest() -> str:
     for comp in compile_dataset(train + dev + test, None, vocab, FeatureConfig()):
         for f in fields(CompiledRecord):
             _feed(digest, getattr(comp, f.name))
-        _feed(digest, comp.pool_rows)
-        _feed(digest, list(comp.grouping))
+        _feed(digest, _pool_rows(comp))
+        _feed(digest, list(_grouping(comp, _pool_rows(comp))))
     return digest.hexdigest()
 
 

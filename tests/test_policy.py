@@ -10,6 +10,7 @@ from tsqa.corpus import QARecord, QuestionType
 from tsqa.facts import FactIndex, TimeFact, infer_question_pair
 from tsqa.features import Vocabulary, fuse
 from tsqa.intervals import year_span
+from tsqa.metrics import evaluate_compiled
 from tsqa.policy import (
     Candidate,
     PolicyParams,
@@ -24,6 +25,7 @@ from tsqa.policy import (
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
+    token_chunks,
     zeros_like_params,
 )
 from tsqa.tagger import tag, tokenize
@@ -775,30 +777,28 @@ def test_greedy_predictions_leave_the_backward_groupings_unbuilt(
 ):
     compiled = compile_dataset(small_corpus[2][:8], small_index, small_vocab, tiny_features)
     greedy_choices(compiled, params_for(len(small_vocab), tiny_features, seed=41), tiny_features)
-    for comp in compiled:
-        assert "grouping" not in vars(comp)
+    for _, layout in compiled.buckets:
+        assert "groups" not in vars(layout)
 
 
-def test_loss_and_grads_same_whether_groupings_are_built_early_or_on_first_read(
-    small_corpus, small_index, small_vocab, tiny_features
+def test_two_evaluations_of_one_split_lay_out_its_buckets_once(
+    layout_builds, small_corpus, small_index, small_vocab, tiny_features
 ):
-    records = small_corpus[0][:12]
-    early, late = (compile_dataset(records, small_index, small_vocab, tiny_features) for _ in range(2))
-    params = params_for(len(small_vocab), tiny_features, seed=47)
-    params.time_table[:] = np.random.default_rng(47).normal(scale=0.1, size=params.time_table.shape)
-    checked = 0
-    for a, b in zip(early, late):
-        if a.gold_index < 0:
-            continue
-        a.grouping  # built before featurize and backward
-        inputs = {"gold_index": a.gold_index}
-        ga = loss_and_grads(params, featurize_record(a, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "grouping" not in vars(b)
-        gb = loss_and_grads(params, featurize_record(b, params, tiny_features), "cross_entropy", inputs)[1]
-        assert "grouping" in vars(b)
-        assert ga.flat.tolist() == gb.flat.tolist()
-        checked += 1
-    assert checked >= 5
+    split = compile_dataset(small_corpus[1], small_index, small_vocab, tiny_features)
+    chunks = [len(chunk) for chunk in token_chunks(split)]
+    assert len(chunks) > 1
+    params = params_for(len(small_vocab), tiny_features, seed=44)
+    first = evaluate_compiled(split, params, tiny_features)
+    assert layout_builds == chunks
+    assert evaluate_compiled(split, params, tiny_features) == first
+    assert layout_builds == chunks
+
+
+def test_a_split_cannot_grow_after_its_layouts_are_read(small_compiled):
+    split = small_compiled[1]
+    assert len(split.layout) == len(split) == sum(len(positions) for positions, _ in split.buckets)
+    with pytest.raises(AttributeError):
+        split.append(split[0])
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, small_vocab, tiny_features):

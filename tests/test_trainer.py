@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tsqa import trainer
+from tsqa import policy, trainer
 from tsqa.config import FeatureConfig
 from tsqa.corpus import QARecord, QuestionType, SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex, TimeFact, sample_negatives
@@ -793,6 +793,16 @@ def test_b2_stays_zero_through_sft_and_ppo(sft_setup, small_compiled, tiny_featu
     ppo_update(params, batch, cfg, tiny_features, AdamW(params, 0.01), np.random.default_rng(4))
     assert not params.b2.any()
     assert not np.array_equal(params.W2, sft_setup.W2)
+
+
+def test_ppo_on_plain_lists_lays_each_split_out_once(layout_builds, sft_setup, small_compiled, tiny_features):
+    # Slices of splits are plain sequences: each is laid out once per run,
+    # not at every iteration and every dev evaluation.
+    train, dev = list(small_compiled[0][:40]), list(small_compiled[1])
+    cfg = PPOConfig(iterations=3, num_rollouts=16, chunk_size=8, ppo_epochs=1, seed=3)
+    _, history = train_ppo_compiled(train, dev, sft_setup, cfg, tiny_features)
+    assert len(history) == 3
+    assert sorted(layout_builds) == sorted([len(train)] + [len(chunk) for chunk in policy.token_chunks(dev)])
 
 
 def test_train_ppo_rejects_empty_splits(sft_setup, small_compiled, tiny_features):
