@@ -122,40 +122,6 @@ class CompiledRecord:
         return score
 
 
-def _pool_rows(comp: CompiledRecord) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
-    """Which tokens each attention pool reads: the sizes (tokens T, pools
-    P, rows N), the (3, N) rows, and the row count of each pool that has
-    rows, in pool order.
-
-    Pool 0 is the question, pool 1 + c the mention window of candidate c.
-    Rows are listed question first, then window by window, so each pool's
-    rows are one consecutive run; windows overlap, so a token may be the
-    row of several pools.  A row is (2 * token + (1 for a window row),
-    pool * T + token, pool)."""
-    n_q, total = comp.question_len, comp.token_ids.size
-    sizes = np.array([n_q] + [p.size for p in comp.window_pos], dtype=np.intp)
-    pos = np.concatenate([np.arange(n_q)] + comp.window_pos, dtype=np.intp)
-    rows = np.empty((3, pos.size), dtype=np.int32)
-    rows[2] = np.repeat(np.arange(sizes.size), sizes)
-    np.multiply(pos, 2, out=rows[0])
-    rows[0, n_q:] += 1
-    np.multiply(rows[2], total, out=rows[1])
-    rows[1] += pos
-    return (total, sizes.size, pos.size), rows, sizes[sizes > 0]
-
-
-def _grouping(comp: CompiledRecord, pool_rows: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct token ids, and (2, N) cells per row for backward's
-    (P + 2, ids) matrix that sums the attention weights (rows 0..P-1) and
-    the u terms (row P for the question's u, P + 1 for the windows') per
-    token id."""
-    (_, n_pools, _), (score, _, pool), _ = pool_rows
-    keys, key = np.unique(comp.token_ids, return_inverse=True)
-    key = key[score >> 1]
-    cells = [pool * keys.size + key, (n_pools + (score & 1)) * keys.size + key]
-    return keys, np.stack(cells, dtype=np.int32)
-
-
 def compile_record(
     record,
     index: Optional[FactIndex],
@@ -381,42 +347,44 @@ def _padded(flat: np.ndarray, counts: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def _index_type(largest: int) -> type:
-    # A training split keeps its indices for the whole run: int16 where they fit.
-    return np.int16 if largest <= np.iinfo(np.int16).max else np.int32
-
-
 class Layout:
     """The static arrays of a list of compiled records; a record may appear
     more than once.  Token ids and mask bits are padded to the longest
     record, T, and the candidate rows (interval features, density) to the
     most candidates, P - 1, the question's pool making P.  A padded token
     has id 0, and featurize zeroes its vector, so it gets no attention and
-    no gradient; a padded pool has no rows.  The pool rows run one record
-    after another; a row is (2 * token + (1 for a window row), pool * T +
-    token, pool, 1 if it starts its pool), counted from its own record.
+    no gradient; a padded pool has no rows.
+
+    Pool 0 is the question, pool 1 + c the mention window of candidate c.
+    The pool rows run one record after another, and within a record pool
+    by pool, so each pool's rows are one consecutive run; windows overlap,
+    so a token may be the row of several pools.  A row is (2 * token + (1
+    for a window row), pool * T + token, pool), counted from its own
+    record; every index array is int32.
 
     `take(positions)` lays out the records at `positions` on the same T and
     P with one fancy index per array.  A layout works out its records' pool
-    rows and groupings without keeping them per record: it is their one copy."""
+    rows and groupings from their concatenated arrays without keeping them
+    per record: it is their one copy."""
 
     def __init__(self, records: Sequence[CompiledRecord]) -> None:
         self.records, self.source = list(records), None
-        layouts = [_pool_rows(comp) for comp in self.records]
+        # The tokens each pool reads, record by record: the question, then each candidate's window.
+        runs = [run for comp in self.records for run in (np.arange(comp.question_len), *comp.window_pos)]
+        counts = np.array([run.size for run in runs], dtype=np.intp)
+        n_cands = np.array([len(comp.window_pos) for comp in self.records], dtype=np.intp)
+        firsts = _starts(n_cands + 1)  # each record's question pool
+        pool = (np.arange(counts.size) - firsts.repeat(n_cands + 1)).repeat(counts)
         # Per record: tokens, pool rows, candidates.
-        self.sizes = np.array([(t, n, p - 1) for (t, p, n), _, _ in layouts], dtype=np.int32).reshape(-1, 3)
-        self.n_pools = int(self.sizes[:, 2].max(initial=0)) + 1
-        tokens = np.arange(self.sizes[:, 0].max(initial=0)) < self.sizes[:, :1]
+        n_tokens = [comp.token_ids.size for comp in self.records]
+        self.sizes = np.column_stack([n_tokens, np.add.reduceat(counts, firsts), n_cands]).astype(np.int32)
+        self.n_pools = int(n_cands.max(initial=0)) + 1
+        tokens = np.arange(max(n_tokens, default=0)) < self.sizes[:, :1]
         self.token_ids, self.bits = np.zeros(tokens.shape, dtype=np.int32), np.zeros(tokens.shape, dtype=np.int8)
         self.token_ids[tokens] = np.concatenate([c.token_ids for c in self.records])
         self.bits[tokens] = np.concatenate([c.bits for c in self.records])
-        score, _, pool = np.concatenate([rows for _, rows, _ in layouts], axis=1)
-        del layouts
-        T = self.token_ids.shape[1]
-        self.rows = np.empty((4, score.size), dtype=_index_type(self.n_pools * T))
-        self.rows[0], self.rows[1], self.rows[2] = score, pool * T + (score >> 1), pool
-        np.not_equal(pool[1:], pool[:-1], out=self.rows[3, 1:])
-        self.rows[3, _starts(self.sizes[:, 1])[self.sizes[:, 1] > 0]] = 1
+        pos = np.concatenate(runs, dtype=np.intp)
+        self.rows = np.array([2 * pos + (pool > 0), pool * tokens.shape[1] + pos, pool], dtype=np.int32)
         intervals = np.concatenate([c.interval_feats for c in self.records])
         density = np.concatenate([c.density for c in self.records])
         self.cand_feats = _padded(np.concatenate([intervals, density[:, None]], axis=1), self.sizes[:, 2])
@@ -457,19 +425,23 @@ class Layout:
         if self.source is not None:
             n_ids, ids, cells = self.source.groups
             return n_ids[self.positions], ids[self.positions], cells.take(self.row_index, axis=1)
-        groupings = [_grouping(comp, _pool_rows(comp)) for comp in self.records]
-        n_ids = np.array([keys.size for keys, _ in groupings], dtype=np.int32)
-        ids = _padded(np.concatenate([keys for keys, _ in groupings]), n_ids, np.int32)
-        # A row's first grouping cell is pool * (its record's id count) + its id's index.
-        key = np.concatenate([cells[0] for _, cells in groupings])
-        del groupings
-        score, pool = self.rows[0].astype(np.int32), self.rows[2].astype(np.int32)
-        key -= pool * n_ids.repeat(self.sizes[:, 1])
+        B = len(self)
+        tokens = np.arange(self.token_ids.shape[1]) < self.sizes[:, :1]
+        token_ids = self.token_ids[tokens]
+        # One sort of the (record, token id) keys gives each record's distinct
+        # ids, in order, and each token's index among all records' ids.
+        width = int(token_ids.max(initial=0)) + 1
+        keys, key = np.unique(np.arange(B).repeat(self.sizes[:, 0]) * width + token_ids, return_inverse=True)
+        n_ids = np.bincount(keys // width, minlength=B).astype(np.int32)
+        ids = _padded(keys % width, n_ids, np.int32)
+        record = np.arange(B).repeat(self.sizes[:, 1])
+        score, pool = self.rows[0], self.rows[2]
+        # Each row's token's id, as an index among its record's ids.
+        key = (key[_starts(self.sizes[:, 0])[record] + (score >> 1)] - _starts(n_ids)[record]).astype(np.int32)
         u_row = self.n_pools + (score & 1)
-        bit = self.bits[np.arange(len(self)).repeat(self.sizes[:, 1]), score >> 1]
+        bit = self.bits[record, score >> 1]
         I = ids.shape[1]
-        cells = np.empty((4, key.size), dtype=_index_type((self.n_pools + 2) * I))
-        cells[0], cells[1], cells[2], cells[3] = pool * I + key, u_row * I + key, 2 * pool + bit, 2 * u_row + bit
+        cells = np.array([pool * I + key, u_row * I + key, 2 * pool + bit, 2 * u_row + bit], dtype=np.int32)
         return n_ids, ids, cells
 
 
@@ -539,16 +511,18 @@ def featurize_batch(layout: Layout, params: PolicyParams, config: FeatureConfig)
     vectors[(np.arange(T) >= layout.sizes[:, :1]).ravel()] = 0.0
     fw = vectors.shape[1]
 
-    rows = layout.rows[:3] + _record_offsets(layout, [2 * T, P * T, P])
-    score, cell, _ = rows
+    rows = layout.rows + _record_offsets(layout, [2 * T, P * T, P])
+    score, cell, pool = rows
     weights = np.zeros(0)
     attention = np.zeros(B * P * T)
     if score.size:
         # Each token is scored once per attention vector, not once per row.
         scores = (vectors @ params.u.T).ravel()[score]
-        # A softmax within each pool's run of rows.
-        bounds = np.append(np.flatnonzero(layout.rows[3]), score.size)
-        starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+        # A softmax within each pool's run of rows: with the batch's offsets
+        # the pool column ascends, one run per pool that has rows.
+        counts = np.bincount(pool)
+        counts = counts[counts > 0]
+        starts = _starts(counts)
         e = np.exp(scores - np.maximum.reduceat(scores, starts).repeat(counts))
         weights = e / np.add.reduceat(e, starts).repeat(counts)
         attention[cell] = weights

@@ -173,14 +173,14 @@ def train_sft_compiled(
     usable = np.flatnonzero(gold >= 0)
     skipped = len(compiled_train) - len(usable)
     if skipped:
+        first_ids = ", ".join(compiled_train[i].id for i in np.flatnonzero(gold < 0)[:3].tolist())
         logger.warning(
-            "skipping %d of %d records whose gold matches no candidate",
-            skipped,
-            len(compiled_train),
+            "skipping %d of %d records whose gold matches no candidate (first: %s)",
+            skipped, len(compiled_train), first_ids,
         )
     if skipped > 0.10 * len(compiled_train):
         raise RuntimeError(
-            f"{skipped}/{len(compiled_train)} records have unresolvable golds; "
+            f"{skipped}/{len(compiled_train)} records have unresolvable golds (first: {first_ids}); "
             "the candidate extractor and the dataset disagree"
         )
 

@@ -16,7 +16,9 @@ the engine within 1e-12, and the gradient of b2, which the softmax ignores,
 must be exactly zero.  The engine is checked on layouts of the batch's own
 records, on minibatches taken from a split's layout (padded to the split's
 longest record and most candidates), and through greedy decoding over
-`token_chunks`' buckets, one record among them longer than a chunk.
+`token_chunks`' buckets, one record among them longer than a chunk.  A
+split's layout, built in one pass over its concatenated arrays, must hold
+exactly the integer rows and groupings of its records laid out alone.
 """
 
 from dataclasses import replace
@@ -303,10 +305,20 @@ def edge_records(compiled):
             interval_feats=np.zeros((1, 3)), density=np.zeros(1),
         )
         # Each edit must reach the case it is named for.
-        assert policy._pool_rows(no_question)[1].size and not policy._pool_rows(no_rows)[1].size
+        assert Layout([no_question]).rows.size and not Layout([no_rows]).rows.size
         assert len(abstain_only.candidates) == 1
         out += [no_question, no_rows, abstain_only]
     return out
+
+
+def last_pool_one(comp):
+    """`comp` cut to its first candidate and the abstain one, so that its
+    last pool with rows is its one window, pool 1."""
+    return replace(
+        comp, candidates=[comp.candidates[0], Candidate("")], gold_index=0,
+        window_pos=comp.window_pos[:1] + [np.arange(0)],
+        interval_feats=comp.interval_feats[[0, -1]], density=comp.density[[0, -1]],
+    )
 
 
 def assert_close(got, want, what):
@@ -424,6 +436,45 @@ def test_greedy_predictions_across_chunk_bounds_match_the_per_record_argmax(dige
 
 
 # ---------------------------------------------------------------------------
+# A split's layout, built in one pass, against its records laid out alone.
+
+
+def on_split_axes(one, T, P, I):
+    """A one-record layout's pool rows and `groups` cells, with the cell
+    columns re-based from its own T, P and I to a split's."""
+    rows, cells = one.rows.astype(np.int64), one.groups[2].astype(np.int64)
+    T1, P1, I1 = one.token_ids.shape[1], one.n_pools, one.groups[1].shape[1]
+    pool, u_row = rows[2], P1 + (rows[0] & 1)
+    rows[1] += pool * (T - T1)
+    cells[0] += pool * (I - I1)
+    cells[1] += u_row * (I - I1) + (P - P1) * I
+    cells[3] += 2 * (P - P1)
+    return rows, cells
+
+
+def test_a_split_layout_matches_its_records_laid_out_alone(digest_corpus):
+    compiled, _ = digest_corpus
+    split = list(compiled[:40]) + edge_records(compiled[:3]) + [last_pool_one(compiled[0]), compiled[5]]
+    layout = Layout(split)
+    n_ids, ids, cells = layout.groups
+    (_, T), P, I = layout.token_ids.shape, layout.n_pools, ids.shape[1]
+    for array in (layout.sizes, layout.token_ids, layout.rows, n_ids, ids, cells):
+        assert array.dtype == np.int32
+    for b, comp in enumerate(split):
+        one = Layout([comp])
+        assert np.array_equal(layout.sizes[b], one.sizes[0]), b
+        run = slice(layout.row_starts[b], layout.row_starts[b] + layout.sizes[b, 1])
+        rows, one_cells = on_split_axes(one, T, P, I)
+        assert np.array_equal(layout.rows[:, run], rows), b
+        assert np.array_equal(cells[:, run], one_cells), b
+        n = n_ids[b]
+        assert n == one.groups[0][0] and np.array_equal(ids[b, :n], one.groups[1][0]), b
+        assert not ids[b, n:].any(), b
+    # The split held a record without rows and one with only the abstain candidate.
+    assert 0 in layout.sizes[:, 1] and 1 in layout.sizes[:, 2]
+
+
+# ---------------------------------------------------------------------------
 # Minibatches taken from a split's layout, against both references.
 
 
@@ -435,16 +486,10 @@ def test_batches_taken_from_a_split_layout_match_both_references(digest_corpus, 
     rng = np.random.default_rng(9)
     # A split of records of many lengths and candidate counts, the edge
     # records among them, laid out once the way training lays out its split.
-    split = list(compiled[:40]) + edge_records(compiled[:3])
     # A record whose last pool is its one window, pool 1, so that a record
     # without question rows after it starts with the same pool number.
-    first = compiled[0]
-    split.append(replace(
-        first, candidates=[first.candidates[0], Candidate("")], gold_index=0,
-        window_pos=first.window_pos[:1] + [np.arange(0)],
-        interval_feats=first.interval_feats[[0, -1]], density=first.density[[0, -1]],
-    ))
-    assert policy._pool_rows(split[-1])[1][2, -1] == 1 and policy._pool_rows(split[40])[1][2, 0] == 1
+    split = list(compiled[:40]) + edge_records(compiled[:3]) + [last_pool_one(compiled[0])]
+    assert Layout([split[-1]]).rows[2, -1] == 1 and Layout([split[40]]).rows[2, 0] == 1
     layout = Layout(split)
     (_, T), P = layout.token_ids.shape, layout.n_pools
     edges = np.arange(40, len(split) - 1)

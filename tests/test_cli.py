@@ -386,6 +386,26 @@ def test_eval_of_an_empty_dataset_is_exit_two(capsys, tmp_path):
         assert "overall" not in out
 
 
+def test_too_many_unresolvable_golds_is_exit_two_naming_a_record(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    # A third of the train records get an answer no context mentions.
+    rows = [json.loads(line) for line in (corpus / "train.jsonl").read_text(encoding="utf-8").splitlines()]
+    for row in rows[::3]:
+        row["answers"] = ["Atlantis Office"]
+    train = tmp_path / "train.jsonl"
+    train.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    code, _, err = run(
+        capsys, "train-sft", "--train", str(train), "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(tmp_path / "sft.ckpt"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert "unresolvable golds" in err
+    assert rows[0]["id"] in err
+
+
 def test_ablate_compiles_each_split_once(capsys, tmp_path, monkeypatch):
     import tsqa.policy
 

@@ -8,8 +8,8 @@ values: FIELDS_DIGEST of every compiled field and, per record, of the
 embedding of every candidate, the gold answer and every pooled negative,
 read through the memo, and of the exact-match signs (+1 or -1) that the
 exact-match reward reads; and LAYOUT_DIGEST of the static per-record pool
-rows and backward groupings (`policy._pool_rows` and `policy._grouping`)
-that the layouts of featurize and backward are built from.
+rows and backward groupings that the layouts of featurize and backward are
+built from, read from each record's one-record `Layout`.
 
 A change that alters compilation or the reward embedding on purpose
 updates the digest it moves here and says so, with the reason, in
@@ -18,7 +18,9 @@ embedding pooled negatives on first draw (the same value is computed from
 the shared embedding table the caches held before, and from the one memo
 that replaced the per-record caches); LAYOUT_DIGEST when featurize and
 backward became batched (the same value is computed from the compiled
-record's own pool rows, which replaced a separate layout object).
+record's own pool rows, which replaced a separate layout object, and from
+the one-record layout, once the layout built every record's rows and
+groupings from the split's concatenated arrays).
 
 DISTRACTOR_DIGEST pins the compiled fields and layouts of a second,
 distractor-shaped corpus (two relations, four undated distractor sentences
@@ -37,7 +39,7 @@ import pytest
 from tsqa.config import FeatureConfig
 from tsqa.corpus import SyntheticConfig, generate_synthetic
 from tsqa.facts import FactIndex
-from tsqa.policy import CompiledRecord, _grouping, _pool_rows, compile_dataset
+from tsqa.policy import CompiledRecord, Layout, compile_dataset
 from tsqa.reward import RewardParams
 from tsqa.trainer import build_reward_caches, build_vocabulary
 
@@ -61,6 +63,17 @@ def _feed(digest, value) -> None:
     digest.update(b";")
 
 
+def _feed_layout(digest, comp) -> None:
+    """Feed `comp`'s one-record layout: the sizes (tokens T, pools P, rows
+    N), the (3, N) pool rows and the row count of each pool that has rows;
+    then the distinct token ids and the first two `groups` cell rows."""
+    layout = Layout([comp])
+    rows, (_, ids, cells) = layout.rows, layout.groups
+    counts = np.bincount(rows[2], minlength=layout.n_pools)
+    _feed(digest, ((layout.token_ids.shape[1], layout.n_pools, rows.shape[1]), rows, counts[counts > 0]))
+    _feed(digest, [ids[0], cells[:2]])
+
+
 def compiled_and_reward_digests() -> tuple[str, str]:
     train, dev, test, facts = generate_synthetic(SyntheticConfig(n_entities=40, seed=3))
     vocab = build_vocabulary([train, dev])
@@ -71,8 +84,7 @@ def compiled_and_reward_digests() -> tuple[str, str]:
         for comp in compiled:
             for f in fields(CompiledRecord):
                 _feed(digest, getattr(comp, f.name))
-            _feed(layout, _pool_rows(comp))
-            _feed(layout, list(_grouping(comp, _pool_rows(comp))))
+            _feed_layout(layout, comp)
         vectors = build_reward_caches(compiled, RewardParams())
         for comp in compiled:
             candidates = [c.text for c in comp.candidates]
@@ -97,8 +109,7 @@ def distractor_digest() -> str:
     for comp in compile_dataset(train + dev + test, None, vocab, FeatureConfig()):
         for f in fields(CompiledRecord):
             _feed(digest, getattr(comp, f.name))
-        _feed(digest, _pool_rows(comp))
-        _feed(digest, list(_grouping(comp, _pool_rows(comp))))
+        _feed_layout(digest, comp)
     return digest.hexdigest()
 
 
