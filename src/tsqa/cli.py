@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import FeatureConfig, config_from_json, json_object
+from .config import FeatureConfig, build_at, config_from_json, json_object
 from .corpus import (
-    QARecord,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -27,7 +26,7 @@ from .corpus import (
     save_facts,
 )
 from .facts import FactIndex, mine_proximal, mine_remote, sample_negatives
-from .features import TemporalMask, build_mask, dilate
+from .features import build_mask, dilate
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month
 from .metrics import evaluate_compiled, report
@@ -85,9 +84,9 @@ def _reward_params(args, cfg: dict) -> RewardParams:
 
 
 def _interval_from_args(args) -> MonthInterval:
-    start = parse_year_month(args.start) if args.start else None
-    end = parse_year_month(args.end) if args.end else None
-    return MonthInterval(start, end)
+    start = build_at(("--start",), parse_year_month, args.start) if args.start else None
+    end = build_at(("--end",), parse_year_month, args.end) if args.end else None
+    return build_at(("--start/--end",), MonthInterval, start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def _cmd_mask(args) -> int:
     tokens = tokenize(args.text)
     spans = tag(tokens)
     mask = build_mask(len(tokens), spans)
-    dilated = dilate(mask, args.window)
+    dilated = build_at(("--window",), dilate, mask, args.window)
     payload = {
         "tokens": [t.text for t in tokens],
         "mask": mask.bits.tolist(),
@@ -157,7 +156,7 @@ def _cmd_mine(args) -> int:
     remote = mine_remote(args.subject, args.relation, args.gold, interval, index)
     proximal = mine_proximal(args.subject, args.relation, args.gold, interval, index)
     rng = np.random.default_rng(args.seed)
-    sampled_remote, sampled_proximal = sample_negatives(remote, proximal, args.k, rng)
+    sampled_remote, sampled_proximal = build_at(("--k",), sample_negatives, remote, proximal, args.k, rng)
     payload = {
         "remote": remote,
         "proximal": proximal,
@@ -235,7 +234,7 @@ def _cmd_eval(args) -> int:
     metrics = evaluate_compiled(data, params, feature_config)
     text = report(metrics, args.format)
     if args.out:
-        write_atomic(args.out, text if text.endswith("\n") else text + "\n")
+        write_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text)

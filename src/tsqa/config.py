@@ -56,6 +56,14 @@ def field_error(where: tuple, message: str) -> ValueError:
     return ValueError(f"{path}: {message}" if path else message)
 
 
+def build_at(where: tuple, build, *args):
+    """build(*args), with a ValueError it raises behind the path `where`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise field_error(where, str(exc)) from exc
+
+
 def _shown(value, limit: int = 60) -> str:
     """`value` as JSON, cut short past `limit` characters (a sidecar's vocabulary runs to thousands)."""
     text = json.dumps(value)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import REQUIRED, field_error, json_object, non_empty, one_of
+from .config import REQUIRED, build_at, field_error, json_object, non_empty, one_of
 from .facts import EVENT_RELATION, TimeFact
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month, year_span
@@ -104,24 +104,16 @@ _RECORD = {"id": ("", None), "type": ("", "EASY"), "question": ("", REQUIRED), "
            "answers": ([""], REQUIRED), "facts": ([], []), "time_spec": ({}, None)}
 
 
-def _built(where: tuple, build, *args):
-    """build(*args), with a ValueError it raises behind the field path `where`."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise field_error(where, str(exc)) from exc
-
-
 def _bounds(obj: dict, where: tuple) -> list[Optional[int]]:
     """Month indices of the "YYYY-MM" strings at start and end; None for null."""
-    return [None if obj[k] is None else _built((*where, k), parse_year_month, obj[k]) for k in ("start", "end")]
+    return [None if obj[k] is None else build_at((*where, k), parse_year_month, obj[k]) for k in ("start", "end")]
 
 
 def _time_fact(payload, where: tuple) -> TimeFact:
     fact = json_object(payload, _FACT, where)
     non_empty(fact, ("s", "r", "o"), where)
     start, end = _bounds(fact, where)
-    return _built(where, TimeFact, fact["s"], fact["r"], fact["o"], start, end)
+    return build_at(where, TimeFact, fact["s"], fact["r"], fact["o"], start, end)
 
 
 def _time_spec(payload, where: tuple) -> QuestionTimeSpec:
@@ -131,8 +123,8 @@ def _time_spec(payload, where: tuple) -> QuestionTimeSpec:
     if (start is None) != (end is None):  # a time spec has both bounds or neither
         unset = "start" if start is None else "end"
         raise field_error((*where, unset), "expected a string like the other bound, got null")
-    interval = None if start is None else _built(where, MonthInterval, start, end)
-    return _built(where, QuestionTimeSpec, spec["kind"], interval, spec["event"])
+    interval = None if start is None else build_at(where, MonthInterval, start, end)
+    return build_at(where, QuestionTimeSpec, spec["kind"], interval, spec["event"])
 
 
 def _record(payload, lineno: Optional[int]) -> QARecord:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intervals import MonthInterval, format_year_month
-from .tagger import Token, tokenize
+from .tagger import Token, words
 
 # Relation name reserved for era/event definitions used by during-event
 # questions.
@@ -44,7 +44,7 @@ class TimeFact:
         if self.start is not None and self.end is not None and self.start > self.end:
             raise ValueError(
                 f"fact ({self.subject}, {self.relation}, {self.object}): "
-                f"start {self.start} after end {self.end}"
+                f"start {format_year_month(self.start)} after end {format_year_month(self.end)}"
             )
 
     @cached_property
@@ -71,8 +71,8 @@ class FactIndex:
     builds them."""
 
     def __init__(self, facts: Sequence[TimeFact], names: Optional[dict[str, list[str]]] = None) -> None:
-        """`names` memoizes the token texts of subject and object names; indexes
-        built one per record pass one dict, so a recurring name is tokenized once."""
+        """`names` memoizes the token texts (`words`) of subject and object names;
+        indexes built one per record pass one dict, so a recurring name is split once."""
         self._names = {} if names is None else names
         seen: set[tuple] = set()
         kept: list[TimeFact] = []
@@ -123,7 +123,7 @@ class FactIndex:
     def _name_tokens(self, name: str) -> list[str]:
         toks = self._names.get(name)
         if toks is None:
-            toks = self._names[name] = [t.text for t in tokenize(name)]
+            toks = self._names[name] = words(name)
         return toks
 
     def object_tokens(self, obj: str) -> list[str]:

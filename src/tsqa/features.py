@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tagger import TemporalSpan, Token
+from .tagger import TemporalSpan
 
 UNK_TOKEN = "<unk>"
 
@@ -35,13 +35,6 @@ class TemporalMask:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    @classmethod
-    def _built(cls, bits: np.ndarray) -> "TemporalMask":
-        """A mask of int8 0/1 bits that this module built, not checked again."""
-        mask = object.__new__(cls)
-        object.__setattr__(mask, "bits", bits)
-        return mask
-
 
 def build_mask(length: int, spans: Sequence[TemporalSpan]) -> TemporalMask:
     """Zeros with 1 at every position covered by a span (signals included)."""
@@ -52,7 +45,7 @@ def build_mask(length: int, spans: Sequence[TemporalSpan]) -> TemporalMask:
                 f"span [{s.tok_start}, {s.tok_end}) outside mask of length {length}"
             )
         bits[s.tok_start:s.tok_end] = 1
-    return TemporalMask._built(bits)
+    return TemporalMask(bits)
 
 
 def dilate(mask: TemporalMask, window: int) -> TemporalMask:
@@ -62,12 +55,12 @@ def dilate(mask: TemporalMask, window: int) -> TemporalMask:
         raise ValueError("window must be >= 0")
     bits = mask.bits
     if window == 0 or bits.size == 0:
-        return TemporalMask._built(bits.copy())
+        return TemporalMask(bits.copy())
     kernel = np.ones(2 * window + 1, dtype=np.int64)
     # mode="full" plus a centered slice keeps the output aligned with the
     # input even when the kernel is wider than the sequence.
     hit = np.convolve(bits.astype(np.int64), kernel, mode="full")[window : window + bits.size]
-    return TemporalMask._built((hit > 0).astype(np.int8))
+    return TemporalMask((hit > 0).astype(np.int8))
 
 
 def mark_spans(bits: np.ndarray, spans: Sequence[TemporalSpan], window: int) -> None:
@@ -82,7 +75,7 @@ def mark_spans(bits: np.ndarray, spans: Sequence[TemporalSpan], window: int) -> 
 
 
 def concat_masks(question_mask: TemporalMask, context_mask: TemporalMask) -> TemporalMask:
-    return TemporalMask._built(np.concatenate([question_mask.bits, context_mask.bits]))
+    return TemporalMask(np.concatenate([question_mask.bits, context_mask.bits]))
 
 
 def embed_temporal(bits: np.ndarray, time_table: np.ndarray) -> np.ndarray:
@@ -129,11 +122,8 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def encode(self, tokens: Sequence[Token | str], lowered: bool = False) -> np.ndarray:
-        """The ids of `tokens` (UNK for unseen ones), looked up lower-cased;
-        with `lowered`, `tokens` are texts that already are."""
-        if not lowered:
-            tokens = [(t.text if isinstance(t, Token) else t).lower() for t in tokens]
+    def encode(self, tokens: Sequence[str]) -> np.ndarray:
+        """The ids of `tokens`, lower-cased token texts (UNK for unseen ones)."""
         return np.fromiter(map(self._ids.get, tokens, repeat(0)), dtype=np.intp, count=len(tokens))
 
     def to_json(self) -> str:

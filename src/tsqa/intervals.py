@@ -63,7 +63,7 @@ class MonthInterval:
         if self.end is not None and not MIN_MONTH <= self.end <= MAX_MONTH:
             raise ValueError(f"interval end {self.end} out of range")
         if self.start is not None and self.end is not None and self.start > self.end:
-            raise ValueError(f"empty interval: start {self.start} > end {self.end}")
+            raise ValueError(f"empty interval: start {format_year_month(self.start)} > end {format_year_month(self.end)}")
 
     @property
     def lo(self) -> int:

@@ -113,7 +113,7 @@ def evaluate(dataset: Sequence, params, index, config, vocab) -> Metrics:
 
 
 def report(metrics: Metrics, fmt: str = "markdown") -> str:
-    if fmt in ("markdown", "md"):
+    if fmt == "markdown":
         lines = ["| split | n | EM | F1 |", "| --- | --- | --- | --- |"]
         for qtype, m in metrics.by_type.items():
             lines.append(f"| {qtype} | {m.n} | {m.em:.4f} | {m.f1:.4f} |")

@@ -49,16 +49,11 @@ class Candidate:
     fact_interval: Optional[MonthInterval] = None
 
 
-def extract_candidates(
-    ctx_tokens: Sequence, index: FactIndex, low: Optional[list[str]] = None
-) -> list[Candidate]:
+def extract_candidates(low: list[str], index: FactIndex) -> list[Candidate]:
     """Candidates = distinct objects of facts whose subject is mentioned
-    in the context tokens, each with its first mention, ordered by mention
-    position; the one empty candidate comes last.  `ctx_tokens` are
-    `Token`s or token texts; `low`, if given, holds their lower-cased texts."""
-    if low is None:
-        low = [(t if isinstance(t, str) else t.text).lower() for t in ctx_tokens]
-
+    in the context, given as its lower-cased token texts, each with its
+    first mention, ordered by mention position; the one empty candidate
+    comes last."""
     # Facts of the mentioned subjects, in store order.
     fact_ids = sorted(
         i for s in index.mentioned_subjects(low, lower=True) for i in index.by_subject[s]
@@ -152,9 +147,9 @@ def compile_record(
     bits = np.zeros(total, dtype=np.int8)
     mark_spans(bits[:n_q], q_spans, config.window)
     mark_spans(bits[n_q:], tag(ctx, ctx_low), config.window)
-    token_ids = vocab.encode(q_low + ctx_low, lowered=True)
+    token_ids = vocab.encode(q_low + ctx_low)
 
-    candidates = extract_candidates(ctx, idx, ctx_low)
+    candidates = extract_candidates(ctx_low, idx)
 
     # The question's own interval, resolving era references through the
     # fact store.  Deliberately never fall back to the gold fact here:
@@ -368,27 +363,27 @@ class Layout:
     per record: it is their one copy."""
 
     def __init__(self, records: Sequence[CompiledRecord]) -> None:
-        self.records, self.source = list(records), None
+        self.source = None
         # The tokens each pool reads, record by record: the question, then each candidate's window.
-        runs = [run for comp in self.records for run in (np.arange(comp.question_len), *comp.window_pos)]
+        runs = [run for comp in records for run in (np.arange(comp.question_len), *comp.window_pos)]
         counts = np.array([run.size for run in runs], dtype=np.intp)
-        n_cands = np.array([len(comp.window_pos) for comp in self.records], dtype=np.intp)
+        n_cands = np.array([len(comp.window_pos) for comp in records], dtype=np.intp)
         firsts = _starts(n_cands + 1)  # each record's question pool
         pool = (np.arange(counts.size) - firsts.repeat(n_cands + 1)).repeat(counts)
         # Per record: tokens, pool rows, candidates.
-        n_tokens = [comp.token_ids.size for comp in self.records]
+        n_tokens = [comp.token_ids.size for comp in records]
         self.sizes = np.column_stack([n_tokens, np.add.reduceat(counts, firsts), n_cands]).astype(np.int32)
         self.n_pools = int(n_cands.max(initial=0)) + 1
         tokens = np.arange(max(n_tokens, default=0)) < self.sizes[:, :1]
         self.token_ids, self.bits = np.zeros(tokens.shape, dtype=np.int32), np.zeros(tokens.shape, dtype=np.int8)
-        self.token_ids[tokens] = np.concatenate([c.token_ids for c in self.records])
-        self.bits[tokens] = np.concatenate([c.bits for c in self.records])
+        self.token_ids[tokens] = np.concatenate([c.token_ids for c in records])
+        self.bits[tokens] = np.concatenate([c.bits for c in records])
         pos = np.concatenate(runs, dtype=np.intp)
         self.rows = np.array([2 * pos + (pool > 0), pool * tokens.shape[1] + pos, pool], dtype=np.int32)
-        intervals = np.concatenate([c.interval_feats for c in self.records])
-        density = np.concatenate([c.density for c in self.records])
+        intervals = np.concatenate([c.interval_feats for c in records])
+        density = np.concatenate([c.density for c in records])
         self.cand_feats = _padded(np.concatenate([intervals, density[:, None]], axis=1), self.sizes[:, 2])
-        self.pooled_extra = np.array([c.pooled_extra for c in self.records])
+        self.pooled_extra = np.array([c.pooled_extra for c in records])
 
     def take(self, positions: np.ndarray) -> "Layout":
         taken = object.__new__(Layout)

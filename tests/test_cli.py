@@ -198,6 +198,29 @@ def test_mine_rejects_a_negative_sample_count(capsys, tmp_path):
     assert "k_per_side must be >= 0, got -2" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--start", "1999-01", "--end", "1990-01"], "--start/--end: empty interval: start 1999-01 > end 1990-01"),
+        (["--start", "1990-13"], "--start: month 13 outside [1, 12]"),
+        (["--end", "1990-1"], "--end: bad year-month literal '1990-1', expected YYYY-MM"),
+        (["--k", "-2"], "--k: k_per_side must be >= 0, got -2"),
+    ],
+    ids=["empty-interval", "month-13", "bad-literal", "negative-k"],
+)
+def test_mine_value_errors_name_their_flag(capsys, tmp_path, flags, message):
+    path = tmp_path / "facts.jsonl"
+    iv = year_span(1950, 1955)
+    save_facts([TimeFact("Ada", "employer", "Mill A", iv.start, iv.end)], path)
+    code, out, err = run(capsys, "mine", "--facts", str(path), "--subject", "Ada", "--relation", "employer", *flags)
+    assert (code, out, err) == (2, "", f"tsqa: error: {message}\n")
+
+
+def test_mask_window_error_names_its_flag(capsys):
+    code, out, err = run(capsys, "mask", "--text", "From 1966 to 1972.", "--window", "-1")
+    assert (code, out, err) == (2, "", "tsqa: error: --window: window must be >= 0\n")
+
+
 CONFIG = {
     "features": {"embed_dim": 4, "window": 2, "hidden": 8},
     "sft": {"epochs": 2, "batch_size": 8},

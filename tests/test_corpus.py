@@ -110,6 +110,20 @@ def test_facts_file_round_trip(tmp_path, small_corpus):
         load_facts(tmp_path / "bad.jsonl")
 
 
+def test_an_empty_interval_is_reported_in_year_months(tmp_path):
+    """Bounds in range print as the file wrote them, not as month indices."""
+    base = {"question": "Q?", "context": "C.", "answers": ["x"]}
+    backwards = {"start": "1999-01", "end": "1990-01"}
+    path = tmp_path / "bad.jsonl"
+    for extra, message in (
+        ({"time_spec": {"kind": "range", **backwards}}, "line 1: time_spec: empty interval: start 1999-01 > end 1990-01"),
+        ({"facts": [{"s": "A", "r": "b", "o": "c", **backwards}]}, "line 1: facts[0]: fact (A, b, c): start 1999-01 after end 1990-01"),
+    ):
+        path.write_text(json.dumps({**base, **extra}) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_dataset(path)
+
+
 def test_synthetic_config_validation():
     with pytest.raises(ValidationError):
         SyntheticConfig(n_entities=1)

@@ -344,8 +344,8 @@ def test_indexes_sharing_a_name_memo_tokenize_each_name_once(monkeypatch):
     import tsqa.facts
 
     calls = []
-    tokenize = tsqa.facts.tokenize
-    monkeypatch.setattr(tsqa.facts, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    split = tsqa.facts.words
+    monkeypatch.setattr(tsqa.facts, "words", lambda text: calls.append(text) or split(text))
     names: dict = {}
     shared = [FactIndex(CAREER, names) for _ in range(3)]
     for idx in shared:

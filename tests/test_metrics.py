@@ -187,8 +187,11 @@ def test_report_formats_and_csv_round_trip():
     assert int(parsed["overall"][0]) == metrics.n
     assert float(parsed["overall"][1]) == pytest.approx(metrics.em)
     assert parsed.keys() - {"overall"} == metrics.by_type.keys()
-    with pytest.raises(ValueError):
-        report(metrics, fmt="xml")
+    for fmt in ("markdown", "csv", "json"):
+        assert report(metrics, fmt=fmt).endswith("\n")  # `tsqa eval --out` writes it as it is
+    for fmt in ("xml", "md"):
+        with pytest.raises(ValueError, match="unknown report format"):
+            report(metrics, fmt=fmt)
 
 
 def test_cached_candidate_scores_equal_score_predictions(monkeypatch, small_compiled, small_vocab, tiny_features):

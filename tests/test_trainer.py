@@ -24,7 +24,7 @@ from tsqa.policy import (
     zeros_like_params,
 )
 from tsqa.reward import RewardParams, reward
-from tsqa.tagger import tokenize
+from tsqa.tagger import tokenize, words
 from tsqa.trainer import (
     AdamW,
     PPOConfig,
@@ -834,7 +834,7 @@ def test_build_vocabulary_covers_all_splits(small_corpus):
     train, dev, test, _ = small_corpus
     vocab = build_vocabulary([train, dev])
     for rec in train:
-        assert vocab.encode(tokenize(rec.question)).all()  # no token falls back to UNK
+        assert vocab.encode([w.lower() for w in words(rec.question)]).all()  # no token falls back to UNK
 
 
 def test_history_to_csv_round():
