@@ -29,7 +29,7 @@ from .facts import FactIndex, mine_proximal, mine_remote, sample_negatives
 from .features import build_mask, dilate
 from .fileio import write_atomic
 from .intervals import MonthInterval, format_year_month, parse_year_month
-from .metrics import evaluate_compiled, report
+from .metrics import csv_table, evaluate_compiled, markdown_table, report
 from .policy import compile_dataset, load_checkpoint, save_checkpoint
 from .reward import RewardParams, embed_answer, load_lookup_table, reward as reward_fn, triplet_score
 from .tagger import parse_question_time, tag, tokenize
@@ -37,7 +37,6 @@ from .trainer import (
     PPOConfig,
     SFTConfig,
     build_vocabulary,
-    history_to_csv,
     train_ppo_compiled,
     train_sft_compiled,
 )
@@ -197,7 +196,7 @@ def _cmd_train_sft(args) -> int:
     params, history = train_sft_compiled(train, dev, sft, feature_config, len(vocab))
     save_checkpoint(args.out, params, vocab, feature_config)
     history_path = args.history or str(args.out) + ".history.csv"
-    write_atomic(history_path, history_to_csv(history))
+    write_atomic(history_path, csv_table(history))
     final = history[-1] if history else {"dev_em": float("nan")}
     print(f"saved {args.out}; best dev EM {max((h['dev_em'] for h in history), default=0.0):.4f} "
           f"(final epoch {final['dev_em']:.4f})")
@@ -219,7 +218,7 @@ def _cmd_train_ppo(args) -> int:
     params, history = train_ppo_compiled(train, dev, sft_params, ppo, feature_config, reward_params)
     save_checkpoint(args.out, params, vocab, feature_config)
     history_path = args.history or str(args.out) + ".history.csv"
-    write_atomic(history_path, history_to_csv(history))
+    write_atomic(history_path, csv_table(history))
     best = max((h["dev_em"] for h in history), default=0.0)
     print(f"saved {args.out}; best dev EM {best:.4f} over {len(history)} iterations")
     return 0
@@ -237,7 +236,7 @@ def _cmd_eval(args) -> int:
         write_atomic(args.out, text)
         print(f"wrote {args.out}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 
@@ -255,7 +254,7 @@ def _cmd_ablate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, md_rows = [], []
     for fusion in (True, False):
         feature_config = replace(compile_config, temporal_fusion=fusion)
         sft_params, _ = train_sft_compiled(train, dev, sft_cfg, feature_config, len(vocab))
@@ -267,34 +266,12 @@ def _cmd_ablate(args) -> int:
                 train, dev, sft_params, ppo, feature_config, reward_params
             )
             metrics = evaluate_compiled(test, params, feature_config)
-            rows.append(
-                {
-                    "temporal_fusion": fusion,
-                    "reward": kind,
-                    "test_em": metrics.em,
-                    "test_f1": metrics.f1,
-                }
-            )
-            print(
-                f"fusion={'on' if fusion else 'off'} reward={kind}: "
-                f"EM {metrics.em:.4f} F1 {metrics.f1:.4f}"
-            )
+            rows.append({"temporal_fusion": fusion, "reward": kind, "test_em": metrics.em, "test_f1": metrics.f1})
+            md_rows.append(["on" if fusion else "off", kind, f"{metrics.em:.4f}", f"{metrics.f1:.4f}"])
+            print("fusion={} reward={}: EM {} F1 {}".format(*md_rows[-1]))
 
-    csv_lines = ["temporal_fusion,reward,test_em,test_f1"]
-    md_lines = [
-        "| temporal fusion | reward | test EM | test F1 |",
-        "| --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        csv_lines.append(
-            f"{row['temporal_fusion']},{row['reward']},{row['test_em']!r},{row['test_f1']!r}"
-        )
-        md_lines.append(
-            f"| {'on' if row['temporal_fusion'] else 'off'} | {row['reward']} "
-            f"| {row['test_em']:.4f} | {row['test_f1']:.4f} |"
-        )
-    write_atomic(out_dir / "ablation.csv", "\n".join(csv_lines) + "\n")
-    write_atomic(out_dir / "ablation.md", "\n".join(md_lines) + "\n")
+    write_atomic(out_dir / "ablation.csv", csv_table(rows))
+    write_atomic(out_dir / "ablation.md", markdown_table(["temporal fusion", "reward", "test EM", "test F1"], md_rows))
     print(f"wrote {out_dir / 'ablation.csv'} and {out_dir / 'ablation.md'}")
     return 0
 

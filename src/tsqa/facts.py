@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intervals import MonthInterval, format_year_month
+from .intervals import MAX_MONTH, MIN_MONTH, MonthInterval, format_year_month
 from .tagger import Token, words
 
 # Relation name reserved for era/event definitions used by during-event
@@ -41,6 +41,12 @@ class TimeFact:
         for name in ("subject", "relation", "object"):
             if not getattr(self, name):
                 raise ValueError(f"fact field {name!r} must be a non-empty string")
+        for bound, month in (("start", self.start), ("end", self.end)):
+            if month is not None and not MIN_MONTH <= month <= MAX_MONTH:
+                raise ValueError(
+                    f"fact ({self.subject}, {self.relation}, {self.object}): "
+                    f"{bound} month index {month} outside [{MIN_MONTH}, {MAX_MONTH}]"
+                )
         if self.start is not None and self.end is not None and self.start > self.end:
             raise ValueError(
                 f"fact ({self.subject}, {self.relation}, {self.object}): "

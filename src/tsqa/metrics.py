@@ -1,8 +1,9 @@
-"""Answer normalization, EM/F1 scoring, and policy evaluation reports."""
+"""Answer normalization, EM/F1 scoring, evaluation reports, and the CSV and
+markdown table writers that every report, training history and ablation
+grid prints through."""
 
 from __future__ import annotations
 
-import io
 import json
 import string
 from collections import Counter
@@ -109,23 +110,33 @@ def evaluate(dataset: Sequence, params, index, config, vocab) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
-# Reports.
+# Reports and tables.
+
+
+def csv_table(rows: Sequence[dict]) -> str:
+    """One CSV line per row, columns in the order of the first row's keys;
+    floats as `repr`, every other cell as `str`; no rows, no text."""
+    if not rows:
+        return ""
+    columns = list(rows[0])
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A `| a | b |` header, its `| --- |` rule and one line per row of cells."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(map(str, cells)) + " |\n" for cells in lines)
 
 
 def report(metrics: Metrics, fmt: str = "markdown") -> str:
+    rows = [*metrics.by_type.items(), ("overall", metrics)]
     if fmt == "markdown":
-        lines = ["| split | n | EM | F1 |", "| --- | --- | --- | --- |"]
-        for qtype, m in metrics.by_type.items():
-            lines.append(f"| {qtype} | {m.n} | {m.em:.4f} | {m.f1:.4f} |")
-        lines.append(f"| overall | {metrics.n} | {metrics.em:.4f} | {metrics.f1:.4f} |")
-        return "\n".join(lines) + "\n"
+        return markdown_table(["split", "n", "EM", "F1"], [[k, m.n, f"{m.em:.4f}", f"{m.f1:.4f}"] for k, m in rows])
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("type,n,em,f1\n")
-        for qtype, m in metrics.by_type.items():
-            buf.write(f"{qtype},{m.n},{m.em!r},{m.f1!r}\n")
-        buf.write(f"overall,{metrics.n},{metrics.em!r},{metrics.f1!r}\n")
-        return buf.getvalue()
+        return csv_table([{"type": k, "n": m.n, "em": m.em, "f1": m.f1} for k, m in rows])
     if fmt == "json":
         payload = {
             "em": metrics.em,

@@ -495,13 +495,3 @@ def train_ppo_compiled(
         )
     return best, history
 
-
-def history_to_csv(history: Sequence[dict]) -> str:
-    """One CSV line per row, columns in the order the trainer built the first row."""
-    if not history:
-        return ""
-    columns = list(history[0])
-    lines = [",".join(columns)]
-    for row in history:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"

@@ -327,18 +327,20 @@ def test_ablate_grid(capsys, tmp_path):
         "--seed", "1",
     )
     assert code == 0
-    csv = (out_dir / "ablation.csv").read_text().splitlines()
+    csv_text = (out_dir / "ablation.csv").read_text()
+    md_text = (out_dir / "ablation.md").read_text()
+    assert csv_text.endswith("\n") and md_text.endswith("\n")
+    csv = csv_text.splitlines()
+    md = md_text.splitlines()
     assert csv[0] == "temporal_fusion,reward,test_em,test_f1"
-    assert len(csv) == 5  # header + fusion {on,off} x reward {contrastive,em}
-    arms = {tuple(line.split(",")[:2]) for line in csv[1:]}
-    assert arms == {
-        ("True", "contrastive"),
-        ("True", "exact_match"),
-        ("False", "contrastive"),
-        ("False", "exact_match"),
-    }
-    md = (out_dir / "ablation.md").read_text()
-    assert md.startswith("| temporal fusion | reward |")
+    assert md[:2] == ["| temporal fusion | reward | test EM | test F1 |", "| --- | --- | --- | --- |"]
+    # header + fusion {on,off} x reward {contrastive,em}, in the order the grid runs
+    assert len(csv) == 5 and len(md) == 6
+    arms = [("True", "contrastive"), ("True", "exact_match"), ("False", "contrastive"), ("False", "exact_match")]
+    for (fusion, kind), csv_line, md_line in zip(arms, csv[1:], md[2:]):
+        em, f1 = (float(cell) for cell in csv_line.split(",")[2:])
+        assert csv_line == f"{fusion},{kind},{em!r},{f1!r}"
+        assert md_line == f"| {'on' if fusion == 'True' else 'off'} | {kind} | {em:.4f} | {f1:.4f} |"
     assert out.count("EM") >= 4
 
 
@@ -407,6 +409,28 @@ def test_eval_of_an_empty_dataset_is_exit_two(capsys, tmp_path):
         assert code == 2, name
         assert f"{data}: no records to evaluate" in err
         assert "overall" not in out
+
+
+def test_eval_stdout_is_the_report_its_out_file_holds(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    corpus = tmp_path / "corpus"
+    run(capsys, "gen", "--out-dir", str(corpus), "--config", str(cfg))
+    ckpt = tmp_path / "sft.ckpt"
+    code, _, err = run(
+        capsys, "train-sft", "--train", str(corpus / "train.jsonl"), "--dev", str(corpus / "dev.jsonl"),
+        "--out", str(ckpt), "--config", str(cfg),
+    )
+    assert code == 0, err
+    common = ["eval", "--data", str(corpus / "test.jsonl"), "--checkpoint", str(ckpt)]
+    for fmt in ("markdown", "csv", "json"):
+        path = tmp_path / f"report.{fmt}"
+        code, out, err = run(capsys, *common, "--format", fmt, "--out", str(path))
+        assert code == 0, err
+        assert out == f"wrote {path}\n"
+        code, out, err = run(capsys, *common, "--format", fmt)
+        assert code == 0, err
+        assert out == path.read_text(encoding="utf-8"), fmt  # one trailing newline, no blank line
 
 
 def test_too_many_unresolvable_golds_is_exit_two_naming_a_record(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Fact store, question resolution, negative mining."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ CAREER = [
     TimeFact("Harbour Strike", EVENT_RELATION, "Harbour Strike",
              year_span(1958, 1959).start, year_span(1958, 1959).end),
 ]
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (5, 10, "fact (A, b, c): start month index 5 outside"),
+        (99999, 10, "fact (A, b, c): start month index 99999 outside"),
+        (23400, 99999, "fact (A, b, c): end month index 99999 outside"),
+        (None, -1, "fact (A, b, c): end month index -1 outside"),
+    ],
+    ids=["start-below", "start-above", "end-above", "end-negative"],
+)
+def test_a_fact_bound_that_is_not_a_month_names_the_fact(start, end, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TimeFact("A", "b", "c", start, end)
 
 
 def test_index_dedup_and_pair():

@@ -194,6 +194,39 @@ def test_report_formats_and_csv_round_trip():
             report(metrics, fmt=fmt)
 
 
+def test_report_bytes_are_pinned():
+    """The exact text of each format, on a report with two types, a float
+    that `repr` and `:.4f` print apart, and a report with no records."""
+    two_types = Metrics(
+        em=0.1 + 0.2, f1=0.5, n=3,
+        by_type={"L2": Metrics(em=0.1 + 0.2, f1=0.75, n=2), "HARD": Metrics(em=0.0, f1=1 / 3, n=1)},
+    )
+    assert report(two_types, fmt="markdown") == (
+        "| split | n | EM | F1 |\n"
+        "| --- | --- | --- | --- |\n"
+        "| L2 | 2 | 0.3000 | 0.7500 |\n"
+        "| HARD | 1 | 0.0000 | 0.3333 |\n"
+        "| overall | 3 | 0.3000 | 0.5000 |\n"
+    )
+    assert report(two_types, fmt="csv") == (
+        "type,n,em,f1\n"
+        "L2,2,0.30000000000000004,0.75\n"
+        "HARD,1,0.0,0.3333333333333333\n"
+        "overall,3,0.30000000000000004,0.5\n"
+    )
+    assert report(two_types, fmt="json") == (
+        '{\n  "em": 0.30000000000000004,\n  "f1": 0.5,\n  "n": 3,\n  "by_type": {\n'
+        '    "L2": {\n      "em": 0.30000000000000004,\n      "f1": 0.75,\n      "n": 2\n    },\n'
+        '    "HARD": {\n      "em": 0.0,\n      "f1": 0.3333333333333333,\n      "n": 1\n    }\n  }\n}\n'
+    )
+    empty = Metrics(em=0.0, f1=0.0, n=0)
+    assert report(empty, fmt="markdown") == (
+        "| split | n | EM | F1 |\n| --- | --- | --- | --- |\n| overall | 0 | 0.0000 | 0.0000 |\n"
+    )
+    assert report(empty, fmt="csv") == "type,n,em,f1\noverall,0,0.0,0.0\n"
+    assert report(empty, fmt="json") == '{\n  "em": 0.0,\n  "f1": 0.0,\n  "n": 0,\n  "by_type": {}\n}\n'
+
+
 def test_cached_candidate_scores_equal_score_predictions(monkeypatch, small_compiled, small_vocab, tiny_features):
     records = [c for split in small_compiled for c in split]
     params = policy.init_params(np.random.default_rng(0), len(small_vocab), tiny_features)

@@ -13,7 +13,7 @@ from tsqa.corpus import QARecord, QuestionType, SyntheticConfig, generate_synthe
 from tsqa.facts import FactIndex, TimeFact, sample_negatives
 from tsqa.features import Vocabulary
 from tsqa.intervals import year_span
-from tsqa.metrics import evaluate_compiled, exact_match
+from tsqa.metrics import csv_table, evaluate_compiled, exact_match
 from tsqa.policy import (
     Candidate,
     compile_record,
@@ -35,7 +35,6 @@ from tsqa.trainer import (
     build_reward_caches,
     build_vocabulary,
     collect_rollouts,
-    history_to_csv,
     ppo_update,
     reference_probs,
     standardize_advantages,
@@ -841,7 +840,7 @@ def test_history_to_csv_round():
     sft_rows = [
         {"epoch": 0, "loss": 1.25, "dev_em": 0.5, "dev_f1": 0.625, "skipped": 0}
     ]
-    text = history_to_csv(sft_rows)
+    text = csv_table(sft_rows)
     assert text.splitlines()[0] == "epoch,loss,dev_em,dev_f1,skipped"
     assert "1.25" in text
     ppo_rows = [
@@ -851,8 +850,17 @@ def test_history_to_csv_round():
             "approx_kl": 0.0, "dev_em": 1.0, "dev_f1": 1.0,
         }
     ]
-    assert history_to_csv(ppo_rows).splitlines()[0] == (
+    assert csv_table(ppo_rows).splitlines()[0] == (
         "iteration,mean_reward,kl,kl_coef,clip_frac,policy_loss,value_loss,approx_kl,"
         "dev_em,dev_f1"
     )
-    assert history_to_csv([]) == ""
+    assert csv_table([]) == ""
+    rows = [
+        {"epoch": 0, "loss": 0.1 + 0.2, "dev_em": 1 / 3, "skipped": 2, "best": -1},
+        {"epoch": 1, "loss": 1e-20, "dev_em": 0.0, "skipped": 0, "best": 1},
+    ]
+    assert csv_table(rows) == (
+        "epoch,loss,dev_em,skipped,best\n"
+        "0,0.30000000000000004,0.3333333333333333,2,-1\n"
+        "1,1e-20,0.0,0,1\n"
+    )
